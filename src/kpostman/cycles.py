@@ -1,18 +1,19 @@
 """Shortest cycles, greedy edge-disjoint packing, and an exact packing search.
 
 Cycles live in a multigraph-with-counts: two copies of one edge form a
-2-cycle, as do two parallel edges.  "Shortest" is by edge count; ties break
-by total weight, then by sorted edge-id list, so results are deterministic.
+2-cycle, as do two parallel edges.  "Shortest" is by edge count, then by
+total weight; ties on both are broken deterministically.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .cpp import Multiplicities
-from .graph import Edge, GraphError, MultiGraph
+from .graph import Chain, Edge, GraphError, MultiGraph, chain_decomposition, core_edge_ids
 
 
 @dataclass(frozen=True)
@@ -90,53 +91,82 @@ def _two_cycle_candidates(m: Multiplicities) -> list[tuple[int, int, tuple[int, 
     return out
 
 
-def _best_path_avoiding(g_adj, counts, e: Edge):
-    """Min (hops, weight, edge-id list) simple path e.u -> e.v not using e."""
-    start, goal = e.u, e.v
-    best: dict[int, tuple[int, int, tuple[int, ...], tuple[int, ...]]] = {
-        start: (0, 0, (), (start,))
-    }
-    heap = [(0, 0, (), (start,), start)]
-    done: set[int] = set()
-    while heap:
-        hops, w, ids, verts, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        if v == goal:
-            return hops, w, ids, verts
-        for f in g_adj[v]:
-            if f.id == e.id or counts.get(f.id, 0) < 1:
-                continue
-            u = f.other(v)
-            if u in done:
-                continue
-            cand = (hops + 1, w + f.weight, ids + (f.id,), verts + (u,))
-            if u not in best or cand < best[u]:
-                best[u] = cand
-                heapq.heappush(heap, cand + (u,))
-    return None
-
-
 def shortest_cycle(m: Multiplicities) -> Cycle | None:
-    """Minimum-edge-count cycle of the multigraph, or None if acyclic."""
+    """Minimum (edge count, weight) cycle of the multigraph, or None if acyclic.
+
+    Without 2-cycles the support is a simple graph.  Its 2-core is cut into
+    chains; loop chains and rings are cycles as they are, and every other
+    cycle is found by one lexicographic (hops, weight) Dijkstra per anchor
+    over the chains, closing over a non-tree chain whose ends hang from
+    different root branches.  A search stops once it pops more than half
+    the best cycle so far, which keeps the result exact.
+    """
     two = _two_cycle_candidates(m)
     if two:
         return min(two, key=lambda t: (t[0], t[1], t[2]))[3]
-    # no duplicated or parallel copies remain: the support is a simple graph
-    best: tuple[int, int, tuple[int, ...], Cycle] | None = None
-    adj = m.base.adjacency
-    for e in m.support():
-        found = _best_path_avoiding(adj, m.counts, e)
-        if found is None:
-            continue
-        hops, w, ids, verts = found
-        key = (hops + 1, w + e.weight, tuple(sorted(ids + (e.id,))))
-        # cycle vertices u, ..., v; closing edge e joins v back to u
-        cand = Cycle(verts, ids + (e.id,))
-        if best is None or key < (best[0], best[1], best[2]):
-            best = (key[0], key[1], key[2], cand)
-    return best[3] if best else None
+    g = m.base
+    chains = chain_decomposition(g, core_edge_ids(g, [e.id for e in m.support()]))
+    best_key: tuple[float, float] = (math.inf, math.inf)
+    best: Cycle | None = None
+    open_chains: list[Chain] = []
+    incident: dict[int, list[int]] = {}
+    for c in chains:
+        if c.u == c.v:
+            if (len(c.edges), c.weight) < best_key:
+                best_key, best = (len(c.edges), c.weight), Cycle(c.vertices[:-1], c.edges)
+        else:
+            incident.setdefault(c.u, []).append(len(open_chains))
+            incident.setdefault(c.v, []).append(len(open_chains))
+            open_chains.append(c)
+
+    def closed(root: int, pred: dict[int, int], x: int, i: int, y: int) -> Cycle:
+        """Tree path root -> x, chain i to y, tree path y -> root."""
+
+        def up(v: int):  # tree chains from v up to the root
+            while v != root:
+                yield pred[v]
+                c = open_chains[pred[v]]
+                v = c.u if c.v == v else c.v
+
+        verts: list[int] = []
+        ids: list[int] = []
+        cur = root
+        for j in [*reversed(list(up(x))), i, *up(y)]:
+            vs, es = open_chains[j].walk_from(cur)
+            verts.extend(vs[:-1])
+            ids.extend(es)
+            cur = vs[-1]
+        return Cycle(tuple(verts), tuple(ids))
+
+    for root in sorted(incident):
+        dist = {root: (0, 0)}
+        pred: dict[int, int] = {}  # vertex -> index of its tree chain
+        branch = {root: -1}  # vertex -> index of the first chain on its tree path
+        settled: set[int] = set()
+        heap = [((0, 0), root)]
+        while heap:
+            (h, w), x = heapq.heappop(heap)
+            if x in settled:
+                continue
+            if (2 * h, 2 * w) > best_key:
+                break
+            settled.add(x)
+            for i in incident[x]:
+                c = open_chains[i]
+                y = c.v if c.u == x else c.u
+                if y in settled:
+                    if i != pred.get(x) and branch[y] != branch[x]:
+                        key = (h + len(c.edges) + dist[y][0], w + c.weight + dist[y][1])
+                        if key < best_key:
+                            best_key, best = key, closed(root, pred, x, i, y)
+                    continue
+                cand = (h + len(c.edges), w + c.weight)
+                if y not in dist or cand < dist[y]:
+                    dist[y] = cand
+                    pred[y] = i
+                    branch[y] = i if x == root else branch[x]
+                    heapq.heappush(heap, (cand, y))
+    return best
 
 
 def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:

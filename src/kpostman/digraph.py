@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .graph import GraphError, ParseError
+from .graph import GraphError, ParseError, ascii_text
 
 
 class Arc(NamedTuple):
@@ -25,6 +25,8 @@ class DiGraph:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
+        if self.vertex_count < 0:
+            raise GraphError("vertex count must be nonnegative")
         seen: set[int] = set()
         for a in self.arcs:
             if not (1 <= a.tail <= self.vertex_count and 1 <= a.head <= self.vertex_count):
@@ -180,11 +182,7 @@ def verify_packing_equivalence(d: DiGraph, size_limit: int = 16) -> EquivalenceR
 
 def parse_directed_instance(text: str | bytes) -> tuple[DiGraph, int]:
     """Directed instance format: ``p dkcpp <n> <m> <k>`` then ``a`` records."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"instance is not ASCII: {exc}") from None
+    text = ascii_text(text)
     header: tuple[int, int, int] | None = None
     triples: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -201,6 +199,8 @@ def parse_directed_instance(text: str | bytes) -> tuple[DiGraph, int]:
                 header = (int(tok[2]), int(tok[3]), int(tok[4]))
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+            if header[0] < 0 or header[1] < 0 or header[2] < 1:
+                raise ParseError(f"line {lineno}: header values out of range")
         elif tok[0] == "a":
             if header is None:
                 raise ParseError(f"line {lineno}: arc record before header")

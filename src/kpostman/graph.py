@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
@@ -158,6 +158,103 @@ class BypassResult(NamedTuple):
     replaced: tuple[int, int]
 
 
+class Chain(NamedTuple):
+    """Maximal path whose internal vertices all have degree 2.
+
+    edges[i] joins vertices[i] to vertices[i+1], from anchor u to anchor v;
+    u == v for a loop chain closed on one anchor.  A ring is a whole
+    component of degree-2 vertices: it has no anchor and runs from its
+    lowest vertex back to it.
+    """
+
+    vertices: tuple[int, ...]
+    edges: tuple[int, ...]
+    weight: int
+    ring: bool = False
+
+    @property
+    def u(self) -> int:
+        return self.vertices[0]
+
+    @property
+    def v(self) -> int:
+        return self.vertices[-1]
+
+    @property
+    def internal(self) -> tuple[int, ...]:
+        return self.vertices[1:-1]
+
+    def walk_from(self, vertex: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(vertices, edges) in traversal order from end `vertex` to the other."""
+        if vertex == self.vertices[0]:
+            return self.vertices, self.edges
+        return self.vertices[::-1], self.edges[::-1]
+
+
+def _incidence(g: MultiGraph, edge_ids: Iterable[int] | None) -> dict[int, Sequence[Edge]]:
+    """Incident edges of each non-isolated vertex of the subgraph on edge_ids."""
+    if edge_ids is None:
+        return {v: es for v, es in g.adjacency.items() if es}
+    keep = set(edge_ids)
+    adj: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        if e.id in keep:
+            adj.setdefault(e.u, []).append(e)
+            adj.setdefault(e.v, []).append(e)
+    return adj
+
+
+def core_edge_ids(g: MultiGraph, edge_ids: Iterable[int] | None = None) -> set[int]:
+    """Edges of the 2-core of the subgraph on edge_ids (default: all edges):
+    degree-1 vertices are stripped until none is left."""
+    adj = _incidence(g, edge_ids)
+    deg = {v: len(es) for v, es in adj.items()}
+    live = {e.id for es in adj.values() for e in es}
+    leaves = [v for v, d in deg.items() if d == 1]
+    while leaves:
+        v = leaves.pop()
+        for e in adj[v]:
+            if e.id in live:
+                live.discard(e.id)
+                deg[v] -= 1
+                w = e.other(v)
+                deg[w] -= 1
+                if deg[w] == 1:
+                    leaves.append(w)
+    return live
+
+
+def chain_decomposition(g: MultiGraph, edge_ids: Iterable[int] | None = None) -> list[Chain]:
+    """Cut the subgraph on edge_ids (default: all edges) into chains at its
+    anchors, the vertices of degree other than 2, plus one ring per
+    component without an anchor.  Linear in the subgraph's size."""
+    adj = _incidence(g, edge_ids)
+    used: set[int] = set()
+    chains: list[Chain] = []
+
+    def follow(a: int, start: Edge, ring: bool) -> None:
+        verts, ids, weight = [a], [start.id], start.weight
+        edge, cur = start, start.other(a)
+        while cur != a and len(adj[cur]) == 2:
+            verts.append(cur)
+            e1, e2 = adj[cur]
+            edge = e2 if e1.id == edge.id else e1
+            ids.append(edge.id)
+            weight += edge.weight
+            cur = edge.other(cur)
+        verts.append(cur)
+        used.update(ids)
+        chains.append(Chain(tuple(verts), tuple(ids), weight, ring))
+
+    for ring in (False, True):
+        for a in sorted(adj):
+            if (len(adj[a]) == 2) == ring:
+                for start in adj[a]:
+                    if start.id not in used:
+                        follow(a, start, ring)
+    return chains
+
+
 def degree_classes(g: MultiGraph) -> DegreeClasses:
     v1, v2, v3 = [], [], []
     for v in g.vertices():
@@ -239,17 +336,23 @@ def verify_solution(g: MultiGraph, k: int, s: Solution) -> int:
     return weight
 
 
+def ascii_text(text: str | bytes) -> str:
+    """Instance text as str; raises ParseError unless it is all ASCII."""
+    if isinstance(text, bytes):
+        text = text.decode("latin-1")
+    if not text.isascii():
+        bad = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ParseError(f"instance is not ASCII: non-ASCII character at position {bad}")
+    return text
+
+
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the line-oriented instance format.
 
     Header ``p kcpp <n> <m> <k>`` with an optional fifth token ``<p>``;
     exactly m edge records ``e <u> <v> <w>``; ``#`` starts a comment line.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"instance is not ASCII: {exc}") from None
+    text = ascii_text(text)
     header: tuple[int, int, int, int | None] | None = None
     triples: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -332,23 +435,28 @@ def parse_solution(text: str) -> Solution:
         if not line or line.startswith("#"):
             continue
         tok = line.split()
+        if tok[0] not in ("s", "w"):
+            raise ParseError(f"line {lineno}: unknown record tag {tok[0]!r}")
+        try:
+            numbers = [int(x) for x in tok[1:]]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
         if tok[0] == "s":
             if len(tok) != 3:
                 raise ParseError(f"line {lineno}: malformed solution header")
-            total, k = int(tok[1]), int(tok[2])
-        elif tok[0] == "w":
+            total, k = numbers
+        else:
             if total is None:
                 raise ParseError(f"line {lineno}: walk before solution header")
-            count = int(tok[1])
-            body = [int(x) for x in tok[2:]]
+            if not numbers:
+                raise ParseError(f"line {lineno}: walk record without a step count")
+            count, body = numbers[0], numbers[1:]
             if len(body) != 2 * count + 1:
                 raise ParseError(f"line {lineno}: walk token count mismatch")
             if body[0] != body[-1]:
                 raise ParseError(f"line {lineno}: walk does not close on its start vertex")
             steps = tuple((body[2 * i], body[2 * i + 1]) for i in range(count))
             walks.append(Walk(steps))
-        else:
-            raise ParseError(f"line {lineno}: unknown record tag {tok[0]!r}")
     if total is None or k is None:
         raise ParseError("missing solution header")
     if len(walks) != k:

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from .cpp import CppSolution, Multiplicities, solve_cpp
 from .cycles import Cycle, CyclePacking, greedy_cycle_packing
 from .graph import (
+    Chain,
     Edge,
     GraphError,
     MultiGraph,
     Solution,
     Walk,
-    bypass,
+    chain_decomposition,
+    core_edge_ids,
     degree_classes,
     is_connected,
     verify_solution,
@@ -36,10 +38,11 @@ class KernelConstants:
     c2: float | None = None
 
     def __post_init__(self) -> None:
+        given = (self.c, self.c1) if self.c2 is None else (self.c, self.c1, self.c2)
+        if not all(math.isfinite(x) and x > 0 for x in given):
+            raise GraphError("kernel constants must be positive and finite")
         if self.c2 is None:
             object.__setattr__(self, "c2", self.c2_lower_bound())
-        if self.c <= 0 or self.c1 <= 0 or self.c2 <= 0:  # type: ignore[operator]
-            raise GraphError("kernel constants must be positive")
         if self.c2 + 1e-9 < self.c2_lower_bound():  # type: ignore[operator]
             raise GraphError(
                 f"c2={self.c2} below the consistency bound {self.c2_lower_bound():.4f}"
@@ -52,46 +55,9 @@ class KernelConstants:
 DEFAULT_CONSTANTS = KernelConstants()
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Maximal path whose internal vertices all have degree 2.
-
-    Edges are ordered from anchor u to anchor v; u == v for a chain closed on
-    a single anchor.  A direct edge between anchors is a chain with no
-    internal vertices.
-    """
-
-    u: int
-    v: int
-    internal: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    def weight(self, g: MultiGraph) -> int:
-        return sum(g.edge(eid).weight for eid in self.edges)
-
-
 def find_chains(g: MultiGraph) -> list[Chain]:
     """All anchor-to-anchor chains; empty when the graph is a bare cycle."""
-    anchors = sorted(v for v in g.vertices() if g.degree(v) not in (0, 2))
-    chains: list[Chain] = []
-    used: set[int] = set()
-    for a in anchors:
-        for start in g.adjacency[a]:
-            if start.id in used:
-                continue
-            ids = [start.id]
-            internal: list[int] = []
-            edge = start
-            cur = edge.other(a)
-            while g.degree(cur) == 2:
-                internal.append(cur)
-                e1, e2 = g.adjacency[cur]
-                edge = e2 if e1.id == edge.id else e1
-                ids.append(edge.id)
-                cur = edge.other(cur)
-            used.update(ids)
-            chains.append(Chain(a, cur, tuple(internal), tuple(ids)))
-    return chains
+    return [c for c in chain_decomposition(g) if not c.ring]
 
 
 def is_bare_cycle(g: MultiGraph) -> bool:
@@ -137,108 +103,58 @@ def _chain_vertices(g: MultiGraph, ids: tuple[int, ...], start: int) -> list[int
     return verts
 
 
-def _oriented(g: MultiGraph, expansions: dict[int, tuple[int, ...]], eid: int, frm: int):
-    e = g.edge(eid)
-    ids = expansions[eid]
-    return ids if frm == e.u else tuple(reversed(ids))
-
-
-def _min_weight_preserved(g: MultiGraph, id_a: int, id_b: int) -> bool:
-    cur = g.min_weight()
-    merged = g.edge(id_a).weight + g.edge(id_b).weight
-    others = min((e.weight for e in g.edges if e.id not in (id_a, id_b)), default=merged)
-    return min(others, merged) == cur
-
-
 def apply_reduction_rule(g: MultiGraph, k: int) -> tuple[MultiGraph, ExpansionMap]:
-    """Bypass interior chain vertices until no chain has more than k internal
-    vertices, always choosing a vertex whose bypass keeps the minimum edge
-    weight unchanged.
+    """Shorten, in one pass, every chain with more than k internal vertices
+    to k+1 segments, and a bare cycle with more than k+2 vertices to a ring
+    of k+2 segments; each segment becomes one edge of summed weight.
 
-    Interior positions (2..r-1 along the chain) are preferred; if the unique
-    minimum-weight edge pins all of them, the end positions are tried under
-    the same min-weight guard.  A chain is skipped only when every position
-    would change the minimum.
+    The minimum-weight edge g.min_weight_edge() always stays a segment of
+    its own, so the minimum edge weight is unchanged.  When it lies strictly
+    inside a chain and k = 1, that chain keeps 2 internal vertices.
+    Bypassed vertices stay as isolated indices.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if not is_connected(g):
         raise GraphError("graph must be connected")
-    work = g
+    min_id = g.min_weight_edge().id if g.edges else None
+    next_id = g.max_edge_id() + 1
     expansions: dict[int, tuple[int, ...]] = {e.id: (e.id,) for e in g.edges}
-
-    def do_bypass(vertex: int) -> None:
-        nonlocal work, expansions
-        res = bypass(work, vertex)
-        ea = work.edge(res.replaced[0])
-        eb = work.edge(res.replaced[1])
-        a = ea.other(vertex)
-        first = _oriented(work, expansions, ea.id, a)
-        second = _oriented(work, expansions, eb.id, vertex)
-        del expansions[ea.id]
-        del expansions[eb.id]
-        expansions[res.new_edge_id] = first + second
-        work = res.graph
-
-    while True:
-        progressed = False
-        if is_bare_cycle(work):
-            # any vertex may serve as an interior position of a suitable path
-            while _active_count(work) > k + 2:
-                cand = next(
-                    (
-                        v
-                        for v in sorted(work.vertices())
-                        if work.degree(v) == 2
-                        and _min_preserved_at(work, v)
-                    ),
-                    None,
-                )
-                if cand is None:
-                    break
-                do_bypass(cand)
-            break
-        for chain in sorted(find_chains(work), key=lambda c: c.edges[0]):
-            r = len(chain.internal)
-            if r <= k:
+    merged: list[Edge] = []
+    for c in chain_decomposition(g):
+        parts = k + 2 if c.ring else k + 1
+        if len(c.edges) <= parts:
+            continue
+        verts, ids = c.vertices, c.edges
+        cuts: set[int] = set()
+        if min_id in ids:
+            p = ids.index(min_id)
+            if c.ring:  # start the ring at the kept edge
+                verts, ids = verts[p:] + verts[1 : p + 1], ids[p:] + ids[:p]
+                p = 0
+            cuts = {cut for cut in (p, p + 1) if 0 < cut < len(ids)}
+        pos = 1
+        while len(cuts) < parts - 1:
+            cuts.add(pos)
+            pos += 1
+        bounds = [0, *sorted(cuts), len(ids)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo < 2:
                 continue
-            pos = _choose_position(work, chain)
-            if pos is None:
-                continue
-            do_bypass(chain.internal[pos])
-            progressed = True
-            break
-        if not progressed:
-            break
+            weight = sum(g.edge(eid).weight for eid in ids[lo:hi])
+            merged.append(Edge(next_id, verts[lo], verts[hi], weight))
+            expansions[next_id] = ids[lo:hi]
+            next_id += 1
+            for eid in ids[lo:hi]:
+                del expansions[eid]
+    kept = tuple(e for e in g.edges if e.id in expansions)
+    work = MultiGraph(g.vertex_count, kept + tuple(merged))
     return work, ExpansionMap(
         original=g,
         kernel=work,
         expansions=expansions,
         vertex_to_original={v: v for v in work.vertices()},
     )
-
-
-def _active_count(g: MultiGraph) -> int:
-    return sum(1 for v in g.vertices() if g.degree(v) > 0)
-
-
-def _min_preserved_at(g: MultiGraph, vertex: int) -> bool:
-    e1, e2 = g.adjacency[vertex]
-    return e1.other(vertex) != e2.other(vertex) and _min_weight_preserved(g, e1.id, e2.id)
-
-
-def _choose_position(g: MultiGraph, chain: Chain) -> int | None:
-    r = len(chain.internal)
-    primary = list(range(1, r - 1))
-    fallback = [i for i in range(r) if i not in primary]
-    for i in primary + fallback:
-        vertex = chain.internal[i]
-        e1, e2 = g.adjacency[vertex]
-        if e1.other(vertex) == e2.other(vertex):
-            continue
-        if _min_weight_preserved(g, chain.edges[i], chain.edges[i + 1]):
-            return i
-    return None
 
 
 @dataclass(frozen=True)
@@ -271,7 +187,7 @@ def build_path_multigraph(g: MultiGraph) -> PathMultigraph:
     h_edges = []
     chain_for_edge = {}
     for hid, c in enumerate(open_chains, start=1):
-        h_edges.append(Edge(hid, h_vertex_of[c.u], h_vertex_of[c.v], c.weight(g)))
+        h_edges.append(Edge(hid, h_vertex_of[c.u], h_vertex_of[c.v], c.weight))
         chain_for_edge[hid] = c
     h = MultiGraph(len(anchors), tuple(h_edges))
     return PathMultigraph(h, chain_for_edge, loops, anchor_of, h_vertex_of)
@@ -306,64 +222,25 @@ def pendant_shortcut(
 
 
 def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
-    """Greedy cycles found after stripping degree-1 vertices to a fixed point
-    and suppressing degree-2 vertices, mapped back to cycles of g."""
-    edges = {e.id: e for e in g.edges}
-    expansions: dict[int, tuple[int, ...]] = {e.id: (e.id,) for e in g.edges}
-    next_id = g.max_edge_id() + 1
-
-    def degrees() -> dict[int, list[Edge]]:
-        adj: dict[int, list[Edge]] = {}
-        for e in edges.values():
-            adj.setdefault(e.u, []).append(e)
-            adj.setdefault(e.v, []).append(e)
-        return adj
-
-    while True:
-        adj = degrees()
-        leaf = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
-        if leaf is not None:
-            e = adj[leaf][0]
-            del edges[e.id]
-            del expansions[e.id]
-            continue
-        mergeable = None
-        for v in sorted(adj):
-            if len(adj[v]) == 2:
-                e1, e2 = sorted(adj[v], key=lambda e: e.id)
-                if e1.other(v) != e2.other(v):
-                    mergeable = (v, e1, e2)
-                    break
-        if mergeable is None:
-            break
-        v, e1, e2 = mergeable
-        a, b = e1.other(v), e2.other(v)
-        # expansion lists stay oriented from the synthetic edge's u endpoint,
-        # mirroring the bypass convention
-        o1 = expansions[e1.id] if e1.u == a else tuple(reversed(expansions[e1.id]))
-        o2 = expansions[e2.id] if e2.u == v else tuple(reversed(expansions[e2.id]))
-        merged = Edge(next_id, a, b, e1.weight + e2.weight)
-        del edges[e1.id], edges[e2.id], expansions[e1.id], expansions[e2.id]
-        edges[next_id] = merged
-        expansions[next_id] = o1 + o2
-        next_id += 1
-
-    if not edges:
-        return []
-    core = MultiGraph(g.vertex_count, tuple(sorted(edges.values(), key=lambda e: e.id)))
-    packing = greedy_cycle_packing(Multiplicities.uniform(core), k)
-    out: list[Cycle] = []
-    for cyc in packing.cycles:
+    """Greedy cycles of the 2-core of g with each degree-2 chain counted as
+    one edge, mapped back to cycles of g.  Loop chains and rings are cycles
+    as they are; the greedy runs on the open chains."""
+    chains = chain_decomposition(g, core_edge_ids(g))
+    out = [Cycle(c.vertices[:-1], c.edges) for c in chains if c.u == c.v]
+    open_chains = [c for c in chains if c.u != c.v]
+    if len(out) >= k or not open_chains:
+        return out
+    core = MultiGraph(
+        g.vertex_count,
+        tuple(Edge(i, c.u, c.v, c.weight) for i, c in enumerate(open_chains, start=1)),
+    )
+    for cyc in greedy_cycle_packing(Multiplicities.uniform(core), k - len(out)).cycles:
         verts: list[int] = []
         ids: list[int] = []
-        r = len(cyc.edges)
-        for i in range(r):
-            frm = cyc.vertices[i]
-            rec = core.edge(cyc.edges[i])
-            oriented = expansions[rec.id] if frm == rec.u else tuple(reversed(expansions[rec.id]))
-            chain_verts = _chain_vertices(g, oriented, frm)
-            verts.extend(chain_verts[:-1])
-            ids.extend(oriented)
+        for frm, eid in zip(cyc.vertices, cyc.edges):
+            vs, es = open_chains[eid - 1].walk_from(frm)
+            verts.extend(vs[:-1])
+            ids.extend(es)
         out.append(Cycle(tuple(verts), tuple(ids)))
     return out
 
@@ -405,18 +282,8 @@ def parallel_edge_shortcut(g: MultiGraph, pm: PathMultigraph, k: int) -> CyclePa
         for i in range(k):
             c1 = pm.chain_for_edge[hids[2 * i]]
             c2 = pm.chain_for_edge[hids[2 * i + 1]]
-            a, b = c1.u, c1.v
-            verts = [a, *c1.internal, b]
-            ids = list(c1.edges)
-            if c2.u == b:
-                back_ids = list(c2.edges)
-                back_internal = list(c2.internal)
-            else:
-                back_ids = list(reversed(c2.edges))
-                back_internal = list(reversed(c2.internal))
-            verts.extend(back_internal)
-            ids.extend(back_ids)
-            cycles.append(Cycle(tuple(verts), tuple(ids)))
+            there, back = c1.walk_from(c1.u), c2.walk_from(c1.v)
+            cycles.append(Cycle(there[0][:-1] + back[0][:-1], there[1] + back[1]))
         return CyclePacking(tuple(cycles))
     return None
 
@@ -497,7 +364,7 @@ def _build_report(
     chains = find_chains(g)
     max_internal = max((len(c.internal) for c in chains), default=None)
     if bare:
-        max_internal = max(_active_count(g) - 2, 0)
+        max_internal = max(len(dc.v2) - 2, 0)
     h_edges = None
     max_par = None
     if pm is not None:

@@ -16,13 +16,11 @@ from itertools import combinations
 
 from .cpp import Multiplicities, solve_cpp
 from .cycles import CyclePacking, PackingSearch, greedy_cycle_packing
-from .graph import GraphError, MultiGraph, Solution, is_connected
+from .graph import GraphError, MultiGraph, Solution, chain_decomposition, is_connected
 from .kernel import (
     KernelReport,
     Reduced,
     Solved,
-    find_chains,
-    is_bare_cycle,
     kernelize,
     lift_solution,
     KernelConstants,
@@ -66,12 +64,7 @@ class RestrictedDuplication:
 def _chain_candidates(g: MultiGraph) -> list[tuple[int, ...]]:
     """Edge-id groups that duplication sets are composed of: the maximal
     degree-2 chains, or the whole edge set when the graph is a bare cycle."""
-    chains = find_chains(g)
-    if chains:
-        return [c.edges for c in sorted(chains, key=lambda c: c.edges[0])]
-    if is_bare_cycle(g):
-        return [tuple(e.id for e in g.edges)]
-    return []
+    return [c.edges for c in sorted(chain_decomposition(g), key=lambda c: c.edges[0])]
 
 
 def _parity_ok(g: MultiGraph, double_ids: set[int]) -> bool:

@@ -6,8 +6,11 @@ they are used to check.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations, product
+
+from hypothesis import strategies as st
 
 from kpostman.generators import named_graph, random_connected_graph
 from kpostman.graph import MultiGraph
@@ -18,8 +21,10 @@ __all__ = [
     "cpp_enumeration_minimum",
     "join_enumeration_minimum",
     "all_simple_cycles",
+    "min_cycle_key",
     "max_disjoint_from_list",
     "random_small_graphs",
+    "record_texts",
 ]
 
 
@@ -85,6 +90,40 @@ def all_simple_cycles(g: MultiGraph, counts: dict[int, int]) -> list[tuple[int, 
     return sorted(found)
 
 
+def min_cycle_key(g: MultiGraph, counts: dict[int, int]) -> tuple[int, int] | None:
+    """Smallest (edge count, weight) over all cycles: two copies of an edge,
+    or an edge closed by the lexicographically shortest path between its
+    ends that avoids it."""
+    best = None
+    for e in g.edges:
+        if counts.get(e.id, 0) >= 2:
+            cand = (2, 2 * e.weight)
+        elif counts.get(e.id, 0) == 1:
+            cand = None
+            dist = {e.u: (0, 0)}
+            heap = [((0, 0), e.u)]
+            done: set[int] = set()
+            while heap:
+                d, v = heapq.heappop(heap)
+                if v in done:
+                    continue
+                done.add(v)
+                if v == e.v:
+                    cand = (d[0] + 1, d[1] + e.weight)
+                    break
+                for f in g.adjacency[v]:
+                    if f.id != e.id and counts.get(f.id, 0) > 0:
+                        nd, u = (d[0] + 1, d[1] + f.weight), f.other(v)
+                        if u not in dist or nd < dist[u]:
+                            dist[u] = nd
+                            heapq.heappush(heap, (nd, u))
+        else:
+            continue
+        if cand is not None and (best is None or cand < best):
+            best = cand
+    return best
+
+
 def max_disjoint_from_list(cycles: list[tuple[int, ...]], counts: dict[int, int]) -> int:
     """Max number of edge-disjoint cycles chosen from an explicit list."""
 
@@ -116,3 +155,13 @@ def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):
         n = rng.randint(2, max_n)
         m = rng.randint(n - 1, max_m)
         yield random_connected_graph(rng, n, m, max_weight=max_w)
+
+
+_TOKENS = ["p", "kcpp", "dkcpp", "e", "a", "s", "w", "#", "0", "1", "2", "3", "-1", "x", "1.5", "\u0661", "9" * 30]
+
+
+def record_texts():
+    """Arbitrary text, and lines of record-like tokens that get past the
+    first checks of the instance and solution parsers."""
+    line = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=7).map(" ".join)
+    return st.one_of(st.text(), st.lists(line, max_size=8).map("\n".join))

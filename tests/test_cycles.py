@@ -9,17 +9,21 @@ import pytest
 from kpostman.cpp import Multiplicities
 from kpostman.cycles import (
     CyclePacking,
+    check_cycle,
     check_packing,
     exact_max_cycle_packing,
     greedy_cycle_packing,
     shortest_cycle,
 )
+from kpostman.generators import inflate_chains
 from kpostman.graph import GraphError, MultiGraph
 
 from conftest import (
     all_simple_cycles,
     max_disjoint_from_list,
+    min_cycle_key,
     named_graph,
+    random_connected_graph,
     random_small_graphs,
 )
 
@@ -41,10 +45,35 @@ def test_shortest_cycle_tree_none():
     assert shortest_cycle(Multiplicities.uniform(g)) is None
 
 
-def test_shortest_cycle_matches_enumerated_girth():
+def _decorated(core: MultiGraph, rng: random.Random) -> MultiGraph:
+    """core with edges inflated into chains of random weights 0..3 (parallel
+    edges become parallel chains) and a pendant tree hung on random vertices."""
+    g = inflate_chains(
+        core, {e.id: [rng.randint(0, 3) for _ in range(rng.randint(1, 3))] for e in core.edges}
+    )
+    triples = [(e.u, e.v, e.weight) for e in g.edges]
+    n = g.vertex_count
+    for _ in range(rng.randint(0, 3)):
+        n += 1
+        triples.append((rng.randint(1, n - 1), n, rng.randint(0, 3)))
+    return MultiGraph.from_edges(n, triples)
+
+
+def _girth_cases():
     rng = random.Random(17)
     for g in random_small_graphs(seed=31, trials=50, max_m=7):
-        counts = {e.id: rng.randint(1, 2) for e in g.edges}
+        yield g, {e.id: rng.randint(1, 2) for e in g.edges}
+    for core in random_small_graphs(seed=35, trials=60, max_n=4, max_m=6):
+        g = _decorated(core, rng)
+        yield g, {e.id: 1 for e in g.edges}
+        yield g, {e.id: rng.randint(0, 1) for e in g.edges}
+    for name in ("bowtie", "theta", "k4"):  # loop chains, parallel chains, anchors only
+        g = _decorated(named_graph(name), rng)
+        yield g, {e.id: 1 for e in g.edges}
+
+
+def test_shortest_cycle_matches_enumerated_girth():
+    for g, counts in _girth_cases():
         m = Multiplicities(g, counts)
         cycles = all_simple_cycles(g, counts)
         c = shortest_cycle(m)
@@ -52,7 +81,32 @@ def test_shortest_cycle_matches_enumerated_girth():
             assert c is None
         else:
             assert c is not None
-            assert len(c.edges) == min(len(x) for x in cycles)
+            check_cycle(m, c)
+            want = min((len(x), sum(g.edge(eid).weight for eid in x)) for x in cycles)
+            assert (len(c.edges), c.weight(g)) == want, (g.edges, counts)
+
+
+def test_shortest_cycle_matches_edge_removal_girth_on_larger_graphs():
+    # many anchors and long chains, where a search stopped too early would
+    # miss the minimum
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(3, 14)
+        g = random_connected_graph(rng, n, rng.randint(n, 2 * n + 4), max_weight=rng.choice([0, 1, 3, 9]))
+        if rng.random() < 0.6:
+            g = inflate_chains(
+                g, {e.id: [rng.randint(0, 3) for _ in range(rng.randint(1, 5))] for e in g.edges}
+            )
+        counts = {e.id: rng.choice((0, 1, 1, 1)) for e in g.edges}
+        m = Multiplicities(g, counts)
+        c = shortest_cycle(m)
+        want = min_cycle_key(g, counts)
+        if want is None:
+            assert c is None
+        else:
+            assert c is not None
+            check_cycle(m, c)
+            assert (len(c.edges), c.weight(g)) == want, (g.edges, counts)
 
 
 def test_greedy_star_all_two_cycles():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from kpostman.digraph import (
     DiGraph,
@@ -16,6 +17,8 @@ from kpostman.digraph import (
 )
 from kpostman.generators import random_digraph
 from kpostman.graph import GraphError, ParseError
+
+from conftest import record_texts
 
 
 def test_single_arc_gadget():
@@ -110,3 +113,32 @@ def test_parse_directed_rejects_malformed():
         parse_directed_instance("p dkcpp 2 1 1\na 1 1 1\n")
     with pytest.raises(ParseError):
         parse_directed_instance("p dkcpp 2 2 1\na 1 2 1\n")
+
+
+def test_digraph_rejects_negative_vertex_count():
+    with pytest.raises(GraphError):
+        DiGraph(-1, ())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p dkcpp -1 0 1\n",  # n < 0
+        "p dkcpp 2 -1 1\n",  # m < 0
+        "p dkcpp 2 0 0\n",  # k < 1
+        "\u0661",  # non-ASCII str
+        "p dkcpp 2 1 1\na 1 2 \u0661\n",
+    ],
+)
+def test_parse_directed_rejects_out_of_range_and_non_ascii(text):
+    with pytest.raises(ParseError):
+        parse_directed_instance(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_texts())
+def test_parse_directed_fuzz_value_or_parse_error(text):
+    try:
+        parse_directed_instance(text)
+    except ParseError:
+        pass

@@ -24,7 +24,7 @@ from kpostman.graph import (
     verify_solution,
 )
 
-from conftest import named_graph
+from conftest import named_graph, record_texts
 
 TRIANGLE_TEXT = "p kcpp 3 3 1\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
 
@@ -232,3 +232,40 @@ def test_solution_round_trip():
 def test_parse_solution_rejects_open_walk():
     with pytest.raises(ParseError):
         parse_solution("s 2 1\nw 1 1 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s 2 1\nw\n",  # walk record without a step count
+        "s 2 1\nw 1 1 x 2\n",  # non-integer token in a walk
+        "s two 1\nw 1 1 1 1\n",  # non-integer token in the header
+    ],
+)
+def test_parse_solution_rejects_malformed_records(text):
+    with pytest.raises(ParseError):
+        parse_solution(text)
+
+
+@pytest.mark.parametrize("text", ["\u0661", "p kcpp 2 1 1\ne 1 2 \u0661\n", b"p kcpp 2 1 1\xff\n"])
+def test_parse_instance_rejects_non_ascii(text):
+    with pytest.raises(ParseError):
+        parse_instance(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_texts())
+def test_parse_instance_fuzz_value_or_parse_error(text):
+    try:
+        parse_instance(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_texts())
+def test_parse_solution_fuzz_value_or_parse_error(text):
+    try:
+        parse_solution(text)
+    except ParseError:
+        pass

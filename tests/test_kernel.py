@@ -8,6 +8,7 @@ import pytest
 
 from kpostman.cpp import solve_cpp
 from kpostman.generators import (
+    NAMED_BASES,
     cycle_graph,
     inflate_chains,
     named_graph,
@@ -22,6 +23,7 @@ from kpostman.kernel import (
     apply_reduction_rule,
     build_path_multigraph,
     find_chains,
+    is_bare_cycle,
     kernelize,
     lift_solution,
     packing_shortcut,
@@ -58,6 +60,15 @@ def test_constants_reject_inconsistent_c2():
         KernelConstants(c1=9, c2=1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"c": float("nan")}, {"c1": float("inf")}, {"c2": float("nan")}, {"c2": float("inf")}, {"c1": -1.0}],
+)
+def test_constants_reject_non_finite_and_negative(kwargs):
+    with pytest.raises(GraphError):
+        KernelConstants(**kwargs)
+
+
 def test_pendant_star():
     g = named_graph("star3")
     sol = pendant_shortcut(g, 3)
@@ -89,6 +100,21 @@ def test_packing_bowtie():
     assert sol is not None and sol.total_weight == 6
     verify_solution(g, 2, sol)
     assert oracle_kcpp(g, 2) == 6
+
+
+def test_packing_falls_back_to_core_chain_cycles():
+    # greedy on the cover finds fewer than 4 cycles; the triangle closed on
+    # vertex 1 plus 3 cycles over the 2-core's chains, each counted as one
+    # edge, make 4
+    g = MultiGraph.from_edges(18, [
+        (1, 5, 0), (5, 6, 2), (6, 2, 2), (2, 3, 0), (3, 7, 3), (7, 8, 3), (8, 4, 2),
+        (1, 9, 3), (9, 10, 1), (10, 11, 3), (11, 3, 1), (5, 12, 0), (12, 13, 3),
+        (13, 2, 0), (3, 1, 1), (2, 14, 1), (14, 15, 2), (15, 16, 0), (16, 1, 0), (4, 5, 0),
+        (1, 17, 1), (17, 18, 1), (18, 1, 1),
+    ])  # fmt: skip
+    sol = packing_shortcut(g, 4)
+    assert sol is not None
+    assert verify_solution(g, 4, sol) == solve_cpp(g).weight
 
 
 def test_packing_triangle_k2_none():
@@ -147,6 +173,38 @@ def test_reduction_min_weight_invariant_random():
             work, em = apply_reduction_rule(g, k)
             em.validate()
             assert work.min_weight() == g.min_weight()
+
+
+def _reduction_bases():
+    """Long rings and chain-inflated named bases; the minimum-weight edge sits
+    at a chain end, strictly inside a chain, or on a ring."""
+    yield cycle_graph(1000)
+    yield cycle_graph(1000, [3] * 499 + [1] + [3] * 500)
+    for name in NAMED_BASES:
+        yield uniform_inflation(named_graph(name), 12)
+        seg = {e.id: [3] * 12 for e in named_graph(name).edges}
+        seg[1][5] = 1
+        yield inflate_chains(named_graph(name), seg)
+
+
+def test_reduction_one_pass_bounds():
+    interior_min_kept = 0
+    for g in _reduction_bases():
+        active = sum(1 for v in g.vertices() if g.degree(v) > 0)
+        e_min = g.min_weight_edge()
+        for k in (1, 2, 3, 4):
+            work, em = apply_reduction_rule(g, k)
+            em.validate()
+            assert work.min_weight() == g.min_weight()
+            assert work.edge(e_min.id) == e_min
+            for c in find_chains(work):
+                if len(c.internal) > k:
+                    # k = 1 with the minimum strictly inside: 3 segments
+                    assert k == 1 and len(c.internal) == 2 and e_min.id == c.edges[1]
+                    interior_min_kept += 1
+            if is_bare_cycle(work):
+                assert sum(1 for v in work.vertices() if work.degree(v) > 0) == min(active, k + 2)
+    assert interior_min_kept > 0
 
 
 def test_reduction_safety_against_oracle():

@@ -259,3 +259,12 @@ def test_large_inflated_instances():
     res = solve_kcpp(c, 3)  # reduces to a 5-cycle, solved exactly, lifted
     assert res.weight == 204
     verify_solution(c, 3, res.solution)
+
+
+def test_long_cycle_solved_through_one_pass_reduction():
+    from kpostman.generators import cycle_graph
+
+    c = cycle_graph(1000)
+    res = solve_kcpp(c, 3)
+    assert res.weight == 1004 and res.method == "kernel"
+    verify_solution(c, 3, res.solution)
