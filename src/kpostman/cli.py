@@ -15,9 +15,9 @@ from .cpp import Multiplicities, euler_tour, solve_cpp
 from .cycles import greedy_cycle_packing
 from .digraph import (
     build_balanced_extension,
-    max_arc_disjoint_cycles,
     parse_directed_instance,
     serialize_directed_instance,
+    verify_packing_equivalence,
 )
 from .generators import (
     NAMED_BASES,
@@ -37,7 +37,7 @@ from .graph import (
     serialize_instance,
     serialize_solution,
 )
-from .kernel import KernelConstants, Reduced, Solved, kernelize
+from .kernel import Reduced, Solved, kernelize
 from .solve import oracle_kcpp, solve_kcpp
 
 
@@ -63,20 +63,9 @@ def _instance_from(args) -> Instance:
     return Instance(inst.graph, k, p)
 
 
-def _constants_from(args) -> KernelConstants:
-    kwargs = {}
-    if args.c is not None:
-        kwargs["c"] = args.c
-    if args.c1 is not None:
-        kwargs["c1"] = args.c1
-    if args.c2 is not None:
-        kwargs["c2"] = args.c2
-    return KernelConstants(**kwargs)
-
-
 def _cmd_solve(args) -> int:
     inst = _instance_from(args)
-    result = solve_kcpp(inst.graph, inst.k, inst.p, _constants_from(args))
+    result = solve_kcpp(inst.graph, inst.k, inst.p)
     _write_output(args.output, serialize_solution(result.solution))
     print(f"# method={result.method} weight={result.weight} cpp_weight={result.cpp_weight}")
     if inst.p is not None:
@@ -99,7 +88,7 @@ def _cmd_cpp(args) -> int:
 
 def _cmd_kernelize(args) -> int:
     inst = _instance_from(args)
-    outcome = kernelize(inst.graph, inst.k, _constants_from(args))
+    outcome = kernelize(inst.graph, inst.k)
     for line in outcome.report.lines():
         print(f"# {line}")
     if isinstance(outcome, Solved):
@@ -158,15 +147,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    d, _k = parse_directed_instance(_read_input(args.input))
-    gadget = build_balanced_extension(d)
-    r = max_arc_disjoint_cycles(d, args.size_limit)
-    r_prime = max_arc_disjoint_cycles(
-        gadget.d_prime, args.size_limit + 2 * len(gadget.path_midpoints)
-    )
-    holds = int(r_prime == r + gadget.x_outdegree)
-    _write_output(args.output, serialize_directed_instance(gadget.d_prime, _k))
-    print(f"g r={r} r'={r_prime} dx={gadget.x_outdegree} holds={holds}")
+    d, k = parse_directed_instance(_read_input(args.input))
+    rep = verify_packing_equivalence(d, args.size_limit)
+    _write_output(args.output, serialize_directed_instance(build_balanced_extension(d).d_prime, k))
+    print(f"g r={rep.r} r'={rep.r_prime} dx={rep.x_outdegree} holds={int(rep.holds)}")
     return 0
 
 
@@ -202,14 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, default=None, help="override k from the header")
             p.add_argument("--p", type=int, default=None, help="override budget p")
 
-    def add_constants(p):
-        p.add_argument("--c", type=float, default=None)
-        p.add_argument("--c1", type=float, default=None)
-        p.add_argument("--c2", type=float, default=None)
-
     p = sub.add_parser("solve", help="full pipeline: kernelize, solve, lift")
     add_io(p)
-    add_constants(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("cpp", help="single-walk optimum and Euler tour")
@@ -218,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernelize", help="emit a solution or a kernel instance plus expansions")
     add_io(p)
-    add_constants(p)
     p.set_defaults(func=_cmd_kernelize)
 
     p = sub.add_parser("pack-cycles", help="greedy edge-disjoint cycle packing")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .graph import GraphError, ParseError, ascii_text
+from .graph import GraphError, read_triples
 
 
 class Arc(NamedTuple):
@@ -182,47 +182,8 @@ def verify_packing_equivalence(d: DiGraph, size_limit: int = 16) -> EquivalenceR
 
 def parse_directed_instance(text: str | bytes) -> tuple[DiGraph, int]:
     """Directed instance format: ``p dkcpp <n> <m> <k>`` then ``a`` records."""
-    text = ascii_text(text)
-    header: tuple[int, int, int] | None = None
-    triples: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] == "p":
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(tok) != 5 or tok[1] != "dkcpp":
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header = (int(tok[2]), int(tok[3]), int(tok[4]))
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed header {line!r}") from None
-            if header[0] < 0 or header[1] < 0 or header[2] < 1:
-                raise ParseError(f"line {lineno}: header values out of range")
-        elif tok[0] == "a":
-            if header is None:
-                raise ParseError(f"line {lineno}: arc record before header")
-            if len(tok) != 4:
-                raise ParseError(f"line {lineno}: malformed arc record {line!r}")
-            try:
-                t, h, w = int(tok[1]), int(tok[2]), int(tok[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed arc record {line!r}") from None
-            triples.append((t, h, w))
-        else:
-            raise ParseError(f"line {lineno}: unknown record tag {tok[0]!r}")
-    if header is None:
-        raise ParseError("missing header")
-    n, m, k = header
-    if len(triples) != m:
-        raise ParseError(f"header declares m={m} but found {len(triples)} arc records")
-    try:
-        d = DiGraph.from_arcs(n, triples)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from None
-    return d, k
+    (n, _m, k), triples = read_triples(text, "dkcpp", "a", (3,))
+    return DiGraph.from_arcs(n, triples), k
 
 
 def serialize_directed_instance(d: DiGraph, k: int) -> str:

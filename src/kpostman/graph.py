@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
@@ -320,7 +320,9 @@ def verify_solution(g: MultiGraph, k: int, s: Solution) -> int:
             raise VerificationError(f"walk {wi} is empty")
         r = len(walk.steps)
         for i, (v, eid) in enumerate(walk.steps):
-            e = g.edge(eid)
+            e = g.edge_by_id.get(eid)
+            if e is None:
+                raise VerificationError(f"walk {wi} step {i}: no edge with id {eid}")
             nxt = walk.steps[(i + 1) % r][0]
             if v not in (e.u, e.v) or nxt != e.other(v):
                 raise VerificationError(
@@ -337,13 +339,81 @@ def verify_solution(g: MultiGraph, k: int, s: Solution) -> int:
 
 
 def ascii_text(text: str | bytes) -> str:
-    """Instance text as str; raises ParseError unless it is all ASCII."""
+    """Record text as str; raises ParseError unless it is all ASCII."""
     if isinstance(text, bytes):
         text = text.decode("latin-1")
     if not text.isascii():
         bad = next(i for i, ch in enumerate(text) if not ch.isascii())
-        raise ParseError(f"instance is not ASCII: non-ASCII character at position {bad}")
+        raise ParseError(f"text is not ASCII: non-ASCII character at position {bad}")
     return text
+
+
+def _records(
+    text: str | bytes, tags: tuple[str, ...], fmt: str | None = None
+) -> Iterator[tuple[int, str, list[int]]]:
+    """Yield (line number, tag, integer fields) for each record line.
+
+    The text must be ASCII; blank lines and lines starting with ``#`` are
+    skipped.  A ``p`` header must name `fmt` as its first field, which is
+    not yielded.  An unknown tag or a non-integer field raises ParseError.
+    """
+    for lineno, raw in enumerate(ascii_text(text).splitlines(), start=1):
+        tok = raw.split()
+        if not tok or tok[0].startswith("#"):
+            continue
+        tag, fields = tok[0], tok[1:]
+        if tag not in tags:
+            raise ParseError(f"line {lineno}: unknown record tag {tag!r}")
+        if tag == "p":
+            if fields[:1] != [fmt]:
+                raise ParseError(f"line {lineno}: malformed header {raw.strip()!r}")
+            fields = fields[1:]
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer field in {raw.strip()!r}") from None
+        yield lineno, tag, values
+
+
+def read_triples(
+    text: str | bytes, fmt: str, tag: str, header_sizes: tuple[int, ...]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Read the shared graph format: one header ``p <fmt> <n> <m> <k> ...``
+    with a value count in header_sizes, then exactly m records
+    ``<tag> <a> <b> <w>`` with a != b in 1..n and w >= 0.
+
+    n and m must be nonnegative, k at least 1 and any further header value
+    nonnegative.  Returns the header values and the (a, b, w) triples.
+    """
+    header: list[int] | None = None
+    triples: list[tuple[int, int, int]] = []
+    for lineno, t, values in _records(text, ("p", tag), fmt):
+        if t == "p":
+            if header is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(values) not in header_sizes:
+                raise ParseError(f"line {lineno}: malformed header")
+            if values[2] < 1 or any(x < 0 for x in values):
+                raise ParseError(f"line {lineno}: header values out of range")
+            header = values
+            continue
+        if header is None:
+            raise ParseError(f"line {lineno}: record before header")
+        if len(values) != 3:
+            raise ParseError(f"line {lineno}: malformed record, expected 3 fields")
+        a, b, w = values
+        if a == b:
+            raise ParseError(f"line {lineno}: loop {a}-{b}")
+        if w < 0:
+            raise ParseError(f"line {lineno}: negative weight {w}")
+        if not (1 <= a <= header[0] and 1 <= b <= header[0]):
+            raise ParseError(f"line {lineno}: vertex index out of range")
+        triples.append((a, b, w))
+    if header is None:
+        raise ParseError("missing header")
+    if len(triples) != header[1]:
+        raise ParseError(f"header declares m={header[1]} but found {len(triples)} records")
+    return header, triples
 
 
 def parse_instance(text: str | bytes) -> Instance:
@@ -352,50 +422,9 @@ def parse_instance(text: str | bytes) -> Instance:
     Header ``p kcpp <n> <m> <k>`` with an optional fifth token ``<p>``;
     exactly m edge records ``e <u> <v> <w>``; ``#`` starts a comment line.
     """
-    text = ascii_text(text)
-    header: tuple[int, int, int, int | None] | None = None
-    triples: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] == "p":
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(tok) not in (5, 6) or tok[1] != "kcpp":
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                n, m, k = int(tok[2]), int(tok[3]), int(tok[4])
-                p = int(tok[5]) if len(tok) == 6 else None
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed header {line!r}") from None
-            if n < 0 or m < 0 or k < 1 or (p is not None and p < 0):
-                raise ParseError(f"line {lineno}: header values out of range")
-            header = (n, m, k, p)
-        elif tok[0] == "e":
-            if header is None:
-                raise ParseError(f"line {lineno}: edge record before header")
-            if len(tok) != 4:
-                raise ParseError(f"line {lineno}: malformed edge record {line!r}")
-            try:
-                u, v, w = int(tok[1]), int(tok[2]), int(tok[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed edge record {line!r}") from None
-            if u == v:
-                raise ParseError(f"line {lineno}: loop edge {u}-{v}")
-            if w < 0:
-                raise ParseError(f"line {lineno}: negative weight {w}")
-            if not (1 <= u <= header[0] and 1 <= v <= header[0]):
-                raise ParseError(f"line {lineno}: vertex index out of range")
-            triples.append((u, v, w))
-        else:
-            raise ParseError(f"line {lineno}: unknown record tag {tok[0]!r}")
-    if header is None:
-        raise ParseError("missing header")
-    n, m, k, p = header
-    if len(triples) != m:
-        raise ParseError(f"header declares m={m} but found {len(triples)} edge records")
+    header, triples = read_triples(text, "kcpp", "e", (3, 4))
+    n, m, k = header[:3]
+    p = header[3] if len(header) == 4 else None
     max_w = max((w for _, _, w in triples), default=0)
     if m * max_w * (2 * k + 2) > MAX_TOTAL_WEIGHT:
         raise ParseError("instance weights may overflow 64-bit totals")
@@ -426,23 +455,14 @@ def serialize_solution(s: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str) -> Solution:
+def parse_solution(text: str | bytes) -> Solution:
+    """Parse the solution format written by serialize_solution."""
     total: int | None = None
     k: int | None = None
     walks: list[Walk] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] not in ("s", "w"):
-            raise ParseError(f"line {lineno}: unknown record tag {tok[0]!r}")
-        try:
-            numbers = [int(x) for x in tok[1:]]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
-        if tok[0] == "s":
-            if len(tok) != 3:
+    for lineno, tag, numbers in _records(text, ("s", "w")):
+        if tag == "s":
+            if len(numbers) != 2:
                 raise ParseError(f"line {lineno}: malformed solution header")
             total, k = numbers
         else:

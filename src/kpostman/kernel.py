@@ -2,13 +2,12 @@
 path multigraph, the parallel-chain shortcut, and solution lifting.
 
 The pipeline is certificate-driven: a shortcut only fires when it holds an
-actual cycle packing in hand, so configured constants influence reporting
-but never correctness.
+actual cycle packing in hand.  The kernel report states only what was
+measured: degree classes, chain and path-multigraph sizes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cpp import CppSolution, Multiplicities, solve_cpp
@@ -27,32 +26,6 @@ from .graph import (
     verify_solution,
 )
 from .walks import split_into_k_walks
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    """Reporting thresholds; c2 defaults to the consistency bound from c1."""
-
-    c: float = 8.0
-    c1: float = 9.0
-    c2: float | None = None
-
-    def __post_init__(self) -> None:
-        given = (self.c, self.c1) if self.c2 is None else (self.c, self.c1, self.c2)
-        if not all(math.isfinite(x) and x > 0 for x in given):
-            raise GraphError("kernel constants must be positive and finite")
-        if self.c2 is None:
-            object.__setattr__(self, "c2", self.c2_lower_bound())
-        if self.c2 + 1e-9 < self.c2_lower_bound():  # type: ignore[operator]
-            raise GraphError(
-                f"c2={self.c2} below the consistency bound {self.c2_lower_bound():.4f}"
-            )
-
-    def c2_lower_bound(self) -> float:
-        return 2 * self.c1 + 4 + 2 * math.log2(self.c1) + 2
-
-
-DEFAULT_CONSTANTS = KernelConstants()
 
 
 def find_chains(g: MultiGraph) -> list[Chain]:
@@ -290,6 +263,8 @@ def parallel_edge_shortcut(g: MultiGraph, pm: PathMultigraph, k: int) -> CyclePa
 
 @dataclass(frozen=True)
 class KernelReport:
+    """What kernelize measured on the graph it solved or returned."""
+
     k: int
     fired: str | None
     v1: int
@@ -301,11 +276,6 @@ class KernelReport:
     max_chain_internal: int | None
     blocked_chains: int
     dropped_vertices: int
-    v1_threshold: float
-    v3_threshold: float
-    flag_threshold: float
-    h_threshold: float
-    exceeds_flag: bool
 
     def lines(self) -> list[str]:
         items = [
@@ -320,11 +290,6 @@ class KernelReport:
             f"max_chain_internal={self.max_chain_internal if self.max_chain_internal is not None else '-'}",
             f"blocked_chains={self.blocked_chains}",
             f"dropped_vertices={self.dropped_vertices}",
-            f"v1_threshold={self.v1_threshold:g}",
-            f"v3_threshold={self.v3_threshold:g}",
-            f"flag_threshold={self.flag_threshold:g}",
-            f"h_threshold={self.h_threshold:g}",
-            f"exceeds_flag={int(self.exceeds_flag)}",
         ]
         return [" ".join(items)]
 
@@ -341,6 +306,7 @@ class Solved:
 class Reduced:
     expansion: ExpansionMap
     k: int
+    cpp_weight: int
     report: KernelReport
 
     @property
@@ -354,7 +320,6 @@ KernelOutcome = Solved | Reduced
 def _build_report(
     g: MultiGraph,
     k: int,
-    consts: KernelConstants,
     fired: str | None,
     pm: PathMultigraph | None,
     dropped: int,
@@ -374,7 +339,6 @@ def _build_report(
             key = tuple(sorted((e.u, e.v)))  # type: ignore[assignment]
             counts[key] = counts.get(key, 0) + 1
         max_par = max(counts.values(), default=0)
-    logk = math.log2(k) if k > 1 else 0.0
     blocked = sum(1 for c in chains if len(c.internal) > k)
     return KernelReport(
         k=k,
@@ -388,11 +352,6 @@ def _build_report(
         max_chain_internal=max_internal,
         blocked_chains=blocked,
         dropped_vertices=dropped,
-        v1_threshold=float(k),
-        v3_threshold=consts.c * k * logk + k,
-        flag_threshold=consts.c1 * k * logk,
-        h_threshold=consts.c2 * k * logk,  # type: ignore[operator]
-        exceeds_flag=(len(dc.v1) + len(dc.v3plus)) > consts.c1 * k * logk,
     )
 
 
@@ -415,9 +374,7 @@ def _compact(em: ExpansionMap) -> tuple[ExpansionMap, int]:
     )
 
 
-def kernelize(
-    g: MultiGraph, k: int, consts: KernelConstants = DEFAULT_CONSTANTS
-) -> KernelOutcome:
+def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
     """Run the full pipeline: pendant shortcut, packing shortcut, chain
     reduction, then the parallel-chain shortcut on the reduced graph; if
     nothing fires, return the reduced instance with an expansion map."""
@@ -431,11 +388,11 @@ def kernelize(
     cpp = solve_cpp(g)
     sol = pendant_shortcut(g, k, cpp=cpp)
     if sol is not None:
-        report = _build_report(g, k, consts, "pendant", None, 0)
+        report = _build_report(g, k, "pendant", None, 0)
         return Solved(sol, "pendant", cpp.weight, report)
     sol = packing_shortcut(g, k, cpp=cpp)
     if sol is not None:
-        report = _build_report(g, k, consts, "packing", None, 0)
+        report = _build_report(g, k, "packing", None, 0)
         return Solved(sol, "packing", cpp.weight, report)
 
     work, em = apply_reduction_rule(g, k)
@@ -445,22 +402,20 @@ def kernelize(
         sol = packing_shortcut(work, k, cpp=cpp_w)
         if sol is not None:
             lifted = lift_solution(em, sol)
-            report = _build_report(work, k, consts, "packing", None, 0)
+            report = _build_report(work, k, "packing", None, 0)
             return Solved(lifted, "packing", cpp_w.weight, report)
         pm = build_path_multigraph(work)
         packing = parallel_edge_shortcut(work, pm, k)
         if packing is not None:
             sol = split_into_k_walks(cpp_w.multiplicities, packing)
             lifted = lift_solution(em, sol)
-            report = _build_report(work, k, consts, "parallel", pm, 0)
+            report = _build_report(work, k, "parallel", pm, 0)
             return Solved(lifted, "parallel", cpp_w.weight, report)
-    else:
-        pm = None
 
     compacted, dropped = _compact(em)
     pm_final = None if is_bare_cycle(compacted.kernel) else build_path_multigraph(compacted.kernel)
-    report = _build_report(compacted.kernel, k, consts, None, pm_final, dropped)
-    return Reduced(compacted, k, report)
+    report = _build_report(compacted.kernel, k, None, pm_final, dropped)
+    return Reduced(compacted, k, cpp.weight, report)
 
 
 def lift_solution(em: ExpansionMap, s: Solution) -> Solution:

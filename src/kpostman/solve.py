@@ -14,18 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cpp import Multiplicities, solve_cpp
+from .cpp import Multiplicities
 from .cycles import CyclePacking, PackingSearch, greedy_cycle_packing
 from .graph import GraphError, MultiGraph, Solution, chain_decomposition, is_connected
-from .kernel import (
-    KernelReport,
-    Reduced,
-    Solved,
-    kernelize,
-    lift_solution,
-    KernelConstants,
-    DEFAULT_CONSTANTS,
-)
+from .kernel import KernelReport, Reduced, Solved, kernelize, lift_solution
 from .walks import split_into_k_walks
 
 MAX_SEARCH_CHAINS = 16
@@ -130,7 +122,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     m = Multiplicities.cover(g, counts)
     packing = greedy_cycle_packing(m, k)
     if len(packing) < k:
-        got, cycles = PackingSearch(g).run(dict(counts), k)
+        got, cycles = searcher.run(counts, k)
         assert got >= k
         packing = CyclePacking(cycles[:k])
     else:
@@ -140,31 +132,24 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     return solution
 
 
-def solve_kcpp(
-    g: MultiGraph,
-    k: int,
-    p: int | None = None,
-    consts: KernelConstants = DEFAULT_CONSTANTS,
-) -> KcppResult:
+def solve_kcpp(g: MultiGraph, k: int, p: int | None = None) -> KcppResult:
     """Kernelize; solve the kernel exactly if no shortcut fired; lift back.
 
     With a budget p the result also carries the decision weight <= p.
     """
-    outcome = kernelize(g, k, consts)
+    outcome = kernelize(g, k)
     if isinstance(outcome, Solved):
         sol = outcome.solution
-        cpp_weight = outcome.cpp_weight
         method = outcome.method
-        report = outcome.report
     else:
         assert isinstance(outcome, Reduced)
         kernel_solution = solve_kcpp_exact(outcome.kernel, k)
         sol = lift_solution(outcome.expansion, kernel_solution)
-        cpp_weight = solve_cpp(g).weight
         method = "kernel"
-        report = outcome.report
     decision = None if p is None else sol.total_weight <= p
-    return KcppResult(sol, sol.total_weight, cpp_weight, method, decision, report)
+    return KcppResult(
+        sol, sol.total_weight, outcome.cpp_weight, method, decision, outcome.report
+    )
 
 
 def oracle_kcpp(g: MultiGraph, k: int, mult_cap: int | None = None) -> int:

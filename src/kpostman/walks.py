@@ -20,7 +20,7 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     if not m.all_degrees_even():
         raise GraphError("multigraph has a vertex of odd degree")
     support_graph = m.base
-    if not is_connected_support(m):
+    if len(_components(m)) > 1:
         raise GraphError("multigraph must be connected")
     check_packing(m, packing)
 
@@ -49,13 +49,6 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     total = sum(w.weight(support_graph) for w in walks)
     assert total == m.weight()
     return Solution(walks, total)
-
-
-def is_connected_support(m: Multiplicities) -> bool:
-    comps = _components(m)
-    if len(comps) > 1:
-        return False
-    return True
 
 
 def _components(m: Multiplicities) -> list[tuple[set[int], set[int]]]:

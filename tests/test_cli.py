@@ -155,6 +155,10 @@ def test_usage_error_exits_one():
     assert main(["no-such-command"]) == 1
 
 
+def test_kernel_constant_flags_are_gone(bowtie_file):
+    assert main(["solve", "--c", "8", str(bowtie_file)]) == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "kpostman.cli", "gen", "theta", "--paths", "3", "--len", "1"],

@@ -210,9 +210,12 @@ def test_verify_rejects_uncovered_edge():
 
 def test_verify_rejects_broken_adjacency():
     g = named_graph("path2")
-    walk = Walk(((1, 1), (3, 2)))  # step 1 claims to leave vertex 3 along edge 2->ok, but 1->3 via edge 1 is wrong
-    with pytest.raises(VerificationError):
-        verify_solution(g, 1, Solution((walk,), 2))
+    for walk in (
+        Walk(((1, 1), (3, 2))),  # step 1 claims to leave vertex 3 along edge 2->ok, but 1->3 via edge 1 is wrong
+        Walk(((1, 1), (2, 9))),  # no edge with id 9
+    ):
+        with pytest.raises(VerificationError):
+            verify_solution(g, 1, Solution((walk,), 2))
 
 
 def test_verify_rejects_weight_mismatch():
@@ -240,6 +243,8 @@ def test_parse_solution_rejects_open_walk():
         "s 2 1\nw\n",  # walk record without a step count
         "s 2 1\nw 1 1 x 2\n",  # non-integer token in a walk
         "s two 1\nw 1 1 1 1\n",  # non-integer token in the header
+        "s \u0665 1\nw 1 1 1 1\n",  # non-ASCII digit
+        b"s 2 1\nw 1 1 1 1\xff\n",  # non-ASCII byte
     ],
 )
 def test_parse_solution_rejects_malformed_records(text):

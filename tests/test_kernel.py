@@ -17,7 +17,6 @@ from kpostman.generators import (
 )
 from kpostman.graph import GraphError, MultiGraph, verify_solution
 from kpostman.kernel import (
-    KernelConstants,
     Reduced,
     Solved,
     apply_reduction_rule,
@@ -48,25 +47,6 @@ def dumbbell(chain_weights):
         prev = n
     chain.append((prev, 4, chain_weights[-1]))
     return MultiGraph.from_edges(n, tri1 + tri2 + chain)
-
-
-def test_constants_default_consistency():
-    c = KernelConstants()
-    assert c.c2 is not None and c.c2 >= c.c2_lower_bound() - 1e-9
-
-
-def test_constants_reject_inconsistent_c2():
-    with pytest.raises(GraphError):
-        KernelConstants(c1=9, c2=1.0)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"c": float("nan")}, {"c1": float("inf")}, {"c2": float("nan")}, {"c2": float("inf")}, {"c1": -1.0}],
-)
-def test_constants_reject_non_finite_and_negative(kwargs):
-    with pytest.raises(GraphError):
-        KernelConstants(**kwargs)
 
 
 def test_pendant_star():
