@@ -1,4 +1,5 @@
-"""Shortest cycles, greedy edge-disjoint packing, and an exact packing search.
+"""Shortest cycles, greedy edge-disjoint packing, and an exact packing search
+that serves undirected and directed graphs alike.
 
 Cycles live in a multigraph-with-counts: two copies of one edge form a
 2-cycle, as do two parallel edges.  "Shortest" is by edge count, then by
@@ -11,6 +12,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping, Protocol
 
 from .cpp import Multiplicities
 from .graph import Chain, Edge, GraphError, MultiGraph, chain_decomposition, core_edge_ids
@@ -184,83 +186,90 @@ def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:
     return CyclePacking(tuple(cycles))
 
 
-class PackingSearch:
-    """Exhaustive branch over cycles through the lowest remaining edge copy.
+class SteppedGraph(Protocol):
+    """A graph as PackingSearch reads it: `ends` gives an edge id's two ends
+    and `steps` the (edge id, next vertex) pairs leaving a vertex.  A
+    MultiGraph steps each edge both ways, a DiGraph each arc tail to head."""
 
-    Memoized on (residual state, target); reusable across many count vectors
-    over the same base graph.  With a target ("find at least this many") the
-    returned value is capped there, which is all a feasibility test needs.
+    ends: Mapping[int, tuple[int, int]]
+    steps: Mapping[int, tuple[tuple[int, int], ...]]
+
+
+RawCycle = tuple[tuple[int, ...], tuple[int, ...]]  # (vertices, slots)
+
+
+class PackingSearch:
+    """Exhaustive branch over cycles through the lowest remaining edge copy,
+    for edge-disjoint cycles and arc-disjoint directed cycles alike.
+
+    The residual state is a tuple of copy counts with one slot per edge, in
+    ascending edge-id order, memoized with the target; reusable across many
+    count vectors over the same base graph.  With a target ("find at least
+    this many") the returned value is capped there, which is all a
+    feasibility test needs.
     """
 
-    def __init__(self, base: MultiGraph):
-        self.base = base
-        self.adj = base.adjacency
-        self.memo: dict[tuple, tuple[int, tuple[Cycle, ...]]] = {}
+    def __init__(self, base: SteppedGraph):
+        self.ids = sorted(base.ends)
+        slot = {eid: i for i, eid in enumerate(self.ids)}
+        self.ends = [base.ends[eid] for eid in self.ids]
+        self.steps = {v: tuple((slot[eid], w) for eid, w in out) for v, out in base.steps.items()}
+        self.memo: dict[tuple[tuple[int, ...], int], tuple[int, tuple[RawCycle, ...]]] = {}
 
-    def _cycles_through(self, counts: dict[int, int], e: Edge) -> list[Cycle]:
-        cycles: list[Cycle] = []
-        u, v = e.u, e.v
+    def run(self, counts: Mapping[int, int], target: int) -> tuple[int, tuple[Cycle, ...]]:
+        state = tuple(max(counts.get(eid, 0), 0) for eid in self.ids)
+        got, found = self._search(state, target)
+        return got, tuple(Cycle(verts, tuple(self.ids[s] for s in slots)) for verts, slots in found)
 
-        def dfs(cur: int, verts: tuple[int, ...], ids: tuple[int, ...]) -> None:
-            for f in self.adj[cur]:
-                avail = counts.get(f.id, 0) - (1 if f.id == e.id else 0) - ids.count(f.id)
-                if avail < 1:
+    def _cycles_through(self, state: tuple[int, ...], i: int) -> list[RawCycle]:
+        """Every simple cycle through one copy of slot i."""
+        cycles: list[RawCycle] = []
+        u, v = self.ends[i]
+
+        def dfs(cur: int, verts: tuple[int, ...], slots: tuple[int, ...]) -> None:
+            for s, nxt in self.steps[cur]:
+                if state[s] - (s == i) - slots.count(s) < 1:
                     continue
-                nxt = f.other(cur)
                 if nxt == u:
-                    cycles.append(Cycle((u,) + verts, (e.id,) + ids + (f.id,)))
+                    cycles.append(((u,) + verts, (i,) + slots + (s,)))
                 elif nxt != v and nxt not in verts:
-                    dfs(nxt, verts + (nxt,), ids + (f.id,))
+                    dfs(nxt, verts + (nxt,), slots + (s,))
 
         dfs(v, (v,), ())
         return cycles
 
-    def run(self, counts: dict[int, int], target: int) -> tuple[int, tuple[Cycle, ...]]:
-        state = tuple(sorted((eid, c) for eid, c in counts.items() if c > 0))
-        if not state:
-            return 0, ()
-        live = dict(state)
-        target = min(target, sum(live.values()) // 2)  # every cycle eats >= 2 copies
+    def _search(self, state: tuple[int, ...], target: int) -> tuple[int, tuple[RawCycle, ...]]:
+        target = min(target, sum(state) // 2)  # every cycle eats >= 2 copies
         if target <= 0:
             return 0, ()
         key = (state, target)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        e = self.base.edge(min(live))
-        best: tuple[int, tuple[Cycle, ...]] = (0, ())
-        for cyc in self._cycles_through(live, e):
-            sub = dict(live)
-            for eid, uses in cyc.edge_multiset().items():
-                sub[eid] -= uses
-            got, rest = self.run(sub, target - 1)
+        i = next(s for s, c in enumerate(state) if c)
+        best: tuple[int, tuple[RawCycle, ...]] = (0, ())
+        for cyc in self._cycles_through(state, i):
+            sub = list(state)
+            for s in cyc[1]:
+                sub[s] -= 1
+            got, rest = self._search(tuple(sub), target - 1)
             if 1 + got > best[0]:
                 best = (1 + got, (cyc,) + rest)
                 if best[0] >= target:
                     self.memo[key] = best
                     return best
-        sub = dict(live)
-        del sub[e.id]
-        got, rest = self.run(sub, target)
-        if got > best[0]:
-            best = (got, rest)
+        dropped = self._search(state[:i] + (0,) + state[i + 1:], target)
+        if dropped[0] > best[0]:
+            best = dropped
         self.memo[key] = best
         return best
 
 
-def exact_max_cycle_packing(
-    m: Multiplicities, size_limit: int = 14, stop_at: int | None = None
-) -> tuple[int, CyclePacking]:
-    """True maximum number of pairwise edge-disjoint cycles, with a witness.
-
-    Gated by total edge copies <= size_limit.  With stop_at, the search stops
-    once that many cycles are found and reports min(nu, stop_at).
-    """
+def exact_max_cycle_packing(m: Multiplicities, size_limit: int = 14) -> tuple[int, CyclePacking]:
+    """True maximum number of pairwise edge-disjoint cycles, with a witness,
+    gated by total edge copies <= size_limit."""
     copies = m.copies()
     if copies > size_limit:
         raise GraphError(f"{copies} edge copies exceed the size limit {size_limit}")
-    target = copies // 2 if stop_at is None else stop_at
-    nu, cycles = PackingSearch(m.base).run(
-        {eid: c for eid, c in m.counts.items() if c > 0}, target
-    )
+    nu, cycles = PackingSearch(m.base).run(m.counts, copies // 2)
     return nu, CyclePacking(cycles)

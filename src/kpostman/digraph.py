@@ -1,5 +1,5 @@
 """Directed multigraphs, the balancing-vertex gadget, and arc-disjoint
-cycle packing by exhaustive branch."""
+cycle packing through the shared packing search."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+from .cycles import PackingSearch
 from .graph import GraphError, read_triples
 
 
@@ -45,14 +46,20 @@ class DiGraph:
         return cls(vertex_count, arcs)
 
     @cached_property
-    def out_arcs(self) -> dict[int, tuple[Arc, ...]]:
-        out: dict[int, list[Arc]] = {v: [] for v in range(1, self.vertex_count + 1)}
+    def steps(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """(arc id, head) pairs leaving each vertex, in arc order."""
+        out: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.vertex_count + 1)}
         for a in self.arcs:
-            out[a.tail].append(a)
+            out[a.tail].append((a.id, a.head))
         return {v: tuple(s) for v, s in out.items()}
 
+    @cached_property
+    def ends(self) -> dict[int, tuple[int, int]]:
+        """(tail, head) per arc id."""
+        return {a.id: (a.tail, a.head) for a in self.arcs}
+
     def outdegree(self, v: int) -> int:
-        return len(self.out_arcs[v])
+        return len(self.steps[v])
 
     def indegree(self, v: int) -> int:
         return sum(1 for a in self.arcs if a.head == v)
@@ -114,62 +121,11 @@ def build_balanced_extension(d: DiGraph, gadget_arc_weight: int = 1) -> GadgetRe
     return GadgetResult(d_prime, x, x_out, frozenset(midpoints))
 
 
-class _ArcPackingSearch:
-    def __init__(self, d: DiGraph):
-        self.d = d
-        self.memo: dict[tuple, int] = {}
-
-    def _cycles_through(self, live: frozenset[int], a: Arc) -> list[frozenset[int]]:
-        cycles: list[frozenset[int]] = []
-        arcs = {b.id: b for b in self.d.arcs if b.id in live}
-
-        def dfs(cur: int, visited: tuple[int, ...], used: frozenset[int]) -> None:
-            for b in self.d.out_arcs[cur]:
-                if b.id not in arcs or b.id in used:
-                    continue
-                if b.head == a.tail:
-                    cycles.append(used | {b.id})
-                elif b.head not in visited and b.head != a.head:
-                    dfs(b.head, visited + (b.head,), used | {b.id})
-
-        dfs(a.head, (a.tail, a.head), frozenset({a.id}))
-        return cycles
-
-    def run(self, live: frozenset[int], target: int) -> int:
-        target = min(target, len(live) // 2)  # every directed cycle needs >= 2 arcs
-        if target <= 0 or not live:
-            return 0
-        key = (live, target)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        a = self.d.arcs[0]
-        for arc in self.d.arcs:
-            if arc.id in live:
-                a = arc
-                break
-        best = 0
-        for cyc in self._cycles_through(live, a):
-            got = 1 + self.run(live - cyc, target - 1)
-            if got > best:
-                best = got
-                if best >= target:
-                    break
-        if best < target:
-            got = self.run(live - {a.id}, target)
-            if got > best:
-                best = got
-        self.memo[key] = best
-        return best
-
-
-def max_arc_disjoint_cycles(d: DiGraph, size_limit: int = 16, stop_at: int | None = None) -> int:
+def max_arc_disjoint_cycles(d: DiGraph, size_limit: int = 16) -> int:
     """Exact maximum number of pairwise arc-disjoint directed cycles."""
     if len(d.arcs) > size_limit:
         raise GraphError(f"{len(d.arcs)} arcs exceed the size limit {size_limit}")
-    live = frozenset(a.id for a in d.arcs)
-    target = len(d.arcs) // 2 if stop_at is None else stop_at
-    return _ArcPackingSearch(d).run(live, target)
+    return PackingSearch(d).run({a.id: 1 for a in d.arcs}, len(d.arcs) // 2)[0]
 
 
 def verify_packing_equivalence(d: DiGraph, size_limit: int = 16) -> EquivalenceReport:

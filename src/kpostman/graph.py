@@ -83,6 +83,16 @@ class MultiGraph:
             adj[e.v].append(e)
         return {v: tuple(es) for v, es in adj.items()}
 
+    @cached_property
+    def steps(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """(edge id, next vertex) pairs leaving each vertex, in adjacency order."""
+        return {v: tuple((e.id, e.other(v)) for e in es) for v, es in self.adjacency.items()}
+
+    @cached_property
+    def ends(self) -> dict[int, tuple[int, int]]:
+        """(u, v) per edge id."""
+        return {e.id: (e.u, e.v) for e in self.edges}
+
     def edge(self, edge_id: int) -> Edge:
         try:
             return self.edge_by_id[edge_id]
@@ -355,7 +365,8 @@ def _records(
 
     The text must be ASCII; blank lines and lines starting with ``#`` are
     skipped.  A ``p`` header must name `fmt` as its first field, which is
-    not yielded.  An unknown tag or a non-integer field raises ParseError.
+    not yielded.  Unknown tags and fields other than ``-?[0-9]+`` raise
+    ParseError.
     """
     for lineno, raw in enumerate(ascii_text(text).splitlines(), start=1):
         tok = raw.split()
@@ -368,6 +379,9 @@ def _records(
             if fields[:1] != [fmt]:
                 raise ParseError(f"line {lineno}: malformed header {raw.strip()!r}")
             fields = fields[1:]
+        # on ASCII tokens int() takes -?[0-9]+ and also a '+' sign and '_' separators
+        if "+" in raw or "_" in raw:
+            raise ParseError(f"line {lineno}: '+' or '_' in {raw.strip()!r}")
         try:
             values = [int(f) for f in fields]
         except ValueError:
@@ -462,17 +476,21 @@ def parse_solution(text: str | bytes) -> Solution:
     walks: list[Walk] = []
     for lineno, tag, numbers in _records(text, ("s", "w")):
         if tag == "s":
+            if total is not None:
+                raise ParseError(f"line {lineno}: duplicate solution header")
             if len(numbers) != 2:
                 raise ParseError(f"line {lineno}: malformed solution header")
             total, k = numbers
+            if total < 0 or k < 1:
+                raise ParseError(f"line {lineno}: solution header values out of range")
         else:
             if total is None:
                 raise ParseError(f"line {lineno}: walk before solution header")
             if not numbers:
                 raise ParseError(f"line {lineno}: walk record without a step count")
             count, body = numbers[0], numbers[1:]
-            if len(body) != 2 * count + 1:
-                raise ParseError(f"line {lineno}: walk token count mismatch")
+            if count < 1 or len(body) != 2 * count + 1:
+                raise ParseError(f"line {lineno}: walk needs >= 1 step and 2*count+1 tokens")
             if body[0] != body[-1]:
                 raise ParseError(f"line {lineno}: walk does not close on its start vertex")
             steps = tuple((body[2 * i], body[2 * i + 1]) for i in range(count))

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
+from functools import cache
 from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
 from kpostman.graph import MultiGraph
 
@@ -21,6 +24,7 @@ __all__ = [
     "cpp_enumeration_minimum",
     "join_enumeration_minimum",
     "all_simple_cycles",
+    "all_directed_cycles",
     "min_cycle_key",
     "max_disjoint_from_list",
     "random_small_graphs",
@@ -90,6 +94,25 @@ def all_simple_cycles(g: MultiGraph, counts: dict[int, int]) -> list[tuple[int, 
     return sorted(found)
 
 
+def all_directed_cycles(d: DiGraph) -> list[tuple[int, ...]]:
+    """Every simple directed cycle, as sorted arc ids.  Each cycle is found
+    from its lowest vertex, walking only through higher vertices."""
+    found: set[tuple[int, ...]] = set()
+    for start in range(1, d.vertex_count + 1):
+
+        def dfs(cur, visited, ids):
+            for a in d.arcs:
+                if a.tail != cur:
+                    continue
+                if a.head == start:
+                    found.add(tuple(sorted(ids + [a.id])))
+                elif a.head > start and a.head not in visited:
+                    dfs(a.head, visited | {a.head}, ids + [a.id])
+
+        dfs(start, {start}, [])
+    return sorted(found)
+
+
 def min_cycle_key(g: MultiGraph, counts: dict[int, int]) -> tuple[int, int] | None:
     """Smallest (edge count, weight) over all cycles: two copies of an edge,
     or an edge closed by the lexicographically shortest path between its
@@ -125,28 +148,33 @@ def min_cycle_key(g: MultiGraph, counts: dict[int, int]) -> tuple[int, int] | No
 
 
 def max_disjoint_from_list(cycles: list[tuple[int, ...]], counts: dict[int, int]) -> int:
-    """Max number of edge-disjoint cycles chosen from an explicit list."""
+    """Max number of edge-disjoint cycles chosen from an explicit list.
 
-    def rec(i: int, remaining: dict[int, int]) -> int:
-        if i == len(cycles):
+    The lowest edge with copies left is either in a chosen cycle, which
+    may as well be taken first, or in none, so all its copies can go.
+    Memoized on the remaining copies.
+    """
+    through: dict[int, list[dict[int, int]]] = {}
+    for c in cycles:
+        for eid in set(c):
+            through.setdefault(eid, []).append(dict(Counter(c)))
+
+    @cache
+    def rec(remaining: tuple[tuple[int, int], ...]) -> int:
+        if not remaining:
             return 0
-        best = rec(i + 1, remaining)
-        cyc = cycles[i]
-        usable = True
-        used: dict[int, int] = {}
-        for eid in cyc:
-            used[eid] = used.get(eid, 0) + 1
-            if used[eid] > remaining.get(eid, 0):
-                usable = False
-                break
-        if usable:
-            nxt = dict(remaining)
-            for eid, c in used.items():
-                nxt[eid] -= c
-            best = max(best, 1 + rec(i, nxt))
+        left = dict(remaining)
+        best = rec(remaining[1:])
+        for use in through.get(remaining[0][0], []):
+            if all(n <= left.get(eid, 0) for eid, n in use.items()):
+                for eid, n in use.items():
+                    left[eid] -= n
+                best = max(best, 1 + rec(tuple((eid, n) for eid, n in left.items() if n)))
+                for eid, n in use.items():
+                    left[eid] += n
         return best
 
-    return rec(0, dict(counts))
+    return rec(tuple(sorted((eid, n) for eid, n in counts.items() if n > 0)))
 
 
 def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):
@@ -160,8 +188,29 @@ def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):
 _TOKENS = ["p", "kcpp", "dkcpp", "e", "a", "s", "w", "#", "0", "1", "2", "3", "-1", "x", "1.5", "\u0661", "9" * 30]
 
 
+@st.composite
+def _matched_texts(draw) -> str:
+    """A header whose record count matches its body, with small fields
+    (some out of range), so that the parsers often return a value."""
+    small = st.integers(0, 3)
+    fmt = draw(st.sampled_from(["kcpp", "dkcpp", "s"]))
+    count = draw(st.integers(0, 3))
+    if fmt == "s":
+        lines = [f"s {draw(small)} {count}"]
+        for _ in range(count):
+            steps = draw(st.integers(0, 2))
+            body = draw(st.lists(small, min_size=2 * steps + 1, max_size=2 * steps + 1))
+            lines.append(" ".join(map(str, ["w", steps, *body[:-1], body[0]])))
+    else:
+        lines = [f"p {fmt} {draw(small)} {count} {draw(small)}"]
+        tag = "e" if fmt == "kcpp" else "a"
+        lines += [f"{tag} {draw(small)} {draw(small)} {draw(small)}" for _ in range(count)]
+    return "\n".join(lines)
+
+
 def record_texts():
-    """Arbitrary text, and lines of record-like tokens that get past the
-    first checks of the instance and solution parsers."""
+    """Arbitrary text, lines of record-like tokens that get past the first
+    checks of the instance and solution parsers, and texts whose records
+    match their header, so that valid values come up too."""
     line = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=7).map(" ".join)
-    return st.one_of(st.text(), st.lists(line, max_size=8).map("\n".join))
+    return st.one_of(st.text(), st.lists(line, max_size=8).map("\n".join), _matched_texts())

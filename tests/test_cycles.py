@@ -9,6 +9,7 @@ import pytest
 from kpostman.cpp import Multiplicities
 from kpostman.cycles import (
     CyclePacking,
+    PackingSearch,
     check_cycle,
     check_packing,
     exact_max_cycle_packing,
@@ -187,8 +188,9 @@ def test_packing_respects_multiplicities():
 def test_stop_at_caps_the_answer():
     g = named_graph("star3")
     m = Multiplicities(g, {1: 2, 2: 2, 3: 2})
-    nu, witness = exact_max_cycle_packing(m, stop_at=2)
-    assert nu == 2 and len(witness.cycles) == 2
+    nu, witness = PackingSearch(g).run(m.counts, 2)
+    assert nu == 2 and len(witness) == 2
+    check_packing(m, CyclePacking(witness))
     assert exact_max_cycle_packing(m)[0] == 3
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from kpostman.cycles import PackingSearch
 from kpostman.digraph import (
     DiGraph,
     build_balanced_extension,
@@ -18,7 +19,7 @@ from kpostman.digraph import (
 from kpostman.generators import random_digraph
 from kpostman.graph import GraphError, ParseError
 
-from conftest import record_texts
+from conftest import all_directed_cycles, max_disjoint_from_list, record_texts
 
 
 def test_single_arc_gadget():
@@ -84,6 +85,26 @@ def test_packing_size_gate():
         max_arc_disjoint_cycles(d, size_limit=16)
 
 
+def test_packing_matches_independent_cycle_enumeration():
+    rng = random.Random(29)
+    for _ in range(150):
+        d = random_digraph(rng, rng.randint(2, 5), rng.randint(1, 8))
+        for graph in (d, build_balanced_extension(d).d_prime):
+            ones = {a.id: 1 for a in graph.arcs}
+            nu = max_arc_disjoint_cycles(graph, size_limit=len(graph.arcs))
+            assert nu == max_disjoint_from_list(all_directed_cycles(graph), ones), graph.arcs
+            got, witness = PackingSearch(graph).run(ones, len(graph.arcs))
+            assert got == nu == len(witness)
+            arc = {a.id: a for a in graph.arcs}
+            used = [aid for c in witness for aid in c.edges]
+            assert len(used) == len(set(used))
+            for c in witness:
+                assert len(c.edges) >= 2 and len(set(c.vertices)) == len(c.vertices) == len(c.edges)
+                for i, aid in enumerate(c.edges):
+                    assert arc[aid].tail == c.vertices[i]
+                    assert arc[aid].head == c.vertices[(i + 1) % len(c.edges)]
+
+
 def test_rejects_self_loop():
     with pytest.raises(GraphError):
         DiGraph.from_arcs(2, [(1, 1, 1)])
@@ -128,6 +149,8 @@ def test_digraph_rejects_negative_vertex_count():
         "p dkcpp 2 0 0\n",  # k < 1
         "\u0661",  # non-ASCII str
         "p dkcpp 2 1 1\na 1 2 \u0661\n",
+        "p dkcpp 2 1 +1\na 1 2 1\n",  # sign other than '-'
+        "p dkcpp 2 1 1\na 1 2 1_0\n",  # digit separator
     ],
 )
 def test_parse_directed_rejects_out_of_range_and_non_ascii(text):
@@ -139,6 +162,7 @@ def test_parse_directed_rejects_out_of_range_and_non_ascii(text):
 @given(record_texts())
 def test_parse_directed_fuzz_value_or_parse_error(text):
     try:
-        parse_directed_instance(text)
+        d, k = parse_directed_instance(text)
     except ParseError:
-        pass
+        return
+    assert parse_directed_instance(serialize_directed_instance(d, k)) == (d, k)

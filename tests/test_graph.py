@@ -58,6 +58,8 @@ def test_parse_budget_and_comments():
         "e 1 2 1\n",  # edge before header
         "p kcpp 2 1 0\ne 1 2 1\n",  # k < 1
         "p wrong 2 1 1\ne 1 2 1\n",
+        "p kcpp 2 1 +1\ne 1 2 1\n",  # sign other than '-'
+        "p kcpp 2 1 1\ne 1 2 1_0\n",  # digit separator
     ],
 )
 def test_parse_rejects(text):
@@ -245,6 +247,12 @@ def test_parse_solution_rejects_open_walk():
         "s two 1\nw 1 1 1 1\n",  # non-integer token in the header
         "s \u0665 1\nw 1 1 1 1\n",  # non-ASCII digit
         b"s 2 1\nw 1 1 1 1\xff\n",  # non-ASCII byte
+        "s +2 1\nw 1 1 1 1\n",  # sign other than '-'
+        "s 2 1\nw 1 1 1_0 1\n",  # digit separator
+        "s 0 1\nw 0 1\n",  # walk without a step
+        "s -3 1\nw 1 1 1 1\n",  # negative total
+        "s 0 0\n",  # k < 1
+        "s 9 1\ns 2 1\nw 1 1 1 1\n",  # duplicate header
     ],
 )
 def test_parse_solution_rejects_malformed_records(text):
@@ -262,15 +270,17 @@ def test_parse_instance_rejects_non_ascii(text):
 @given(record_texts())
 def test_parse_instance_fuzz_value_or_parse_error(text):
     try:
-        parse_instance(text)
+        inst = parse_instance(text)
     except ParseError:
-        pass
+        return
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 @settings(max_examples=200, deadline=None)
 @given(record_texts())
 def test_parse_solution_fuzz_value_or_parse_error(text):
     try:
-        parse_solution(text)
+        sol = parse_solution(text)
     except ParseError:
-        pass
+        return
+    assert parse_solution(serialize_solution(sol)) == sol
