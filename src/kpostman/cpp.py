@@ -2,9 +2,12 @@
 
 Duplicating a minimum-weight join over the odd-degree vertices makes the
 multigraph Eulerian; an Euler tour of the result is an optimal single closed
-walk covering every edge.  The join is computed exactly: shortest paths
-between odd vertices, then an optimal pairing by dynamic programming over
-subsets, then the symmetric difference of the paired path edge sets.
+walk covering every edge.  The join is computed exactly on the anchor
+graph: the graph is cut into degree-2 chains at its anchors (vertices of
+degree other than 2) and at the terminals, one Dijkstra per terminal runs
+over whole chains, an optimal pairing of the terminals is found by dynamic
+programming over subsets, and the join is the symmetric difference of the
+chains on the paired paths.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import GraphError, MultiGraph, Walk, is_connected
+from .graph import Chain, GraphError, MultiGraph, Walk, chain_decomposition, is_connected
 
 # pairing DP is O(2^|t| * |t|^2); beyond this the instance is not desk scale
 MAX_ODD_VERTICES = 16
@@ -85,25 +88,73 @@ def odd_vertices(g: MultiGraph) -> frozenset[int]:
     return frozenset(v for v in g.vertices() if g.degree(v) % 2 == 1)
 
 
-def _shortest_paths(g: MultiGraph, source: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Dijkstra by (weight, hop count, edge-id sequence); deterministic."""
-    best: dict[int, tuple[int, int, tuple[int, ...]]] = {source: (0, 0, ())}
-    heap: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), source)]
-    done: set[int] = set()
-    while heap:
-        w, hops, path, v = heapq.heappop(heap)
-        if v in done:
+def _tree_path(chains: list[Chain], pred: dict[int, tuple[int, int]], y: int) -> list[int]:
+    """Edge ids, in order, of the tree path from the source to anchor y."""
+    hops = []
+    while y in pred:
+        ci, y = pred[y]
+        hops.append((ci, y))
+    ids: list[int] = []
+    for ci, x in reversed(hops):
+        ids.extend(chains[ci].walk_from(x)[1])
+    return ids
+
+
+def _anchor_paths(
+    chains: list[Chain], incident: dict[int, list[int]], source: int, targets: set[int]
+) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+    """Dijkstra over the chains from source until every target is settled.
+
+    Paths are ordered by (weight, hop count, edge-id sequence), the order a
+    Dijkstra over every vertex would use, so the chosen paths do not depend
+    on the contraction.  Returns (weight, hops) per reached anchor and the
+    predecessor (chain index, previous anchor) of each.
+    """
+    dist = {source: (0, 0)}
+    pred: dict[int, tuple[int, int]] = {}
+    depth = {source: 0}  # chains on the tree path
+    heap = [(0, 0, source)]
+    settled: set[int] = set()
+    left = len(targets)
+
+    def first_edge(ci: int, x: int) -> int:
+        c = chains[ci]
+        return c.edges[0] if c.u == x else c.edges[-1]
+
+    def precedes(ci: int, x: int, y: int) -> bool:
+        """Whether chain ci from x gives y a smaller edge sequence than its
+        path now.  Both paths follow the tree down to their lowest common
+        anchor and leave it on different chains, whose first edges decide."""
+        (ca, a), (cb, b) = (ci, x), pred[y]
+        while a != b:
+            if depth[a] >= depth[b]:
+                ca, a = pred[a]
+            else:
+                cb, b = pred[b]
+        return first_edge(ca, a) < first_edge(cb, b)
+
+    while heap and left:
+        w, h, x = heapq.heappop(heap)
+        if x in settled:
             continue
-        done.add(v)
-        for e in g.adjacency[v]:
-            u = e.other(v)
-            if u in done:
+        settled.add(x)
+        if x in targets:
+            left -= 1
+        for ci in incident[x]:
+            c = chains[ci]
+            y = c.v if c.u == x else c.u
+            if y in settled:
                 continue
-            cand = (w + e.weight, hops + 1, path + (e.id,))
-            if u not in best or cand < best[u]:
-                best[u] = cand
-                heapq.heappush(heap, cand + (u,))
-    return {v: (w, path) for v, (w, _h, path) in best.items()}
+            cand = (w + c.weight, h + len(c.edges))
+            old = dist.get(y)
+            if old is None or cand < old:
+                heapq.heappush(heap, (*cand, y))
+            elif cand > old or not precedes(ci, x, y):
+                continue
+            dist[y] = cand
+            pred[y] = (ci, x)
+            depth[y] = depth[x] + 1
+    return dist, pred
 
 
 def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
@@ -114,22 +165,44 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
     (overlaps cancel and can only reduce the weight).
     """
     terminals = sorted(set(t))
+    for v in terminals:
+        if not 1 <= v <= g.vertex_count:
+            raise GraphError(f"vertex {v} out of range 1..{g.vertex_count}")
     if len(terminals) % 2 != 0:
         raise GraphError(f"odd-vertex set has odd size {len(terminals)}")
     if not is_connected(g):
         raise GraphError("graph must be connected")
+    return _join(g, terminals)
+
+
+def _join(g: MultiGraph, terminals: list[int]) -> frozenset[int]:
+    """min_weight_join for sorted, distinct, in-range terminals of even
+    count on a connected g.
+
+    A shortest path between anchors enters a chain only to traverse all of
+    it, so the search runs over the chains cut at the anchors and at every
+    terminal; loop chains never lie on a shortest path and are dropped.
+    """
     if not terminals:
         return frozenset()
     if len(terminals) > MAX_ODD_VERTICES:
         raise GraphError(f"more than {MAX_ODD_VERTICES} terminals; instance too large")
-    paths: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
-    for v in terminals:
-        paths[v] = _shortest_paths(g, v)
-        for u in terminals:
-            if u != v and u not in paths[v]:
-                raise GraphError(f"no path between odd vertices {v} and {u}")
-
+    chains = [c for c in chain_decomposition(g, cuts=terminals) if c.u != c.v]
+    incident: dict[int, list[int]] = {v: [] for v in terminals}
+    for ci, c in enumerate(chains):
+        incident.setdefault(c.u, []).append(ci)
+        incident.setdefault(c.v, []).append(ci)
     n = len(terminals)
+    dist: dict[tuple[int, int], int] = {}
+    trees: list[dict[int, tuple[int, int]]] = []
+    for i, s in enumerate(terminals[:-1]):
+        reached, pred = _anchor_paths(chains, incident, s, set(terminals[i + 1 :]))
+        for j in range(i + 1, n):
+            if terminals[j] not in reached:
+                raise GraphError(f"no path between odd vertices {s} and {terminals[j]}")
+            dist[i, j] = reached[terminals[j]][0]
+        trees.append(pred)
+
     full = (1 << n) - 1
     memo: dict[int, int] = {full: 0}
 
@@ -141,7 +214,7 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
         for j in range(i + 1, n):
             if mask & (1 << j):
                 continue
-            c = paths[terminals[i]][terminals[j]][0] + pair_cost(mask | (1 << i) | (1 << j))
+            c = dist[i, j] + pair_cost(mask | (1 << i) | (1 << j))
             if best is None or c < best:
                 best = c
         memo[mask] = best  # type: ignore[assignment]
@@ -157,11 +230,11 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
             if mask & (1 << j):
                 continue
             rest = mask | (1 << i) | (1 << j)
-            if paths[terminals[i]][terminals[j]][0] + memo[rest] == memo[mask]:
+            if dist[i, j] + memo[rest] == memo[mask]:
                 partner = j
                 break
         assert partner is not None
-        join ^= set(paths[terminals[i]][terminals[partner]][1])
+        join ^= set(_tree_path(chains, trees[i], terminals[partner]))
         mask |= (1 << i) | (1 << partner)
     return frozenset(join)
 
@@ -176,7 +249,7 @@ def solve_cpp(g: MultiGraph) -> CppSolution:
         raise GraphError("graph has no edges")
     if not is_connected(g):
         raise GraphError("graph must be connected")
-    join = min_weight_join(g, odd_vertices(g))
+    join = _join(g, sorted(odd_vertices(g)))
     counts = {e.id: (2 if e.id in join else 1) for e in g.edges}
     weight = g.total_weight() + sum(g.edge(eid).weight for eid in join)
     return CppSolution(join, Multiplicities.cover(g, counts), weight)
@@ -192,7 +265,7 @@ def euler_tour(m: Multiplicities, start: int) -> Walk:
     for v in g.vertices():
         if m.degree(v) % 2 != 0:
             raise GraphError(f"vertex {v} has odd degree {m.degree(v)}")
-    if m.degree(start) == 0:
+    if start not in g.adjacency or m.degree(start) == 0:
         raise GraphError(f"start vertex {start} not in the traversed component")
     remaining = {eid: c for eid, c in m.counts.items() if c > 0}
 

@@ -234,18 +234,22 @@ def core_edge_ids(g: MultiGraph, edge_ids: Iterable[int] | None = None) -> set[i
     return live
 
 
-def chain_decomposition(g: MultiGraph, edge_ids: Iterable[int] | None = None) -> list[Chain]:
+def chain_decomposition(
+    g: MultiGraph, edge_ids: Iterable[int] | None = None, cuts: Iterable[int] = ()
+) -> list[Chain]:
     """Cut the subgraph on edge_ids (default: all edges) into chains at its
-    anchors, the vertices of degree other than 2, plus one ring per
-    component without an anchor.  Linear in the subgraph's size."""
+    anchors, the vertices of degree other than 2 and the vertices in cuts,
+    plus one ring per component without an anchor.  Linear in the
+    subgraph's size."""
     adj = _incidence(g, edge_ids)
+    cut = set(cuts)
     used: set[int] = set()
     chains: list[Chain] = []
 
     def follow(a: int, start: Edge, ring: bool) -> None:
         verts, ids, weight = [a], [start.id], start.weight
         edge, cur = start, start.other(a)
-        while cur != a and len(adj[cur]) == 2:
+        while cur != a and len(adj[cur]) == 2 and cur not in cut:
             verts.append(cur)
             e1, e2 = adj[cur]
             edge = e2 if e1.id == edge.id else e1
@@ -258,7 +262,7 @@ def chain_decomposition(g: MultiGraph, edge_ids: Iterable[int] | None = None) ->
 
     for ring in (False, True):
         for a in sorted(adj):
-            if (len(adj[a]) == 2) == ring:
+            if (len(adj[a]) == 2 and a not in cut) == ring:
                 for start in adj[a]:
                     if start.id not in used:
                         follow(a, start, ring)

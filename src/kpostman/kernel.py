@@ -380,12 +380,7 @@ def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
     nothing fires, return the reduced instance with an expansion map."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    if not g.edges:
-        raise GraphError("graph has no edges")
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
-
-    cpp = solve_cpp(g)
+    cpp = solve_cpp(g)  # raises for a graph without edges or not connected
     sol = pendant_shortcut(g, k, cpp=cpp)
     if sol is not None:
         report = _build_report(g, k, "pendant", None, 0)

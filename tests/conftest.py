@@ -23,6 +23,7 @@ __all__ = [
     "random_connected_graph",
     "cpp_enumeration_minimum",
     "join_enumeration_minimum",
+    "join_pairing_minimum",
     "all_simple_cycles",
     "all_directed_cycles",
     "min_cycle_key",
@@ -70,6 +71,37 @@ def join_enumeration_minimum(g: MultiGraph, t: frozenset[int]) -> int:
                     best = w
     assert best is not None
     return best
+
+
+def join_pairing_minimum(g: MultiGraph, t: frozenset[int]) -> int:
+    """Minimum T-join weight: a plain Dijkstra over every vertex from each
+    vertex of t, then the optimal pairing of t by DP over subsets."""
+    terminals = sorted(t)
+    dist: dict[int, dict[int, int]] = {}
+    for s in terminals:
+        best = {s: 0}
+        heap = [(0, s)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > best[v]:
+                continue
+            for e in g.adjacency[v]:
+                u = e.other(v)
+                if u not in best or d + e.weight < best[u]:
+                    best[u] = d + e.weight
+                    heapq.heappush(heap, (best[u], u))
+        dist[s] = best
+
+    @cache
+    def pairing(rest: tuple[int, ...]) -> int:
+        if not rest:
+            return 0
+        a = rest[0]
+        return min(
+            dist[a][b] + pairing(rest[1:i] + rest[i + 1 :]) for i, b in enumerate(rest) if i
+        )
+
+    return pairing(tuple(terminals))
 
 
 def all_simple_cycles(g: MultiGraph, counts: dict[int, int]) -> list[tuple[int, ...]]:
@@ -152,29 +184,47 @@ def max_disjoint_from_list(cycles: list[tuple[int, ...]], counts: dict[int, int]
 
     The lowest edge with copies left is either in a chosen cycle, which
     may as well be taken first, or in none, so all its copies can go.
-    Memoized on the remaining copies.
+    The copies left are packed into one integer, a bit field per edge with
+    a guard bit above it, so a cycle fits iff subtracting its copies
+    clears no guard.  Memoized on that integer.
     """
-    through: dict[int, list[dict[int, int]]] = {}
+    start: dict[int, int] = {}  # edge id -> lowest bit of its field
+    owner: dict[int, int] = {}  # bit -> lowest bit of its field
+    field: dict[int, int] = {}  # lowest bit -> the field's mask
+    state = guards = 0
+    for eid, n in sorted(counts.items()):
+        if n > 0:
+            lo, width = guards.bit_length(), n.bit_length()
+            start[eid] = lo
+            owner.update((b, lo) for b in range(lo, lo + width))
+            field[lo] = ((1 << width) - 1) << lo
+            state |= n << lo
+            guards |= 1 << (lo + width)
+    values = sum(field.values())
+    through: dict[int, list[int]] = {}  # lowest bit of a field -> cycle copies
     for c in cycles:
-        for eid in set(c):
-            through.setdefault(eid, []).append(dict(Counter(c)))
+        use = Counter(c)
+        if all(n <= counts.get(eid, 0) for eid, n in use.items()):
+            delta = sum(n << start[eid] for eid, n in use.items())
+            for eid in use:
+                through.setdefault(start[eid], []).append(delta)
+    memo: dict[int, int] = {}
 
-    @cache
-    def rec(remaining: tuple[tuple[int, int], ...]) -> int:
-        if not remaining:
+    def rec(state: int) -> int:
+        live = state & values
+        if not live:
             return 0
-        left = dict(remaining)
-        best = rec(remaining[1:])
-        for use in through.get(remaining[0][0], []):
-            if all(n <= left.get(eid, 0) for eid, n in use.items()):
-                for eid, n in use.items():
-                    left[eid] -= n
-                best = max(best, 1 + rec(tuple((eid, n) for eid, n in left.items() if n)))
-                for eid, n in use.items():
-                    left[eid] += n
-        return best
+        if state not in memo:
+            lo = owner[(live & -live).bit_length() - 1]
+            best = rec(state & ~field[lo])
+            for delta in through.get(lo, ()):
+                rest = state - delta
+                if rest & guards == guards:
+                    best = max(best, 1 + rec(rest))
+            memo[state] = best
+        return memo[state]
 
-    return rec(tuple(sorted((eid, n) for eid, n in counts.items() if n > 0)))
+    return rec(state | guards)
 
 
 def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):

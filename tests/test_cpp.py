@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from kpostman.cpp import (
@@ -11,12 +13,15 @@ from kpostman.cpp import (
     odd_vertices,
     solve_cpp,
 )
+from kpostman.generators import cycle_graph, inflate_chains
 from kpostman.graph import GraphError, MultiGraph, Solution, verify_solution
 
 from conftest import (
     cpp_enumeration_minimum,
     join_enumeration_minimum,
+    join_pairing_minimum,
     named_graph,
+    random_connected_graph,
     random_small_graphs,
 )
 
@@ -61,10 +66,7 @@ def test_join_weight_equals_brute_force_on_random_graphs():
 def test_join_parity_flips_exactly_t():
     for g in random_small_graphs(seed=12, trials=40):
         t = odd_vertices(g)
-        join = min_weight_join(g, t)
-        for v in g.vertices():
-            flips = sum(1 for e in g.adjacency[v] if e.id in join)
-            assert (flips % 2 == 1) == (v in t)
+        _assert_parity(g, min_weight_join(g, t), t)
 
 
 def test_join_rejects_odd_t():
@@ -76,6 +78,80 @@ def test_join_rejects_disconnected():
     g = MultiGraph.from_edges(4, [(1, 2, 1), (3, 4, 1)])
     with pytest.raises(GraphError):
         min_weight_join(g, {1, 2})
+
+
+@pytest.mark.parametrize("t,bad", [({0, 1}, 0), ({-1, 2}, -1), ({1, 99}, 99)])
+def test_join_names_out_of_range_vertex(t, bad):
+    g = MultiGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)])
+    with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+        min_weight_join(g, t)
+
+
+def test_join_with_terminals_inside_a_ring():
+    g = cycle_graph(12)
+    join = min_weight_join(g, {1, 5})
+    assert sum(g.edge(e).weight for e in join) == 4 == join_enumeration_minimum(g, frozenset((1, 5)))
+    _assert_parity(g, join, {1, 5})
+
+
+def test_join_breaks_weight_and_hop_ties_by_edge_sequence():
+    # two paths 1 -> 2 of weight 4 and 4 edges: edges 1-4 through anchor 4,
+    # and edges 5-8 through anchor 3, which the search settles first
+    g = MultiGraph.from_edges(
+        10,
+        [(1, 5, 1), (5, 6, 1), (6, 4, 1), (4, 2, 1), (1, 3, 1), (3, 7, 1), (7, 8, 1), (8, 2, 1)]
+        + [(3, 9, 1), (4, 10, 1)],
+    )
+    assert min_weight_join(g, {1, 2}) == {1, 2, 3, 4}
+
+
+def _assert_parity(g: MultiGraph, join: frozenset[int], t: set[int]) -> None:
+    for v in g.vertices():
+        flips = sum(1 for e in g.adjacency[v] if e.id in join)
+        assert (flips % 2 == 1) == (v in t), v
+
+
+def _chain_inflated_graph(rng: random.Random) -> MultiGraph:
+    """A ring, or a random multigraph whose edges become chains of 1-15
+    segments, with pendant paths and loop chains hung on it; weights may
+    be 0."""
+    max_w = rng.choice((0, 1, 3, 20))
+    if rng.random() < 0.1:
+        n = rng.randint(3, 60)
+        return cycle_graph(n, [rng.randint(0, max_w) for _ in range(n)])
+    n = rng.randint(2, 10)
+    base = random_connected_graph(rng, n, rng.randint(n - 1, 16), max_weight=max_w)
+    segments = {
+        e.id: [rng.randint(0, max_w) for _ in range(rng.randint(1, 15))] for e in base.edges
+    }
+    g = inflate_chains(base, segments)
+    triples = [(e.u, e.v, e.weight) for e in g.edges]
+    top = g.vertex_count
+    for loop in range(rng.randint(0, 3)):  # a pendant path, then a loop chain, ...
+        at = rng.randint(1, top)
+        length = rng.randint(1, 10) + (loop % 2)
+        path = [at] + list(range(top + 1, top + length + 1))
+        top += length
+        if loop % 2:
+            path.append(at)
+        triples += [(a, b, rng.randint(0, max_w)) for a, b in zip(path, path[1:])]
+    return MultiGraph.from_edges(top, triples)
+
+
+def test_join_weight_matches_pairing_oracle_on_chain_inflated_graphs():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        g = _chain_inflated_graph(rng)
+        active = [v for v in g.vertices() if g.degree(v) > 0]
+        odd = odd_vertices(g)
+        picked = frozenset(rng.sample(active, 2 * rng.randint(1, min(6, len(active) // 2))))
+        for t in (odd, picked) if len(odd) <= 12 else (picked,):
+            join = min_weight_join(g, t)
+            assert sum(g.edge(e).weight for e in join) == join_pairing_minimum(g, t)
+            _assert_parity(g, join, t)
+            checked += 1
+    assert checked > 500
 
 
 @pytest.mark.parametrize(
@@ -164,3 +240,8 @@ def test_euler_tour_rejects_start_outside_component():
     m = Multiplicities(g, {1: 2})
     with pytest.raises(GraphError):
         euler_tour(m, 3)
+
+
+def test_euler_tour_names_out_of_range_start():
+    with pytest.raises(GraphError, match="vertex 99 "):
+        euler_tour(Multiplicities.uniform(named_graph("triangle")), 99)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kpostman.generators import cycle_graph
 from kpostman.graph import (
     GraphError,
     Instance,
@@ -15,6 +16,7 @@ from kpostman.graph import (
     VerificationError,
     Walk,
     bypass,
+    chain_decomposition,
     degree_classes,
     is_connected,
     parse_instance,
@@ -175,6 +177,19 @@ def test_is_connected():
     assert not is_connected(two)
     with_isolated = MultiGraph.from_edges(3, [(1, 2, 1)])
     assert is_connected(with_isolated)
+
+
+def test_chain_decomposition_cuts_at_extra_vertices():
+    ring = cycle_graph(6)
+    assert [(c.vertices, c.ring) for c in chain_decomposition(ring)] == [((1, 2, 3, 4, 5, 6, 1), True)]
+    assert [c.vertices for c in chain_decomposition(ring, cuts=[4])] == [(4, 3, 2, 1, 6, 5, 4)]
+    assert [c.vertices for c in chain_decomposition(ring, cuts=[2, 5])] == [(2, 1, 6, 5), (2, 3, 4, 5)]
+    path = MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 2), (3, 4, 3)])
+    assert [(c.vertices, c.weight) for c in chain_decomposition(path)] == [((1, 2, 3, 4), 6)]
+    assert [(c.vertices, c.weight) for c in chain_decomposition(path, cuts=[3])] == [
+        ((1, 2, 3), 3),
+        ((3, 4), 3),
+    ]
 
 
 def test_verify_triangle_tour():

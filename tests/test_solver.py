@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpostman.cpp import Multiplicities, solve_cpp
+from kpostman.cpp import Multiplicities, min_weight_join, solve_cpp
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
 from kpostman.generators import named_graph
 from kpostman.graph import GraphError, MultiGraph, verify_solution
+from kpostman.kernel import kernelize
 from kpostman.solve import oracle_kcpp, solve_kcpp, solve_kcpp_exact
 from kpostman.walks import split_into_k_walks
 
@@ -87,6 +88,22 @@ def test_exact_matches_oracle_everywhere_reachable():
         sol = solve_kcpp_exact(g, k)
         verify_solution(g, k, sol)
         assert sol.total_weight == oracle_kcpp(g, k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: kernelize(g, 2),
+        solve_cpp,
+        lambda g: min_weight_join(g, {1, 2}),
+        lambda g: solve_kcpp(g, 2),
+    ],
+    ids=["kernelize", "solve_cpp", "min_weight_join", "solve_kcpp"],
+)
+def test_entry_points_reject_disconnected(call):
+    g = MultiGraph.from_edges(4, [(1, 2, 1), (3, 4, 1)])
+    with pytest.raises(GraphError, match="^graph must be connected$"):
+        call(g)
 
 
 def test_exact_rejects_disconnected():
