@@ -196,80 +196,125 @@ class SteppedGraph(Protocol):
 
 
 RawCycle = tuple[tuple[int, ...], tuple[int, ...]]  # (vertices, slots)
+Packed = tuple[int, tuple[RawCycle, ...]]  # (cycles found, the cycles)
 
 
 class PackingSearch:
     """Exhaustive branch over cycles through the lowest remaining edge copy,
     for edge-disjoint cycles and arc-disjoint directed cycles alike.
 
-    The residual state is a tuple of copy counts with one slot per edge, in
-    ascending edge-id order, memoized with the target; reusable across many
-    count vectors over the same base graph.  With a target ("find at least
-    this many") the returned value is capped there, which is all a
-    feasibility test needs.
+    Edges get slots in ascending id order.  The residual state is one
+    integer with a bit field per slot and a guard bit above each field, so
+    taking a cycle is one subtraction and the cycle fits exactly when that
+    clears no guard bit.  The search branches on the lowest live slot i,
+    so every slot below i is empty: the cycles through i are enumerated
+    once, over slots >= i, and each state only filters that list.  The
+    memo is keyed by (state, target) and kept across count vectors over
+    the same base graph; a count too wide for the fields rebuilds the
+    layout and drops the memo and the cycle lists.  With a target ("find
+    at least this many") the returned value is capped there, which is all
+    a feasibility test needs.
     """
 
     def __init__(self, base: SteppedGraph):
         self.ids = sorted(base.ends)
-        slot = {eid: i for i, eid in enumerate(self.ids)}
+        self.slot = slot = {eid: i for i, eid in enumerate(self.ids)}
         self.ends = [base.ends[eid] for eid in self.ids]
         self.steps = {v: tuple((slot[eid], w) for eid, w in out) for v, out in base.steps.items()}
-        self.memo: dict[tuple[tuple[int, ...], int], tuple[int, tuple[RawCycle, ...]]] = {}
+        self.memo: dict[tuple[int, int], Packed] = {}
+        self._through: dict[int, list[tuple[int, int, RawCycle]]] = {}
+        self._layout(1)
+
+    def _layout(self, width: int) -> None:
+        """Fields of `width` bits.  The cycle deltas depend on the layout,
+        so the lists go; a wider layout's top guard bit lies above every
+        state of a narrower one, so no old memo key can be hit again, and
+        the memo goes too."""
+        self.width = width
+        self.stride = width + 1
+        self.guards = sum(1 << (s * self.stride + width) for s in range(len(self.ids)))
+        self.values = self.guards - sum(1 << (s * self.stride) for s in range(len(self.ids)))
+        self.memo.clear()
+        self._through.clear()
 
     def run(self, counts: Mapping[int, int], target: int) -> tuple[int, tuple[Cycle, ...]]:
-        state = tuple(max(counts.get(eid, 0), 0) for eid in self.ids)
-        got, found = self._search(state, target)
+        """Up to `target` disjoint cycles within the edge copies in `counts`
+        (edge id -> copies; ids left out have none), and how many."""
+        for eid, n in counts.items():
+            if eid not in self.slot:
+                raise GraphError(f"no edge with id {eid}")
+            if n < 0:
+                raise GraphError(f"edge {eid} has negative count {n}")
+        width = max(counts.values(), default=0).bit_length()
+        if width > self.width:
+            self._layout(width)
+        state = self.guards
+        for eid, n in counts.items():
+            state += n << (self.slot[eid] * self.stride)
+        got, found = self._search(state, sum(counts.values()), target)
         return got, tuple(Cycle(verts, tuple(self.ids[s] for s in slots)) for verts, slots in found)
 
-    def _cycles_through(self, state: tuple[int, ...], i: int) -> list[RawCycle]:
-        """Every simple cycle through one copy of slot i."""
-        cycles: list[RawCycle] = []
+    def _cycles_through(self, i: int) -> list[tuple[int, int, RawCycle]]:
+        """Every simple cycle through one copy of slot i that uses only
+        slots >= i, in depth-first order, as (delta, length, cycle).  Slots
+        with no copies are walked too, so the list spans the base graph:
+        the searcher suits count vectors that cover most of it."""
+        cycles = self._through.get(i)
+        if cycles is not None:
+            return cycles
+        cycles = self._through[i] = []
         u, v = self.ends[i]
+        stride = self.stride
 
         def dfs(cur: int, verts: tuple[int, ...], slots: tuple[int, ...]) -> None:
             for s, nxt in self.steps[cur]:
-                if state[s] - (s == i) - slots.count(s) < 1:
+                if s < i:
                     continue
                 if nxt == u:
-                    cycles.append(((u,) + verts, (i,) + slots + (s,)))
+                    cyc = (i,) + slots + (s,)
+                    delta = sum(1 << (t * stride) for t in cyc)
+                    cycles.append((delta, len(cyc), ((u,) + verts, cyc)))
                 elif nxt != v and nxt not in verts:
                     dfs(nxt, verts + (nxt,), slots + (s,))
 
         dfs(v, (v,), ())
         return cycles
 
-    def _search(self, state: tuple[int, ...], target: int) -> tuple[int, tuple[RawCycle, ...]]:
-        target = min(target, sum(state) // 2)  # every cycle eats >= 2 copies
-        if target <= 0:
-            return 0, ()
-        key = (state, target)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        i = next(s for s, c in enumerate(state) if c)
-        best: tuple[int, tuple[RawCycle, ...]] = (0, ())
-        for cyc in self._cycles_through(state, i):
-            sub = list(state)
-            for s in cyc[1]:
-                sub[s] -= 1
-            got, rest = self._search(tuple(sub), target - 1)
-            if 1 + got > best[0]:
-                best = (1 + got, (cyc,) + rest)
-                if best[0] >= target:
-                    self.memo[key] = best
-                    return best
-        dropped = self._search(state[:i] + (0,) + state[i + 1:], target)
-        if dropped[0] > best[0]:
-            best = dropped
-        self.memo[key] = best
-        return best
+    def _search(self, state: int, copies: int, target: int) -> Packed:
+        # the recursion reads the layout from locals: it runs once per memo
+        # entry and dominates the directed packing checks
+        memo, through, cycles_through = self.memo, self._through, self._cycles_through
+        guards, values, stride = self.guards, self.values, self.stride
+        full = (1 << self.width) - 1
 
+        def search(state: int, copies: int, target: int) -> Packed:
+            if 2 * target > copies:
+                target = copies // 2  # every cycle eats >= 2 copies
+            if target <= 0:
+                return 0, ()
+            key = (state, target)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            live = state & values
+            i = ((live & -live).bit_length() - 1) // stride
+            best: Packed = (0, ())
+            for delta, length, cyc in through.get(i) or cycles_through(i):
+                rest = state - delta
+                if rest & guards != guards:
+                    continue  # a slot has fewer copies left than the cycle uses
+                got, more = search(rest, copies - length, target - 1)
+                if 1 + got > best[0]:
+                    best = (1 + got, (cyc,) + more)
+                    if best[0] >= target:
+                        memo[key] = best
+                        return best
+            lo = i * stride
+            field = state & (full << lo)
+            dropped = search(state - field, copies - (field >> lo), target)
+            if dropped[0] > best[0]:
+                best = dropped
+            memo[key] = best
+            return best
 
-def exact_max_cycle_packing(m: Multiplicities, size_limit: int = 14) -> tuple[int, CyclePacking]:
-    """True maximum number of pairwise edge-disjoint cycles, with a witness,
-    gated by total edge copies <= size_limit."""
-    copies = m.copies()
-    if copies > size_limit:
-        raise GraphError(f"{copies} edge copies exceed the size limit {size_limit}")
-    nu, cycles = PackingSearch(m.base).run(m.counts, copies // 2)
-    return nu, CyclePacking(cycles)
+        return search(state, copies, target)

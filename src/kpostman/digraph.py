@@ -58,11 +58,19 @@ class DiGraph:
         """(tail, head) per arc id."""
         return {a.id: (a.tail, a.head) for a in self.arcs}
 
+    @cached_property
+    def indegrees(self) -> dict[int, int]:
+        """Number of arcs entering each vertex."""
+        into = dict.fromkeys(range(1, self.vertex_count + 1), 0)
+        for a in self.arcs:
+            into[a.head] += 1
+        return into
+
     def outdegree(self, v: int) -> int:
         return len(self.steps[v])
 
     def indegree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a.head == v)
+        return self.indegrees[v]
 
     def is_balanced(self) -> bool:
         return all(self.outdegree(v) == self.indegree(v) for v in range(1, self.vertex_count + 1))

@@ -12,7 +12,6 @@ from kpostman.cycles import (
     PackingSearch,
     check_cycle,
     check_packing,
-    exact_max_cycle_packing,
     greedy_cycle_packing,
     shortest_cycle,
 )
@@ -129,17 +128,15 @@ def test_greedy_bowtie_two_triangles():
     check_packing(m, packing)
 
 
+def _max_packing(m: Multiplicities) -> tuple[int, tuple]:
+    return PackingSearch(m.base).run(m.counts, m.copies() // 2)
+
+
 def test_exact_known_values():
     tri = named_graph("triangle")
-    assert exact_max_cycle_packing(Multiplicities.uniform(tri))[0] == 1
-    assert exact_max_cycle_packing(Multiplicities(tri, {1: 3, 2: 1, 3: 1}))[0] == 2
-    assert exact_max_cycle_packing(Multiplicities.uniform(named_graph("k4")))[0] == 1
-
-
-def test_exact_size_gate():
-    g = named_graph("k4")
-    with pytest.raises(GraphError):
-        exact_max_cycle_packing(Multiplicities(g, {e.id: 4 for e in g.edges}))
+    assert _max_packing(Multiplicities.uniform(tri))[0] == 1
+    assert _max_packing(Multiplicities(tri, {1: 3, 2: 1, 3: 1}))[0] == 2
+    assert _max_packing(Multiplicities.uniform(named_graph("k4")))[0] == 1
 
 
 def test_exact_matches_independent_enumeration():
@@ -147,9 +144,9 @@ def test_exact_matches_independent_enumeration():
     for g in random_small_graphs(seed=32, trials=60, max_n=4, max_m=5):
         counts = {e.id: rng.randint(1, 2) for e in g.edges}
         m = Multiplicities(g, counts)
-        nu, witness = exact_max_cycle_packing(m, size_limit=12)
-        check_packing(m, witness)
-        assert len(witness.cycles) == nu
+        nu, witness = _max_packing(m)
+        check_packing(m, CyclePacking(witness))
+        assert len(witness) == nu
         expected = max_disjoint_from_list(all_simple_cycles(g, counts), counts)
         assert nu == expected
 
@@ -160,7 +157,7 @@ def test_greedy_never_beats_exact_and_certifies():
         counts = {e.id: rng.randint(1, 2) for e in g.edges}
         m = Multiplicities(g, counts)
         greedy = greedy_cycle_packing(m, 4)
-        nu, _ = exact_max_cycle_packing(m, size_limit=12)
+        nu, _ = _max_packing(m)
         assert len(greedy) <= nu
         if len(greedy) == 4:
             assert nu >= 4
@@ -191,12 +188,42 @@ def test_stop_at_caps_the_answer():
     nu, witness = PackingSearch(g).run(m.counts, 2)
     assert nu == 2 and len(witness) == 2
     check_packing(m, CyclePacking(witness))
-    assert exact_max_cycle_packing(m)[0] == 3
+    assert _max_packing(m)[0] == 3
+
+
+def test_reused_searcher_matches_enumeration_as_counts_widen():
+    # one searcher per graph over count vectors whose largest count goes
+    # 1, 2, 5 and back to 1: the field layout grows twice mid-sequence, and
+    # no memo entry of an earlier layout may answer for a later one
+    rng = random.Random(23)
+    for core in random_small_graphs(seed=36, trials=30, max_n=4, max_m=5):
+        e = rng.choice(core.edges)  # one more parallel edge
+        g = MultiGraph.from_edges(
+            core.vertex_count, [(f.u, f.v, f.weight) for f in core.edges] + [(e.u, e.v, e.weight)]
+        )
+        searcher = PackingSearch(g)
+        for top in (1, 1, 2, 2, 5, 5, 1, 1):
+            counts = {f.id: rng.randint(0, top) for f in g.edges}
+            counts[rng.choice(g.edges).id] = top
+            m = Multiplicities(g, counts)
+            nu, witness = searcher.run(counts, m.copies() // 2)
+            check_packing(m, CyclePacking(witness))
+            assert len(witness) == nu
+            assert nu == max_disjoint_from_list(all_simple_cycles(g, counts), counts), (g.edges, counts)
+
+
+def test_packing_search_names_bad_counts():
+    searcher = PackingSearch(named_graph("triangle"))
+    with pytest.raises(GraphError, match="no edge with id 9"):
+        searcher.run({1: 1, 2: 1, 9: 1}, 1)
+    with pytest.raises(GraphError, match="edge 2 has negative count -1"):
+        searcher.run({1: 1, 2: -1, 3: 1}, 1)
+    assert searcher.run({1: 1, 2: 1, 3: 1}, 1)[0] == 1
 
 
 def test_empty_packing_for_tree():
     g = MultiGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)])
-    assert exact_max_cycle_packing(Multiplicities.uniform(g))[0] == 0
+    assert _max_packing(Multiplicities.uniform(g))[0] == 0
     assert len(greedy_cycle_packing(Multiplicities.uniform(g), 2)) == 0
 
 
