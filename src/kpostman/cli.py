@@ -155,6 +155,10 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.k < 1:
+        raise GraphError(f"k must be >= 1, got {args.k}")
+    if args.p is not None and args.p < 0:
+        raise GraphError(f"budget p must be >= 0, got {args.p}")
     rng = random.Random(args.seed)
     if args.kind == "theta":
         g = theta_graph(args.paths, args.len)

@@ -103,6 +103,8 @@ def random_connected_graph(
     """Random spanning tree plus random extra edges; parallels allowed."""
     if n < 2 or m < n - 1:
         raise GraphError("need n >= 2 and m >= n-1 for a connected graph")
+    if max_weight < 0:
+        raise GraphError(f"max weight must be >= 0, got {max_weight}")
     triples = []
     order = list(range(2, n + 1))
     rng.shuffle(order)
@@ -119,6 +121,10 @@ def random_connected_graph(
 
 
 def random_digraph(rng: random.Random, n: int, arcs: int, max_weight: int = 1) -> DiGraph:
+    if arcs > 0 and n < 2:
+        raise GraphError("need n >= 2 to draw arcs without loops")
+    if max_weight < 0:
+        raise GraphError(f"max weight must be >= 0, got {max_weight}")
     triples = []
     while len(triples) < arcs:
         t, h = rng.randint(1, n), rng.randint(1, n)

@@ -1,14 +1,14 @@
 """Kernelization pipeline: degree shortcuts, the chain reduction rule, the
-path multigraph, the parallel-chain shortcut, and solution lifting.
+parallel-chain shortcut, and solution lifting.
 
 The pipeline is certificate-driven: a shortcut only fires when it holds an
 actual cycle packing in hand.  The kernel report states only what was
-measured: degree classes, chain and path-multigraph sizes.
+measured: degree classes and chain sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cpp import CppSolution, Multiplicities, solve_cpp
 from .cycles import Cycle, CyclePacking, greedy_cycle_packing
@@ -29,14 +29,19 @@ from .walks import split_into_k_walks
 
 
 def find_chains(g: MultiGraph) -> list[Chain]:
-    """All anchor-to-anchor chains; empty when the graph is a bare cycle."""
+    """All anchor-to-anchor chains; empty when the graph is a bare cycle.
+    Anchors are visited in ascending order, so an open chain has u < v."""
     return [c for c in chain_decomposition(g) if not c.ring]
 
 
-def is_bare_cycle(g: MultiGraph) -> bool:
-    """True when every non-isolated vertex has degree exactly 2 (g connected)."""
-    degs = [g.degree(v) for v in g.vertices() if g.degree(v) > 0]
-    return bool(degs) and all(d == 2 for d in degs)
+def _parallel_groups(chains: list[Chain]) -> dict[tuple[int, int], list[Chain]]:
+    """Open chains grouped by their anchor pair, each group ordered by its
+    first edge id."""
+    groups: dict[tuple[int, int], list[Chain]] = {}
+    for c in sorted(chains, key=lambda c: c.edges[0]):
+        if c.u != c.v:
+            groups.setdefault((c.u, c.v), []).append(c)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -130,42 +135,6 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> tuple[MultiGraph, ExpansionMa
     )
 
 
-@dataclass(frozen=True)
-class PathMultigraph:
-    """Chain structure of a graph: one h-edge per open anchor-to-anchor chain.
-
-    Chains closed on a single anchor cannot be represented as multigraph
-    edges (loops are rejected), so they are reported separately.
-    """
-
-    h: MultiGraph
-    chain_for_edge: dict[int, Chain]
-    loop_chains: tuple[Chain, ...]
-    anchor_of: dict[int, int]
-    h_vertex_of: dict[int, int]
-
-
-def build_path_multigraph(g: MultiGraph) -> PathMultigraph:
-    if is_bare_cycle(g) or not g.edges:
-        raise GraphError("path multigraph undefined: no vertex of degree != 2")
-    anchors = sorted(v for v in g.vertices() if g.degree(v) not in (0, 2))
-    h_vertex_of = {a: i + 1 for i, a in enumerate(anchors)}
-    anchor_of = {i: a for a, i in h_vertex_of.items()}
-    chains = find_chains(g)
-    open_chains = sorted(
-        (c for c in chains if c.u != c.v),
-        key=lambda c: (h_vertex_of[c.u], h_vertex_of[c.v], c.edges[0]),
-    )
-    loops = tuple(c for c in chains if c.u == c.v)
-    h_edges = []
-    chain_for_edge = {}
-    for hid, c in enumerate(open_chains, start=1):
-        h_edges.append(Edge(hid, h_vertex_of[c.u], h_vertex_of[c.v], c.weight))
-        chain_for_edge[hid] = c
-    h = MultiGraph(len(anchors), tuple(h_edges))
-    return PathMultigraph(h, chain_for_edge, loops, anchor_of, h_vertex_of)
-
-
 def _two_cycle(e: Edge) -> Cycle:
     return Cycle((e.u, e.v), (e.id, e.id))
 
@@ -241,20 +210,16 @@ def packing_shortcut(
     return None
 
 
-def parallel_edge_shortcut(g: MultiGraph, pm: PathMultigraph, k: int) -> CyclePacking | None:
-    """k disjoint cycles of g obtained by pairing up 2k parallel chains."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for hid, c in pm.chain_for_edge.items():
-        key = tuple(sorted((c.u, c.v)))  # type: ignore[assignment]
-        groups.setdefault(key, []).append(hid)
+def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
+    """k disjoint cycles obtained by pairing up 2k parallel chains of
+    find_chains, from the lowest anchor pair that has that many."""
+    groups = _parallel_groups(chains)
     for key in sorted(groups):
-        hids = sorted(groups[key])
-        if len(hids) < 2 * k:
+        group = groups[key]
+        if len(group) < 2 * k:
             continue
         cycles = []
-        for i in range(k):
-            c1 = pm.chain_for_edge[hids[2 * i]]
-            c2 = pm.chain_for_edge[hids[2 * i + 1]]
+        for c1, c2 in zip(group[0 : 2 * k : 2], group[1 : 2 * k : 2]):
             there, back = c1.walk_from(c1.u), c2.walk_from(c1.v)
             cycles.append(Cycle(there[0][:-1] + back[0][:-1], there[1] + back[1]))
         return CyclePacking(tuple(cycles))
@@ -273,25 +238,14 @@ class KernelReport:
     bare_cycle: bool
     h_edges: int | None
     max_parallel: int | None
-    max_chain_internal: int | None
+    max_chain_internal: int
     blocked_chains: int
     dropped_vertices: int
 
     def lines(self) -> list[str]:
-        items = [
-            f"k={self.k}",
-            f"fired={self.fired or 'none'}",
-            f"v1={self.v1}",
-            f"v2={self.v2}",
-            f"v3plus={self.v3plus}",
-            f"bare_cycle={int(self.bare_cycle)}",
-            f"h_edges={self.h_edges if self.h_edges is not None else '-'}",
-            f"max_parallel={self.max_parallel if self.max_parallel is not None else '-'}",
-            f"max_chain_internal={self.max_chain_internal if self.max_chain_internal is not None else '-'}",
-            f"blocked_chains={self.blocked_chains}",
-            f"dropped_vertices={self.dropped_vertices}",
-        ]
-        return [" ".join(items)]
+        """One key=value line in field order; an absent count prints as '-'."""
+        shown = {**asdict(self), "fired": self.fired or "none", "bare_cycle": int(self.bare_cycle)}
+        return [" ".join(f"{key}={'-' if val is None else val}" for key, val in shown.items())]
 
 
 @dataclass(frozen=True)
@@ -318,28 +272,18 @@ KernelOutcome = Solved | Reduced
 
 
 def _build_report(
-    g: MultiGraph,
-    k: int,
-    fired: str | None,
-    pm: PathMultigraph | None,
-    dropped: int,
+    g: MultiGraph, k: int, fired: str | None, chains: list[Chain], dropped: int
 ) -> KernelReport:
+    """Measure g, whose find_chains list is chains; h_edges and
+    max_parallel are reported only when no shortcut before the parallel
+    one fired and g is not a bare cycle."""
     dc = degree_classes(g)
-    bare = is_bare_cycle(g)
-    chains = find_chains(g)
-    max_internal = max((len(c.internal) for c in chains), default=None)
-    if bare:
-        max_internal = max(len(dc.v2) - 2, 0)
-    h_edges = None
-    max_par = None
-    if pm is not None:
-        h_edges = len(pm.h.edges)
-        counts: dict[tuple[int, int], int] = {}
-        for e in pm.h.edges:
-            key = tuple(sorted((e.u, e.v)))  # type: ignore[assignment]
-            counts[key] = counts.get(key, 0) + 1
-        max_par = max(counts.values(), default=0)
-    blocked = sum(1 for c in chains if len(c.internal) > k)
+    bare = not chains
+    max_internal = len(dc.v2) - 2 if bare else max(len(c.internal) for c in chains)
+    h_edges = max_par = None
+    if fired in (None, "parallel") and not bare:
+        sizes = [len(group) for group in _parallel_groups(chains).values()]
+        h_edges, max_par = sum(sizes), max(sizes, default=0)
     return KernelReport(
         k=k,
         fired=fired,
@@ -350,7 +294,7 @@ def _build_report(
         h_edges=h_edges,
         max_parallel=max_par,
         max_chain_internal=max_internal,
-        blocked_chains=blocked,
+        blocked_chains=sum(1 for c in chains if len(c.internal) > k),
         dropped_vertices=dropped,
     )
 
@@ -381,35 +325,33 @@ def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     cpp = solve_cpp(g)  # raises for a graph without edges or not connected
-    sol = pendant_shortcut(g, k, cpp=cpp)
-    if sol is not None:
-        report = _build_report(g, k, "pendant", None, 0)
-        return Solved(sol, "pendant", cpp.weight, report)
-    sol = packing_shortcut(g, k, cpp=cpp)
-    if sol is not None:
-        report = _build_report(g, k, "packing", None, 0)
-        return Solved(sol, "packing", cpp.weight, report)
+    for method, shortcut in (("pendant", pendant_shortcut), ("packing", packing_shortcut)):
+        sol = shortcut(g, k, cpp=cpp)
+        if sol is not None:
+            report = _build_report(g, k, method, find_chains(g), 0)
+            return Solved(sol, method, cpp.weight, report)
 
     work, em = apply_reduction_rule(g, k)
+    chains = find_chains(work)
 
-    if not is_bare_cycle(work):
+    if chains:  # not a bare cycle
         cpp_w = solve_cpp(work)
         sol = packing_shortcut(work, k, cpp=cpp_w)
         if sol is not None:
             lifted = lift_solution(em, sol)
-            report = _build_report(work, k, "packing", None, 0)
+            report = _build_report(work, k, "packing", chains, 0)
             return Solved(lifted, "packing", cpp_w.weight, report)
-        pm = build_path_multigraph(work)
-        packing = parallel_edge_shortcut(work, pm, k)
+        packing = parallel_edge_shortcut(chains, k)
         if packing is not None:
             sol = split_into_k_walks(cpp_w.multiplicities, packing)
             lifted = lift_solution(em, sol)
-            report = _build_report(work, k, "parallel", pm, 0)
+            report = _build_report(work, k, "parallel", chains, 0)
             return Solved(lifted, "parallel", cpp_w.weight, report)
 
+    # compaction only drops isolated vertices and renumbers, so the report
+    # measured on work holds for the kernel
     compacted, dropped = _compact(em)
-    pm_final = None if is_bare_cycle(compacted.kernel) else build_path_multigraph(compacted.kernel)
-    report = _build_report(compacted.kernel, k, None, pm_final, dropped)
+    report = _build_report(work, k, None, chains, dropped)
     return Reduced(compacted, k, cpp.weight, report)
 
 

@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kpostman
 from kpostman.cli import main
-from kpostman.graph import parse_instance, parse_solution, verify_solution
+from kpostman.generators import (
+    cycle_graph,
+    named_graph,
+    random_digraph,
+    theta_graph,
+    uniform_inflation,
+)
+from kpostman.graph import (
+    GraphError,
+    Instance,
+    parse_instance,
+    parse_solution,
+    serialize_instance,
+    verify_solution,
+)
 
 BOWTIE = "p kcpp 5 6 2 6\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 1\ne 4 5 1\ne 3 5 1\n"
 TRIANGLE = "p kcpp 3 3 2 4\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
@@ -80,6 +98,39 @@ def test_kernelize_solved_emits_solution(tmp_path):
     assert sol.total_weight == 6 and len(sol.walks) == 3
 
 
+@pytest.mark.parametrize(
+    "graph, k, line",
+    [
+        (
+            named_graph("star3"), 3,
+            "k=3 fired=pendant v1=3 v2=0 v3plus=1 bare_cycle=0 h_edges=- max_parallel=- "
+            "max_chain_internal=0 blocked_chains=0 dropped_vertices=0",
+        ),
+        (
+            uniform_inflation(named_graph("bowtie"), 10), 2,
+            "k=2 fired=packing v1=0 v2=58 v3plus=1 bare_cycle=0 h_edges=- max_parallel=- "
+            "max_chain_internal=29 blocked_chains=2 dropped_vertices=0",
+        ),
+        (
+            theta_graph(4, 8), 3,
+            "k=3 fired=none v1=0 v2=12 v3plus=2 bare_cycle=0 h_edges=4 max_parallel=4 "
+            "max_chain_internal=3 blocked_chains=0 dropped_vertices=16",
+        ),
+        (
+            cycle_graph(10), 2,
+            "k=2 fired=none v1=0 v2=4 v3plus=0 bare_cycle=1 h_edges=- max_parallel=- "
+            "max_chain_internal=2 blocked_chains=0 dropped_vertices=6",
+        ),
+    ],
+    ids=["pendant", "packing", "reduced-theta", "reduced-ring"],
+)  # fmt: skip
+def test_kernelize_report_line(graph, k, line, tmp_path, capsys):
+    f = tmp_path / "in.kcpp"
+    f.write_text(serialize_instance(Instance(graph, k)))
+    assert main(["kernelize", str(f), "-o", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"# {line}"
+
+
 def test_pack_cycles(tmp_path):
     f = tmp_path / "bowtie.kcpp"
     f.write_text(BOWTIE)
@@ -144,6 +195,29 @@ def test_gen_directed_random(tmp_path):
     assert f.read_text().startswith("p dkcpp 5 8")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--k", "0"],
+        ["theta", "--p", "-3"],
+        ["directed-random", "--k", "0"],
+        ["random-connected", "--max-weight", "-1"],
+        ["directed-random", "--n", "1"],
+    ],
+    ids=["theta-k0", "theta-p-3", "directed-k0", "random-max-weight", "directed-n1"],
+)
+def test_gen_refuses_what_the_parsers_refuse(argv, tmp_path, capsys):
+    out = tmp_path / "gen.txt"
+    assert main(["gen", *argv, "-o", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_random_digraph_refuses_negative_max_weight():
+    with pytest.raises(GraphError, match="max weight"):
+        random_digraph(random.Random(0), 5, 3, max_weight=-1)
+
+
 def test_parse_error_exits_one(tmp_path, capsys):
     f = tmp_path / "bad.kcpp"
     f.write_text("p kcpp 2 1 1\ne 1 1 1\n")
@@ -160,10 +234,13 @@ def test_kernel_constant_flags_are_gone(bowtie_file):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package from where this process found it
+    env = {**os.environ, "PYTHONPATH": str(Path(kpostman.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "kpostman.cli", "gen", "theta", "--paths", "3", "--len", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p kcpp")

@@ -1,10 +1,9 @@
-"""Kernel pipeline: shortcuts, reduction rule, path multigraph, lifting."""
+"""Kernel pipeline: shortcuts, reduction rule, chains, lifting."""
 
 from __future__ import annotations
 
 import random
-
-import pytest
+from collections import Counter
 
 from kpostman.cpp import solve_cpp
 from kpostman.generators import (
@@ -15,14 +14,12 @@ from kpostman.generators import (
     theta_graph,
     uniform_inflation,
 )
-from kpostman.graph import GraphError, MultiGraph, verify_solution
+from kpostman.graph import MultiGraph, verify_solution
 from kpostman.kernel import (
     Reduced,
     Solved,
     apply_reduction_rule,
-    build_path_multigraph,
     find_chains,
-    is_bare_cycle,
     kernelize,
     lift_solution,
     packing_shortcut,
@@ -177,12 +174,13 @@ def test_reduction_one_pass_bounds():
             em.validate()
             assert work.min_weight() == g.min_weight()
             assert work.edge(e_min.id) == e_min
-            for c in find_chains(work):
+            chains = find_chains(work)
+            for c in chains:
                 if len(c.internal) > k:
                     # k = 1 with the minimum strictly inside: 3 segments
                     assert k == 1 and len(c.internal) == 2 and e_min.id == c.edges[1]
                     interior_min_kept += 1
-            if is_bare_cycle(work):
+            if not chains:  # bare cycle
                 assert sum(1 for v in work.vertices() if work.degree(v) > 0) == min(active, k + 2)
     assert interior_min_kept > 0
 
@@ -212,40 +210,27 @@ def test_reduction_safety_against_oracle():
         checked += 1
 
 
-def test_path_multigraph_of_path():
-    g = MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
-    pm = build_path_multigraph(g)
-    assert pm.h.vertex_count == 2
-    assert len(pm.h.edges) == 1
-    assert pm.h.edges[0].weight == 3
-
-
-def test_path_multigraph_theta_parallel_edges():
-    pm = build_path_multigraph(theta_graph(3, 2))
-    assert pm.h.vertex_count == 2
-    assert len(pm.h.edges) == 3
-    assert all(e.weight == 2 for e in pm.h.edges)
-
-
-def test_path_multigraph_bowtie_loops_reported_separately():
-    pm = build_path_multigraph(named_graph("bowtie"))
-    assert pm.h.vertex_count == 1
-    assert len(pm.h.edges) == 0
-    assert len(pm.loop_chains) == 2
-
-
-def test_path_multigraph_rejects_bare_cycle():
-    with pytest.raises(GraphError):
-        build_path_multigraph(named_graph("triangle"))
+def test_find_chains_open_loop_and_bare_cycle():
+    # a path is one open chain of summed weight
+    (chain,) = find_chains(MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)]))
+    assert (chain.u, chain.v, chain.weight) == (1, 4, 3)
+    # theta: three parallel chains between the hubs, lower anchor first
+    chains = find_chains(theta_graph(3, 2))
+    assert [(c.u, c.v, c.weight) for c in chains] == [(1, 2, 2)] * 3
+    # bowtie: two chains closed on the centre, no open chain
+    chains = find_chains(named_graph("bowtie"))
+    assert len(chains) == 2 and all(c.u == c.v == 3 for c in chains)
+    # a bare cycle has no anchor and so no chain
+    assert find_chains(named_graph("triangle")) == []
 
 
 def test_parallel_shortcut_thresholds():
     th4 = theta_graph(4, 2)
-    pack = parallel_edge_shortcut(th4, build_path_multigraph(th4), 2)
+    pack = parallel_edge_shortcut(find_chains(th4), 2)
     assert pack is not None and len(pack) == 2
     th3 = theta_graph(3, 2)
-    assert parallel_edge_shortcut(th3, build_path_multigraph(th3), 2) is None
-    pack1 = parallel_edge_shortcut(th3, build_path_multigraph(th3), 1)
+    assert parallel_edge_shortcut(find_chains(th3), 2) is None
+    pack1 = parallel_edge_shortcut(find_chains(th3), 1)
     assert pack1 is not None and len(pack1) == 1
 
 
@@ -294,18 +279,13 @@ def test_kernelize_reduced_structural_bounds():
             assert all(kern.degree(v) > 0 for v in kern.vertices())
             chains = find_chains(kern)
             assert all(len(c.internal) <= k for c in chains)
-            from kpostman.kernel import is_bare_cycle
-
-            if is_bare_cycle(kern):
+            if not chains:  # bare cycle
                 active = sum(1 for v in kern.vertices() if kern.degree(v) > 0)
                 assert active <= k + 2
             else:
-                pm = build_path_multigraph(kern)
-                per_pair: dict = {}
-                for e in pm.h.edges:
-                    key = tuple(sorted((e.u, e.v)))
-                    per_pair[key] = per_pair.get(key, 0) + 1
+                per_pair = Counter(tuple(sorted((c.u, c.v))) for c in chains if c.u != c.v)
                 assert all(c < 2 * k for c in per_pair.values())
+                assert out.report.max_parallel == max(per_pair.values(), default=0)
             out.expansion.validate()
     assert reduced_seen > 0
 

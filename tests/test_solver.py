@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpostman.cpp import Multiplicities, min_weight_join, solve_cpp
+from kpostman.cpp import MAX_ODD_VERTICES, Multiplicities, min_weight_join, odd_vertices, solve_cpp
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
-from kpostman.generators import named_graph
-from kpostman.graph import GraphError, MultiGraph, verify_solution
+from kpostman.generators import inflate_chains, named_graph
+from kpostman.graph import GraphError, MultiGraph, chain_decomposition, verify_solution
 from kpostman.kernel import kernelize
-from kpostman.solve import oracle_kcpp, solve_kcpp, solve_kcpp_exact
+from kpostman.solve import MAX_SEARCH_CHAINS, oracle_kcpp, solve_kcpp, solve_kcpp_exact
 from kpostman.walks import split_into_k_walks
 
 from conftest import random_small_graphs
@@ -285,3 +286,61 @@ def test_long_cycle_solved_through_one_pass_reduction():
     res = solve_kcpp(c, 3)
     assert res.weight == 1004 and res.method == "kernel"
     verify_solution(c, 3, res.solution)
+
+
+@st.composite
+def above_gate_graphs(draw):
+    """A simple connected graph on 5-7 vertices with 9-14 edges of weight
+    1-4, one of them subdivided into a chain of 2-6 segments.  Above the
+    oracle's edge gate, with at most 14 chains and 7 odd vertices: inside
+    both search caps."""
+    n = draw(st.integers(5, 7))
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    rest = [p for p in combinations(range(1, n + 1), 2) if p not in tree]
+    m = draw(st.integers(9, min(14, len(tree) + len(rest))))
+    extra = draw(st.lists(st.sampled_from(rest), min_size=m - n + 1, max_size=m - n + 1, unique=True))
+    core = MultiGraph.from_edges(n, [(u, v, 1) for u, v in tree + extra])
+    segments = {e.id: [draw(st.integers(1, 4))] for e in core.edges}
+    segments[draw(st.integers(1, m))] = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    return inflate_chains(core, segments)
+
+
+def _solved(g, k):
+    res = solve_kcpp(g, k)
+    assert verify_solution(g, k, res.solution) == res.weight
+    return res
+
+
+def test_metamorphic_relations_above_oracle_gate():
+    methods = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(above_gate_graphs(), st.data())
+    def check(g, data):
+        assert len(chain_decomposition(g)) <= MAX_SEARCH_CHAINS
+        assert len(odd_vertices(g)) <= MAX_ODD_VERTICES
+        cover = solve_cpp(g)
+        cpp, mu = cover.weight, g.min_weight()
+        # k at or just above a greedy packing of the single-walk cover, where
+        # the shortcuts give out and the exact kernel search answers
+        greedy = len(greedy_cycle_packing(cover.multiplicities, cover.multiplicities.copies() // 2))
+        k = data.draw(st.integers(min(max(2, greedy), 7), min(greedy + 2, 7)), label="k")
+        res = _solved(g, k)
+        methods.append(res.method)
+        assert cpp <= res.weight <= cpp + 2 * mu * (k - 1)
+        assert res.weight <= _solved(g, k + 1).weight <= res.weight + 2 * mu
+        relabel = [0, *data.draw(st.permutations(range(1, g.vertex_count + 1)), label="relabel")]
+        order = data.draw(st.permutations(g.edges), label="edge order")
+        moved = MultiGraph.from_edges(
+            g.vertex_count, [(relabel[e.u], relabel[e.v], e.weight) for e in order]
+        )
+        assert _solved(moved, k).weight == res.weight
+        scale = data.draw(st.integers(2, 3), label="scale")
+        scaled = MultiGraph.from_edges(
+            g.vertex_count, [(e.u, e.v, scale * e.weight) for e in g.edges]
+        )
+        assert _solved(scaled, k).weight == scale * res.weight
+
+    check()
+    # the relations must also be checked where the exact kernel search answers
+    assert 4 * methods.count("kernel") >= len(methods), methods
