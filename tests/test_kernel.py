@@ -210,18 +210,29 @@ def test_reduction_safety_against_oracle():
         checked += 1
 
 
-def test_find_chains_open_loop_and_bare_cycle():
-    # a path is one open chain of summed weight
+def test_path_multigraph_of_path():
+    # a path contracts to one open chain of summed weight between its ends
     (chain,) = find_chains(MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)]))
     assert (chain.u, chain.v, chain.weight) == (1, 4, 3)
+    assert chain.internal == (2, 3)
+
+
+def test_path_multigraph_theta_parallel_edges():
     # theta: three parallel chains between the hubs, lower anchor first
     chains = find_chains(theta_graph(3, 2))
     assert [(c.u, c.v, c.weight) for c in chains] == [(1, 2, 2)] * 3
+
+
+def test_path_multigraph_bowtie_loops_reported_separately():
     # bowtie: two chains closed on the centre, no open chain
     chains = find_chains(named_graph("bowtie"))
     assert len(chains) == 2 and all(c.u == c.v == 3 for c in chains)
+
+
+def test_path_multigraph_rejects_bare_cycle():
     # a bare cycle has no anchor and so no chain
     assert find_chains(named_graph("triangle")) == []
+    assert find_chains(cycle_graph(6)) == []
 
 
 def test_parallel_shortcut_thresholds():
