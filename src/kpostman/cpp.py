@@ -73,10 +73,6 @@ class Multiplicities:
             counts[eid] = have - c
         return Multiplicities(self.base, counts)
 
-    def restrict(self, edge_ids: Iterable[int]) -> "Multiplicities":
-        keep = set(edge_ids)
-        return Multiplicities(self.base, {eid: c for eid, c in self.counts.items() if eid in keep})
-
 
 class CppSolution(NamedTuple):
     join: frozenset[int]
@@ -261,35 +257,80 @@ def euler_tour(m: Multiplicities, start: int) -> Walk:
     m must span a single component with all degrees even; at each vertex the
     lowest-id available copy is taken, so tours are deterministic.
     """
+    odd, left = _read_counts(m)
+    if 1 in odd:
+        v = odd.index(1)
+        raise GraphError(f"vertex {v} has odd degree {m.degree(v)}")
     g = m.base
-    for v in g.vertices():
-        if m.degree(v) % 2 != 0:
-            raise GraphError(f"vertex {v} has odd degree {m.degree(v)}")
     if start not in g.adjacency or m.degree(start) == 0:
         raise GraphError(f"start vertex {start} not in the traversed component")
-    remaining = {eid: c for eid, c in m.counts.items() if c > 0}
-
-    def next_edge(v: int):
-        for e in g.adjacency[v]:
-            if remaining.get(e.id, 0) > 0:
-                return e
-        return None
-
-    stack: list[tuple[int, int | None]] = [(start, None)]
-    popped: list[tuple[int, int | None]] = []
-    while stack:
-        v, via = stack[-1]
-        e = next_edge(v)
-        if e is None:
-            popped.append(stack.pop())
-        else:
-            remaining[e.id] -= 1
-            stack.append((e.other(v), e.id))
-    if any(c > 0 for c in remaining.values()):
+    tour = _tour(g, left, [0] * (g.vertex_count + 1), start)
+    if any(left.values()):
         raise GraphError("multigraph spans more than one component")
-    popped.reverse()
-    steps = tuple(
-        (popped[i][0], popped[i + 1][1]) for i in range(len(popped) - 1)
-    )
-    assert all(e is not None for _, e in steps)
-    return Walk(steps)  # type: ignore[arg-type]
+    return Walk(tuple(tour))
+
+
+def _read_counts(m: Multiplicities) -> tuple[bytearray, dict[int, int]]:
+    """One pass over the edges of m's base: the degree parity of every
+    vertex (index v), and the copies per edge id, 0 for edges m leaves
+    out.  Raises on a count that names no edge of the base or is negative."""
+    counts = m.counts
+    odd = bytearray(m.base.vertex_count + 1)
+    known = 0
+    for eid, u, v, _ in m.base.edges:
+        c = counts.get(eid)
+        if c is None:
+            continue
+        known += 1
+        if c < 0:
+            raise GraphError(f"edge {eid} has negative count {c}")
+        if c & 1:
+            odd[u] ^= 1
+            odd[v] ^= 1
+    if known < len(counts):
+        eid = next(eid for eid in counts if eid not in m.base.edge_by_id)
+        raise GraphError(f"no edge with id {eid}")
+    left = dict.fromkeys(m.base.edge_by_id, 0)
+    left.update(counts)
+    return odd, left
+
+
+def _tour(
+    g: MultiGraph, left: dict[int, int], cursor: list[int], start: int
+) -> list[tuple[int, int]]:
+    """Hierholzer's closed walk from start through every copy still left in
+    start's component, as (vertex, edge id) steps; empty if start has none.
+
+    Spends the copies in `left`.  `cursor[v]` indexes the first edge of
+    g.adjacency[v] that may have a copy left; counts only fall, so the edge
+    it lands on is the lowest-id available copy, and no spent edge is read
+    twice across the tours that share `cursor`.
+    """
+    adjacency = g.adjacency
+    verts = [start]
+    vias = [0]
+    out_v: list[int] = []
+    out_e: list[int] = []
+    v = start
+    while True:
+        out = adjacency[v]
+        i = cursor[v]
+        n = len(out)
+        while i < n and not left[out[i][0]]:
+            i += 1
+        cursor[v] = i
+        if i < n:
+            eid, a, b, _ = out[i]
+            left[eid] -= 1
+            v = a + b - v  # the other end
+            verts.append(v)
+            vias.append(eid)
+            continue
+        out_v.append(verts.pop())
+        out_e.append(vias.pop())
+        if not verts:
+            break
+        v = verts[-1]
+    out_v.reverse()
+    out_e.reverse()
+    return list(zip(out_v, out_e[1:]))

@@ -1,8 +1,17 @@
-"""Turning an even covering multigraph plus a k-cycle packing into k walks."""
+"""Turning an even covering multigraph plus a k-cycle packing into k walks.
+
+Walk i is packed cycle i with tours of the leftover copies spliced in.  Each
+connected component of the leftover goes, as one Euler tour, to the first
+packed cycle (in packing order) that touches it.  The tour starts at the
+lowest vertex that cycle shares with the component and is inserted just
+before that vertex's first occurrence in the cycle.
+"""
 
 from __future__ import annotations
 
-from .cpp import Multiplicities, euler_tour
+from operator import itemgetter
+
+from .cpp import Multiplicities, _read_counts, _tour
 from .cycles import CyclePacking, check_packing
 from .graph import GraphError, Solution, Walk
 
@@ -10,68 +19,55 @@ from .graph import GraphError, Solution, Walk
 def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     """Build exactly k = len(packing) closed walks covering every copy of m.
 
-    Removes the packing, Euler-tours each leftover component, and splices
-    each tour into the first packed cycle it shares a vertex with.  Requires
-    m connected with all degrees even and the packing contained in m; total
-    weight equals weight(m).
+    Removes the packing and tours the leftover from the packed cycles'
+    vertices, in packing order and each cycle's vertices ascending, so each
+    leftover component is toured once, from the first cycle that touches
+    it.  Requires m connected with all degrees even and the packing
+    contained in m; total weight equals weight(m).
     """
     if not packing.cycles:
         raise GraphError("packing must contain at least one cycle")
-    if not m.all_degrees_even():
+    odd, left = _read_counts(m)
+    if 1 in odd:
         raise GraphError("multigraph has a vertex of odd degree")
-    support_graph = m.base
-    if len(_components(m)) > 1:
-        raise GraphError("multigraph must be connected")
     check_packing(m, packing)
+    for eid, c in packing.edge_multiset().items():
+        left[eid] -= c
 
-    rest = m.without(packing.edge_multiset())
-    walk_steps: list[list[tuple[int, int]]] = []
-    for cyc in packing.cycles:
-        r = len(cyc.edges)
-        walk_steps.append([(cyc.vertices[i], cyc.edges[i]) for i in range(r)])
+    # m is connected iff every leftover copy is reached from a packed cycle
+    # and the cycles are linked through shared vertices or shared leftover
+    # components; `first` maps each vertex reached so far to the first
+    # cycle that reached it, and `link` is a union-find over cycle indices
+    first: dict[int, int] = {}
+    link = list(range(len(packing.cycles)))
 
-    for comp_vertices, comp_ids in _components(rest):
-        splice_at = None
-        for ci, cyc in enumerate(packing.cycles):
-            shared = sorted(comp_vertices.intersection(cyc.vertices))
-            if shared:
-                splice_at = (ci, shared[0])
-                break
-        if splice_at is None:
-            raise RuntimeError("leftover component shares no vertex with any packed cycle")
-        ci, s = splice_at
-        tour = euler_tour(rest.restrict(comp_ids), s)
-        steps = walk_steps[ci]
-        pos = next(i for i, (v, _) in enumerate(steps) if v == s)
-        walk_steps[ci] = steps[:pos] + list(tour.steps) + steps[pos:]
+    def root(i: int) -> int:
+        while link[i] != i:
+            link[i] = i = link[link[i]]
+        return i
 
-    walks = tuple(Walk(tuple(steps)) for steps in walk_steps)
-    total = sum(w.weight(support_graph) for w in walks)
+    cursor = [0] * len(odd)
+    walks = []
+    for ci, cyc in enumerate(packing.cycles):
+        tours = {}
+        for v in sorted(cyc.vertices):
+            j = first.setdefault(v, ci)
+            if j != ci:
+                link[root(ci)] = root(j)
+            tour = _tour(m.base, left, cursor, v)
+            if tour:
+                tours[v] = tour
+                first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
+        walk: list[tuple[int, int]] = []
+        for step in zip(cyc.vertices, cyc.edges):
+            if step[0] in tours:
+                walk.extend(tours[step[0]])
+            walk.append(step)
+        walks.append(Walk(tuple(walk)))
+    if any(left.values()) or any(root(i) != root(0) for i in range(len(link))):
+        raise GraphError("multigraph must be connected")
+
+    by_id = m.base.edge_by_id
+    total = sum(by_id[eid].weight for w in walks for _, eid in w.steps)
     assert total == m.weight()
-    return Solution(walks, total)
-
-
-def _components(m: Multiplicities) -> list[tuple[set[int], set[int]]]:
-    """Connected components of the support, as (vertex set, edge id set)."""
-    support = m.support()
-    unseen = {e.id: e for e in support}
-    comps: list[tuple[set[int], set[int]]] = []
-    adj = m.base.adjacency
-    while unseen:
-        first = unseen[min(unseen)]
-        verts = {first.u}
-        stack = [first.u]
-        ids: set[int] = set()
-        while stack:
-            v = stack.pop()
-            for e in adj[v]:
-                if e.id in unseen and m.count(e.id) > 0:
-                    if e.id not in ids:
-                        ids.add(e.id)
-                        del unseen[e.id]
-                    w = e.other(v)
-                    if w not in verts:
-                        verts.add(w)
-                        stack.append(w)
-        comps.append((verts, ids))
-    return comps
+    return Solution(tuple(walks), total)

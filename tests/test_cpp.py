@@ -245,3 +245,23 @@ def test_euler_tour_rejects_start_outside_component():
 def test_euler_tour_names_out_of_range_start():
     with pytest.raises(GraphError, match="vertex 99 "):
         euler_tour(Multiplicities.uniform(named_graph("triangle")), 99)
+
+
+@pytest.mark.parametrize(
+    "name,counts,match",
+    [
+        ("path2", {1: 2, 2: -2}, "edge 2 has negative count -2"),
+        ("triangle", {1: 1, 2: 1, 3: 1, 99: 2}, "no edge with id 99"),
+    ],
+    ids=["negative", "unknown"],
+)
+def test_euler_tour_names_bad_count(name, counts, match):
+    with pytest.raises(GraphError, match=match):
+        euler_tour(Multiplicities(named_graph(name), counts), 1)
+
+
+def test_euler_tour_long_cycle_runs_without_recursion():
+    g = cycle_graph(20000)
+    walk = euler_tour(Multiplicities.uniform(g), 1)
+    assert [e for _, e in walk.steps] == list(range(1, 20001))
+    verify_solution(g, 1, Solution((walk,), 20000))

@@ -3,16 +3,29 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpostman.cpp import MAX_ODD_VERTICES, Multiplicities, min_weight_join, odd_vertices, solve_cpp
+from kpostman.cpp import (
+    MAX_ODD_VERTICES,
+    Multiplicities,
+    euler_tour,
+    min_weight_join,
+    odd_vertices,
+    solve_cpp,
+)
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
-from kpostman.generators import inflate_chains, named_graph
-from kpostman.graph import GraphError, MultiGraph, chain_decomposition, verify_solution
+from kpostman.generators import (
+    inflate_chains,
+    named_graph,
+    random_connected_graph,
+    uniform_inflation,
+)
+from kpostman.graph import GraphError, MultiGraph, Solution, chain_decomposition, verify_solution
 from kpostman.kernel import kernelize
 from kpostman.solve import MAX_SEARCH_CHAINS, oracle_kcpp, solve_kcpp, solve_kcpp_exact
 from kpostman.walks import split_into_k_walks
@@ -67,6 +80,94 @@ def test_split_rejects_odd_degrees():
     m = Multiplicities(g, {1: 2, 2: 1})
     with pytest.raises(GraphError):
         split_into_k_walks(m, CyclePacking((two_cycle(g, 1),)))
+
+
+def split_steps(g, counts, cycles):
+    sol = split_into_k_walks(Multiplicities(g, counts), CyclePacking(tuple(cycles)))
+    verify_solution(g, len(cycles), sol)
+    return [list(w.steps) for w in sol.walks]
+
+
+def test_split_pins_two_components_in_one_cycle():
+    # triangle 1-2-3 packed; a leftover triangle 3-4-5 and a doubled 1-6
+    g = MultiGraph.from_edges(
+        6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1), (1, 6, 1)]
+    )
+    counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2}
+    assert split_steps(g, counts, [Cycle((1, 2, 3), (1, 2, 3))]) == [
+        [(1, 7), (6, 7), (1, 1), (2, 2), (3, 4), (4, 5), (5, 6), (3, 3)]
+    ]
+
+
+def test_split_pins_component_touching_two_cycles_goes_to_the_first():
+    # triangles 1-2-3 and 4-5-6 joined by a doubled 3-4
+    g = MultiGraph.from_edges(
+        6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (3, 4, 1)]
+    )
+    counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2}
+    a, b = Cycle((1, 2, 3), (1, 2, 3)), Cycle((4, 5, 6), (4, 5, 6))
+    assert split_steps(g, counts, [a, b]) == [
+        [(1, 1), (2, 2), (3, 7), (4, 7), (3, 3)],
+        [(4, 4), (5, 5), (6, 6)],
+    ]
+    assert split_steps(g, counts, [b, a]) == [
+        [(4, 7), (3, 7), (4, 4), (5, 5), (6, 6)],
+        [(1, 1), (2, 2), (3, 3)],
+    ]
+
+
+def test_split_pins_lowest_shared_vertex_not_first_in_cycle():
+    # square 1-2-3-4 packed from vertex 3; a doubled diagonal 1-3 is left over
+    g = MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 1)])
+    counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2}
+    assert split_steps(g, counts, [Cycle((3, 4, 1, 2), (3, 4, 1, 2))]) == [
+        [(3, 3), (4, 4), (1, 5), (3, 5), (1, 1), (2, 2)]
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,counts,match",
+    [
+        ("path2", {1: 2, 2: -2}, "edge 2 has negative count -2"),
+        ("triangle", {1: 2, 2: 2, 3: 2, 99: 0}, "no edge with id 99"),
+    ],
+    ids=["negative", "unknown"],
+)
+def test_split_names_bad_count(name, counts, match):
+    g = named_graph(name)
+    with pytest.raises(GraphError, match=match):
+        split_into_k_walks(Multiplicities(g, counts), CyclePacking((two_cycle(g, 1),)))
+
+
+def large_even_covers():
+    """Even multigraphs of 200 to 5000 edge copies: single-walk covers of
+    inflated K4s and doubled random graphs."""
+    rng = random.Random(8)
+    for length in (34, 90, 400):
+        g = uniform_inflation(named_graph("k4"), length, rng.randint(1, 3))
+        yield g, solve_cpp(g).multiplicities
+    for n, m in ((60, 100), (300, 600), (1000, 2500)):
+        g = random_connected_graph(rng, n, m, max_weight=4)
+        yield g, Multiplicities.uniform(g, 2)
+
+
+def test_tours_and_splits_above_the_oracle_gate():
+    sizes = []
+    for i, (g, m) in enumerate(large_even_covers()):
+        sizes.append(m.copies())
+        expected = Counter({eid: c for eid, c in m.counts.items() if c})
+        tour = euler_tour(m, min(v for v in g.vertices() if g.degree(v)))
+        verify_solution(g, 1, Solution((tour,), m.weight()))
+        assert Counter(tour.edge_ids()) == expected
+        packing = greedy_cycle_packing(m, i % 4 + 2)
+        sol = split_into_k_walks(m, packing)
+        verify_solution(g, len(packing), sol)
+        assert sum((Counter(w.edge_ids()) for w in sol.walks), Counter()) == expected
+        for walk, cyc in zip(sol.walks, packing.cycles):
+            assert walk.steps[0][0] == cyc.vertices[0]
+            it = iter(walk.steps)
+            assert all(step in it for step in zip(cyc.vertices, cyc.edges))
+    assert min(sizes) >= 200 and max(sizes) <= 5000
 
 
 @pytest.mark.parametrize(
