@@ -5,8 +5,9 @@ multigraph Eulerian; an Euler tour of the result is an optimal single closed
 walk covering every edge.  The join is computed exactly on the anchor
 graph: the graph is cut into degree-2 chains at its anchors (vertices of
 degree other than 2) and at the terminals, one Dijkstra per terminal runs
-over whole chains, an optimal pairing of the terminals is found by dynamic
-programming over subsets, and the join is the symmetric difference of the
+over whole chains, the terminals are paired by a minimum-weight perfect
+matching over those distances (Edmonds' blossom algorithm, as in
+Edmonds-Johnson 1973), and the join is the symmetric difference of the
 chains on the paired paths.
 """
 
@@ -16,10 +17,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
+from ._matching import min_weight_perfect_matching
 from .graph import Chain, GraphError, MultiGraph, Walk, chain_decomposition, is_connected
-
-# pairing DP is O(2^|t| * |t|^2); beyond this the instance is not desk scale
-MAX_ODD_VERTICES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +55,6 @@ class Multiplicities:
 
     def degree(self, vertex: int) -> int:
         return sum(self.counts.get(e.id, 0) for e in self.base.adjacency[vertex])
-
-    def all_degrees_even(self) -> bool:
-        return all(self.degree(v) % 2 == 0 for v in self.base.vertices())
 
     def support(self) -> list:
         return [e for e in self.base.edges if self.counts.get(e.id, 0) > 0]
@@ -181,57 +177,25 @@ def _join(g: MultiGraph, terminals: list[int]) -> frozenset[int]:
     """
     if not terminals:
         return frozenset()
-    if len(terminals) > MAX_ODD_VERTICES:
-        raise GraphError(f"more than {MAX_ODD_VERTICES} terminals; instance too large")
     chains = [c for c in chain_decomposition(g, cuts=terminals) if c.u != c.v]
     incident: dict[int, list[int]] = {v: [] for v in terminals}
     for ci, c in enumerate(chains):
         incident.setdefault(c.u, []).append(ci)
         incident.setdefault(c.v, []).append(ci)
     n = len(terminals)
-    dist: dict[tuple[int, int], int] = {}
+    dist = [[0] * n for _ in range(n)]
     trees: list[dict[int, tuple[int, int]]] = []
     for i, s in enumerate(terminals[:-1]):
         reached, pred = _anchor_paths(chains, incident, s, set(terminals[i + 1 :]))
         for j in range(i + 1, n):
             if terminals[j] not in reached:
                 raise GraphError(f"no path between odd vertices {s} and {terminals[j]}")
-            dist[i, j] = reached[terminals[j]][0]
+            dist[i][j] = dist[j][i] = reached[terminals[j]][0]
         trees.append(pred)
-
-    full = (1 << n) - 1
-    memo: dict[int, int] = {full: 0}
-
-    def pair_cost(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        i = next(b for b in range(n) if not mask & (1 << b))
-        best = None
-        for j in range(i + 1, n):
-            if mask & (1 << j):
-                continue
-            c = dist[i, j] + pair_cost(mask | (1 << i) | (1 << j))
-            if best is None or c < best:
-                best = c
-        memo[mask] = best  # type: ignore[assignment]
-        return memo[mask]
-
-    pair_cost(0)
     join: set[int] = set()
-    mask = 0
-    while mask != full:
-        i = next(b for b in range(n) if not mask & (1 << b))
-        partner = None
-        for j in range(i + 1, n):
-            if mask & (1 << j):
-                continue
-            rest = mask | (1 << i) | (1 << j)
-            if dist[i, j] + memo[rest] == memo[mask]:
-                partner = j
-                break
-        assert partner is not None
-        join ^= set(_tree_path(chains, trees[i], terminals[partner]))
-        mask |= (1 << i) | (1 << partner)
+    for i, j in enumerate(min_weight_perfect_matching(dist)):
+        if i < j:
+            join ^= set(_tree_path(chains, trees[i], terminals[j]))
     return frozenset(join)
 
 

@@ -304,19 +304,20 @@ def bypass(g: MultiGraph, vertex: int) -> BypassResult:
 
 def is_connected(g: MultiGraph) -> bool:
     """True iff all vertices of degree >= 1 lie in one component."""
-    active = [v for v in g.vertices() if g.degree(v) > 0]
+    adjacency = g.adjacency
+    active = [v for v, es in adjacency.items() if es]
     if not active:
         return True
     seen = {active[0]}
     stack = [active[0]]
     while stack:
         v = stack.pop()
-        for e in g.adjacency[v]:
-            w = e.other(v)
+        for e in adjacency[v]:
+            w = e.u + e.v - v  # the other end
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return all(v in seen for v in active)
+    return len(seen) == len(active)
 
 
 def verify_solution(g: MultiGraph, k: int, s: Solution) -> int:

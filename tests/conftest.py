@@ -24,6 +24,8 @@ __all__ = [
     "cpp_enumeration_minimum",
     "join_enumeration_minimum",
     "join_pairing_minimum",
+    "shortest_distances",
+    "even_degrees",
     "all_simple_cycles",
     "all_directed_cycles",
     "min_cycle_key",
@@ -73,24 +75,28 @@ def join_enumeration_minimum(g: MultiGraph, t: frozenset[int]) -> int:
     return best
 
 
+def shortest_distances(g: MultiGraph, s: int) -> dict[int, int]:
+    """Plain Dijkstra over every vertex: the distance to each vertex that
+    s reaches."""
+    best = {s: 0}
+    heap = [(0, s)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > best[v]:
+            continue
+        for e in g.adjacency[v]:
+            u = e.other(v)
+            if u not in best or d + e.weight < best[u]:
+                best[u] = d + e.weight
+                heapq.heappush(heap, (best[u], u))
+    return best
+
+
 def join_pairing_minimum(g: MultiGraph, t: frozenset[int]) -> int:
     """Minimum T-join weight: a plain Dijkstra over every vertex from each
     vertex of t, then the optimal pairing of t by DP over subsets."""
     terminals = sorted(t)
-    dist: dict[int, dict[int, int]] = {}
-    for s in terminals:
-        best = {s: 0}
-        heap = [(0, s)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > best[v]:
-                continue
-            for e in g.adjacency[v]:
-                u = e.other(v)
-                if u not in best or d + e.weight < best[u]:
-                    best[u] = d + e.weight
-                    heapq.heappush(heap, (best[u], u))
-        dist[s] = best
+    dist = {s: shortest_distances(g, s) for s in terminals}
 
     @cache
     def pairing(rest: tuple[int, ...]) -> int:
@@ -102,6 +108,14 @@ def join_pairing_minimum(g: MultiGraph, t: frozenset[int]) -> int:
         )
 
     return pairing(tuple(terminals))
+
+
+def even_degrees(m) -> bool:
+    """Whether every vertex meets an even number of the edge copies of the
+    Multiplicities m, counted vertex by vertex."""
+    return all(
+        sum(m.counts.get(e.id, 0) for e in m.base.adjacency[v]) % 2 == 0 for v in m.base.vertices()
+    )
 
 
 def all_simple_cycles(g: MultiGraph, counts: dict[int, int]) -> list[tuple[int, ...]]:

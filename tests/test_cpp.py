@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,11 +19,13 @@ from kpostman.graph import GraphError, MultiGraph, Solution, verify_solution
 
 from conftest import (
     cpp_enumeration_minimum,
+    even_degrees,
     join_enumeration_minimum,
     join_pairing_minimum,
     named_graph,
     random_connected_graph,
     random_small_graphs,
+    shortest_distances,
 )
 
 
@@ -154,6 +157,57 @@ def test_join_weight_matches_pairing_oracle_on_chain_inflated_graphs():
     assert checked > 500
 
 
+# Every vertex a terminal.  On the first three graphs the matching shrinks
+# an odd cycle of tight edges into a blossom, shrinks a blossom inside a
+# blossom, and expands an inner blossom again; the last two have all-zero
+# weights, and many optimal pairings of equal weight.
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (4, [(2, 1, 1), (3, 1, 1), (4, 1, 1)]),
+        (6, [(2, 1, 1), (3, 2, 1), (4, 3, 1), (5, 1, 1), (6, 1, 1)]),
+        (6, [(2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 2, 1), (6, 2, 1), (6, 1, 1)]),
+        (8, [(u, u % 8 + 1, 0) for u in range(1, 9)] + [(1, 5, 0), (3, 7, 0)]),
+        (8, [(u, v, 1) for u in range(1, 9) for v in range(u + 1, 9)]),
+    ],
+    ids=["blossom", "nested-blossom", "expanded-blossom", "zero-weights", "tied-pairings"],
+)
+def test_join_on_blossom_forcing_metrics(n, edges):
+    g = MultiGraph.from_edges(n, edges)
+    t = frozenset(g.vertices())
+    join = min_weight_join(g, t)
+    expected = join_pairing_minimum(g, t)
+    if len(edges) <= 10:
+        assert expected == join_enumeration_minimum(g, t)
+    assert sum(g.edge(e).weight for e in join) == expected
+    _assert_parity(g, join, t)
+
+
+def test_join_weight_matches_networkx_matching_above_the_old_cap():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9)
+    sizes = []
+    for n in (30, 45, 60, 90, 120, 160, 200):
+        g = random_connected_graph(rng, n, 3 * n // 2, max_weight=rng.choice((1, 5, 20)))
+        t = odd_vertices(g)
+        dist = {s: shortest_distances(g, s) for s in t}
+        complete = nx.Graph()
+        complete.add_weighted_edges_from((a, b, dist[a][b]) for a, b in combinations(sorted(t), 2))
+        expected = sum(dist[a][b] for a, b in nx.min_weight_matching(complete))
+        join = min_weight_join(g, t)
+        assert sum(g.edge(e).weight for e in join) == expected
+        _assert_parity(g, join, t)
+        sizes.append(len(t))
+    assert min(sizes) > 16 and max(sizes) >= 90, sizes
+
+
+def test_join_names_terminals_without_a_path():
+    # connected apart from the isolated terminals 4 and 5
+    g = MultiGraph.from_edges(5, [(1, 2, 1), (2, 3, 1)])
+    with pytest.raises(GraphError, match="no path between odd vertices 1 and 4"):
+        min_weight_join(g, {1, 3, 4, 5})
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [("triangle", 3), ("k4", 8), ("star3", 6), ("single", 2), ("bowtie", 6)],
@@ -183,7 +237,7 @@ def test_solve_cpp_matches_enumeration():
 def test_solve_cpp_duplicated_graph_is_eulerian():
     for g in random_small_graphs(seed=22, trials=30):
         m = solve_cpp(g).multiplicities
-        assert m.all_degrees_even()
+        assert even_degrees(m)
         walk = euler_tour(m, min(v for v in g.vertices() if g.degree(v) > 0))
         verify_solution(g, 1, Solution((walk,), m.weight()))
 

@@ -7,11 +7,10 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpostman.cpp import (
-    MAX_ODD_VERTICES,
     Multiplicities,
     euler_tour,
     min_weight_join,
@@ -30,7 +29,7 @@ from kpostman.kernel import kernelize
 from kpostman.solve import MAX_SEARCH_CHAINS, oracle_kcpp, solve_kcpp, solve_kcpp_exact
 from kpostman.walks import split_into_k_walks
 
-from conftest import random_small_graphs
+from conftest import even_degrees, random_small_graphs
 
 
 def two_cycle(g, eid):
@@ -283,7 +282,7 @@ def test_feasibility_characterization_even_plus_packing():
         for picks in product((1, 2), repeat=len(g.edges)):
             counts = {e.id: c for e, c in zip(g.edges, picks)}
             m = Multiplicities(g, counts)
-            if not m.all_degrees_even():
+            if not even_degrees(m):
                 continue
             got, cycles = searcher.run(counts, k)
             if got >= k:
@@ -393,8 +392,8 @@ def test_long_cycle_solved_through_one_pass_reduction():
 def above_gate_graphs(draw):
     """A simple connected graph on 5-7 vertices with 9-14 edges of weight
     1-4, one of them subdivided into a chain of 2-6 segments.  Above the
-    oracle's edge gate, with at most 14 chains and 7 odd vertices: inside
-    both search caps."""
+    oracle's edge gate, with at most 14 chains: inside the search's chain
+    cap."""
     n = draw(st.integers(5, 7))
     tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     rest = [p for p in combinations(range(1, n + 1), 2) if p not in tree]
@@ -419,7 +418,6 @@ def test_metamorphic_relations_above_oracle_gate():
     @given(above_gate_graphs(), st.data())
     def check(g, data):
         assert len(chain_decomposition(g)) <= MAX_SEARCH_CHAINS
-        assert len(odd_vertices(g)) <= MAX_ODD_VERTICES
         cover = solve_cpp(g)
         cpp, mu = cover.weight, g.min_weight()
         # k at or just above a greedy packing of the single-walk cover, where
@@ -445,3 +443,56 @@ def test_metamorphic_relations_above_oracle_gate():
     check()
     # the relations must also be checked where the exact kernel search answers
     assert 4 * methods.count("kernel") >= len(methods), methods
+
+
+@st.composite
+def many_odd_graphs(draw):
+    """A random tree, or a ring, on 36-90 vertices plus n/4 to n/2 random
+    extra edges, weights 0-5, with 17-60 odd vertices: above the 16
+    terminals that once capped the join."""
+    n = draw(st.integers(36, 90))
+    weight = st.integers(0, 5)
+    if draw(st.booleans()):
+        base = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    else:
+        base = [(v, v % n + 1) for v in range(1, n + 1)]
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    extra = draw(st.lists(pair, min_size=n // 4, max_size=n // 2))
+    g = MultiGraph.from_edges(n, [(u, v, draw(weight)) for u, v in base + extra])
+    assume(17 <= len(odd_vertices(g)) <= 60)
+    return g
+
+
+def _cpp_solved(g):
+    cover = solve_cpp(g)
+    walk = euler_tour(cover.multiplicities, g.edges[0].u)
+    assert verify_solution(g, 1, Solution((walk,), cover.weight)) == cover.weight
+    return cover.weight
+
+
+def test_metamorphic_relations_above_the_old_terminal_cap():
+    methods = []
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(many_odd_graphs(), st.integers(1, 5), st.data())
+    def check(g, k, data):
+        cpp = _cpp_solved(g)
+        res = _solved(g, k)
+        methods.append(res.method)
+        assert res.cpp_weight == cpp <= res.weight <= cpp + 2 * g.min_weight() * (k - 1)
+        relabel = [0, *data.draw(st.permutations(range(1, g.vertex_count + 1)), label="relabel")]
+        order = data.draw(st.permutations(g.edges), label="edge order")
+        moved = MultiGraph.from_edges(
+            g.vertex_count, [(relabel[e.u], relabel[e.v], e.weight) for e in order]
+        )
+        assert _cpp_solved(moved) == cpp
+        assert _solved(moved, k).weight == res.weight
+        scale = data.draw(st.integers(2, 3), label="scale")
+        scaled = MultiGraph.from_edges(
+            g.vertex_count, [(e.u, e.v, scale * e.weight) for e in g.edges]
+        )
+        assert _cpp_solved(scaled) == scale * cpp
+        assert _solved(scaled, k).weight == scale * res.weight
+
+    check()
+    assert len(set(methods)) >= 2, methods
