@@ -25,6 +25,10 @@ class VerificationError(GraphError):
     """A claimed solution fails verification."""
 
 
+class SearchBudgetExceeded(GraphError):
+    """An exponential search met one of its caps; the message names it."""
+
+
 class Edge(NamedTuple):
     id: int
     u: int

@@ -1,26 +1,49 @@
-"""Top-level k-walk solving: the restricted exact search for kernels, the
-full pipeline, and the unrestricted brute-force oracle.
+"""Top-level k-walk solving: the exact search for kernels, the full
+pipeline, and the unrestricted brute-force oracle.
 
-The exact search exploits a parity fact: along a path of degree-2 vertices a
-duplication set must take all edges or none, so duplication candidates are
-unions of whole chains.  Extra traversals beyond two are only ever placed on
-one fixed minimum-weight edge, in pairs; each pair buys exactly one more
-edge-disjoint cycle.  The oracle enumerates raw multiplicity vectors instead
-and knows nothing of either restriction.
+The exact search rests on two facts.  Along a chain of degree-2 vertices a
+duplication set takes all edges or none, so the duplication sets that make
+every degree even are the T-joins of the chain graph H, whose vertices are
+the anchors, whose edges are the chains, and whose T is the odd vertices.
+Extra traversals beyond two are only ever placed on one fixed
+minimum-weight edge, in pairs; each pair buys exactly one more
+edge-disjoint cycle.
+
+The even sets are walked through H's cycle space (Edmonds-Johnson 1973).
+Fix a minimum spanning forest of H: every even set is the forest's T-join
+XOR the fundamental cycles of exactly one subset F of the cotree chains,
+and it contains F, so w(F) bounds its weight from below.  The CPP join,
+the lightest even set, is evaluated first as the incumbent; then the
+subsets F are drawn lazily from a heap in increasing w(F) until no later
+set can beat the incumbent.  A set is skipped without a packing when its
+weight plus the pairs its cycle rank forces already reaches the incumbent.
+The oracle enumerates raw multiplicity vectors instead and knows nothing
+of either restriction.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import combinations
 
-from .cpp import Multiplicities
-from .cycles import CyclePacking, PackingSearch, greedy_cycle_packing
-from .graph import GraphError, MultiGraph, Solution, chain_decomposition, is_connected
+from .cpp import Multiplicities, _join, odd_vertices
+from .cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
+from .graph import (
+    Chain,
+    GraphError,
+    MultiGraph,
+    SearchBudgetExceeded,
+    Solution,
+    chain_decomposition,
+    is_connected,
+)
 from .kernel import KernelReport, Reduced, Solved, kernelize, lift_solution
 from .walks import split_into_k_walks
 
-MAX_SEARCH_CHAINS = 16
+MAX_SEARCH_CHAINS = 24
+# even duplication sets one kernel search may visit: the seeded workloads
+# visit at most 20, random 16-vertex, 24-edge kernels at most about 460
+MAX_SEARCH_SETS = 1000
 ORACLE_MAX_EDGES = 8
 ORACLE_MAX_K = 3
 
@@ -35,99 +58,148 @@ class KcppResult:
     report: KernelReport | None
 
 
-@dataclass(frozen=True)
-class RestrictedDuplication:
-    """A duplication candidate: doubled edges plus extra pairs on e_min.
+def _cycle_space(chains: list[Chain]) -> tuple[int, list[tuple[int, int]]]:
+    """H's even sets as chain bitmasks: the T-join of a minimum spanning
+    forest of H, and the (weight, fundamental cycle) of each cotree chain,
+    lightest first.  Loop chains and rings are always cotree."""
+    root: dict[int, int] = {}
 
-    Realizes multiplicity 1 + [e in double_set] + 2*extra_pairs*[e == e_min].
-    """
+    def find(x: int) -> int:
+        while root.setdefault(x, x) != x:
+            root[x] = x = root[root[x]]
+        return x
 
-    double_set: tuple[int, ...]
-    extra_pairs: int
-    e_min: int
-
-    def counts(self, g: MultiGraph) -> dict[int, int]:
-        doubled = set(self.double_set)
-        counts = {e.id: (2 if e.id in doubled else 1) for e in g.edges}
-        counts[self.e_min] += 2 * self.extra_pairs
-        return counts
-
-
-def _chain_candidates(g: MultiGraph) -> list[tuple[int, ...]]:
-    """Edge-id groups that duplication sets are composed of: the maximal
-    degree-2 chains, or the whole edge set when the graph is a bare cycle."""
-    return [c.edges for c in sorted(chain_decomposition(g), key=lambda c: c.edges[0])]
-
-
-def _parity_ok(g: MultiGraph, double_ids: set[int]) -> bool:
-    for v in g.vertices():
-        flips = sum(1 for e in g.adjacency[v] if e.id in double_ids)
-        if (g.degree(v) + flips) % 2 != 0:
-            return False
-    return True
+    tree: dict[int, list[tuple[int, int]]] = {}
+    cotree = []
+    for i in sorted(range(len(chains)), key=lambda i: (chains[i].weight, i)):
+        c = chains[i]
+        a, b = find(c.u), find(c.v)
+        if a == b:
+            cotree.append(i)
+        else:
+            root[a] = b
+            tree.setdefault(c.u, []).append((i, c.v))
+            tree.setdefault(c.v, []).append((i, c.u))
+    up: dict[int, int] = {}  # anchor -> forest chains on its path to the root
+    for c in chains:
+        if c.u not in up:
+            up[c.u] = 0
+            stack = [c.u]
+            while stack:
+                x = stack.pop()
+                for i, y in tree.get(x, ()):
+                    if y not in up:
+                        up[y] = up[x] | (1 << i)
+                        stack.append(y)
+    # the forest's T-join is the XOR of up[v] over the odd anchors v, and
+    # every chain flips the parity of both of its ends
+    join = 0
+    for c in chains:
+        join ^= up[c.u] ^ up[c.v]
+    return join, [
+        (chains[i].weight, (1 << i) ^ up[chains[i].u] ^ up[chains[i].v]) for i in cotree
+    ]
 
 
 def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
-    """Exact optimum by searching duplication sets over whole chains plus
-    extra pairs on the fixed minimum-weight edge; feasibility of a candidate
-    is certified by greedy packing with an exhaustive fallback."""
+    """Exact optimum over the even duplication sets of whole chains plus
+    extra pairs on the fixed minimum-weight edge.
+
+    The sets are visited in cycle-space order after the CPP join (see the
+    module docstring).  A set's cycle count comes from a greedy packing,
+    and from the exhaustive packing search when the greedy one falls short
+    of k and the missing cycles cost something.  The winner's packing,
+    padded with 2-cycles on the minimum-weight edge, is split into the k
+    walks.  Raises SearchBudgetExceeded on more than MAX_SEARCH_CHAINS
+    chains or MAX_SEARCH_SETS visited sets.
+    """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if not g.edges:
         raise GraphError("graph has no edges")
     if not is_connected(g):
         raise GraphError("graph must be connected")
-    groups = _chain_candidates(g)
-    if len(groups) > MAX_SEARCH_CHAINS:
-        raise GraphError(
-            f"search budget exceeded: {len(groups)} chains > {MAX_SEARCH_CHAINS}"
+    chains = sorted(chain_decomposition(g), key=lambda c: c.edges[0])
+    if len(chains) > MAX_SEARCH_CHAINS:
+        raise SearchBudgetExceeded(
+            f"search budget exceeded: {len(chains)} chains > {MAX_SEARCH_CHAINS}"
         )
-    base_weight = g.total_weight()
+    base = g.total_weight()
     e_min = g.min_weight_edge()
     mu = e_min.weight
-    weight_of = {ids: sum(g.edge(i).weight for i in ids) for ids in groups}
-
-    candidates = []
-    for size in range(len(groups) + 1):
-        for combo in combinations(range(len(groups)), size):
-            ids: set[int] = set()
-            for gi in combo:
-                ids.update(groups[gi])
-            if _parity_ok(g, ids):
-                w = sum(weight_of[groups[gi]] for gi in combo)
-                candidates.append((w, tuple(sorted(ids))))
-    candidates.sort()
-    if not candidates:
-        raise GraphError("no even duplication set exists; graph is disconnected?")
-
+    vertices = sum(1 for es in g.adjacency.values() if es)
     searcher = PackingSearch(g)
-    best: tuple[int, int, tuple[int, ...]] | None = None  # (cost, t, double ids)
-    for w_s, ids in candidates:
-        if best is not None and base_weight + w_s > best[0]:
+
+    def doubled(s: int) -> tuple[int, int]:
+        """Weight and edge count of the chains in s."""
+        w = n = 0
+        for i, c in enumerate(chains):
+            if s >> i & 1:
+                w += c.weight
+                n += len(c.edges)
+        return w, n
+
+    def evaluate(s: int, w: int) -> tuple[int, dict[int, int], list[Cycle]]:
+        """(cost, counts, at most k disjoint cycles) of the chains in s
+        doubled, the cycles it lacks paid as pairs on e_min."""
+        counts = dict.fromkeys(g.edge_by_id, 1)
+        for i, c in enumerate(chains):
+            if s >> i & 1:
+                counts.update(dict.fromkeys(c.edges, 2))
+        cycles = list(greedy_cycle_packing(Multiplicities(g, counts), k).cycles)
+        if len(cycles) < k and mu:
+            got, found = searcher.run(counts, k)
+            if got > len(cycles):
+                cycles = list(found)
+        return base + w + 2 * mu * (k - len(cycles)), counts, cycles
+
+    # every odd vertex of g is an anchor, so the CPP join is whole chains
+    chain_of = {eid: i for i, c in enumerate(chains) for eid in c.edges}
+    join = _join(g, sorted(odd_vertices(g)))
+    j0 = 0
+    for eid in join:
+        j0 |= 1 << chain_of[eid]
+    w0, n0 = doubled(j0)
+    assert n0 == len(join), "the CPP join splits a chain"
+    best = evaluate(j0, w0)
+
+    start, cotree = _cycle_space(chains)
+    heap = [(0, -1, start)]  # (w(F), last cotree index in F, even set of F)
+    visited = 0
+    while heap:
+        w_f, last, s = heapq.heappop(heap)
+        if base + max(w_f, w0) >= best[0]:
             break
-        counts = {e.id: (2 if e.id in ids else 1) for e in g.edges}
-        packed = len(greedy_cycle_packing(Multiplicities(g, counts), k))
-        if packed < k:
-            packed, _ = searcher.run(counts, k)
-        t = max(0, k - packed)
-        assert t <= k
-        cost = base_weight + w_s + 2 * t * mu
-        cand = (cost, t, ids)
-        if best is None or cand < best:
+        visited += 1
+        if visited > MAX_SEARCH_SETS:
+            raise SearchBudgetExceeded(
+                f"search budget exceeded: more than {MAX_SEARCH_SETS} even duplication sets"
+            )
+        # successors: add the next cotree chain, or swap the last for it
+        nxt = last + 1
+        if nxt < len(cotree):
+            w_next, cycle_next = cotree[nxt]
+            heapq.heappush(heap, (w_f + w_next, nxt, s ^ cycle_next))
+            if last >= 0:
+                w_last, cycle_last = cotree[last]
+                heapq.heappush(heap, (w_f - w_last + w_next, nxt, s ^ cycle_last ^ cycle_next))
+        if s == j0:
+            continue
+        w, n = doubled(s)
+        copies = len(g.edges) + n
+        rank = min(copies // 2, copies - vertices + 1)  # bounds the cycles packed
+        if base + w + 2 * mu * max(0, k - rank) >= best[0]:
+            continue
+        cand = evaluate(s, w)
+        if cand[0] < best[0]:
             best = cand
-    assert best is not None
-    cost, t, ids = best
-    chosen = RestrictedDuplication(ids, t, e_min.id)
-    counts = chosen.counts(g)
-    m = Multiplicities.cover(g, counts)
-    packing = greedy_cycle_packing(m, k)
-    if len(packing) < k:
-        got, cycles = searcher.run(counts, k)
-        assert got >= k
-        packing = CyclePacking(cycles[:k])
-    else:
-        packing = CyclePacking(packing.cycles[:k])
-    solution = split_into_k_walks(m, packing)
+
+    cost, counts, cycles = best
+    cycles = cycles[:k]
+    t = k - len(cycles)
+    counts[e_min.id] += 2 * t
+    cycles += [Cycle((e_min.u, e_min.v), (e_min.id, e_min.id))] * t
+    solution = split_into_k_walks(Multiplicities.cover(g, counts), CyclePacking(tuple(cycles)))
     assert solution.total_weight == cost
     return solution
 

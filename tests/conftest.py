@@ -14,9 +14,10 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from kpostman.cycles import PackingSearch
 from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
-from kpostman.graph import MultiGraph
+from kpostman.graph import MultiGraph, chain_decomposition
 
 __all__ = [
     "named_graph",
@@ -24,6 +25,8 @@ __all__ = [
     "cpp_enumeration_minimum",
     "join_enumeration_minimum",
     "join_pairing_minimum",
+    "chain_union_minimum",
+    "bouquet",
     "shortest_distances",
     "even_degrees",
     "all_simple_cycles",
@@ -108,6 +111,50 @@ def join_pairing_minimum(g: MultiGraph, t: frozenset[int]) -> int:
         )
 
     return pairing(tuple(terminals))
+
+
+def chain_union_minimum(g: MultiGraph, k: int) -> int:
+    """The k-walk optimum over duplication sets of whole chains plus pairs
+    on a minimum-weight edge, the kernel search's own restriction, found
+    the plain way: all 2^c unions of the c chains are built, those that
+    leave a vertex of odd degree are dropped, and the rest are scored in
+    increasing weight by the exhaustive packing search alone, each
+    missing cycle paid as one pair, until no heavier union can win."""
+    chains = sorted(chain_decomposition(g), key=lambda c: c.edges[0])
+    odd = 0  # bit v: vertex v has odd degree
+    for v in g.vertices():
+        odd |= (g.degree(v) & 1) << v
+    flips, weights = [0], [0]  # per union of the first chains: its parity flips and weight
+    for c in chains:
+        flip = (1 << c.u) ^ (1 << c.v)
+        flips += [f ^ flip for f in flips]
+        weights += [w + c.weight for w in weights]
+    unions = sorted((w, mask) for mask, (f, w) in enumerate(zip(flips, weights)) if f == odd)
+    base, mu = g.total_weight(), g.min_weight()
+    searcher = PackingSearch(g)
+    best = None
+    for w, mask in unions:
+        if best is not None and base + w >= best:
+            break
+        counts = {e.id: 1 for e in g.edges}
+        for i, c in enumerate(chains):
+            if mask >> i & 1:
+                counts.update(dict.fromkeys(c.edges, 2))
+        got, _ = searcher.run(counts, k)
+        cost = base + w + 2 * mu * (k - got)
+        best = cost if best is None else min(best, cost)
+    assert best is not None, "no even union of chains; graph disconnected?"
+    return best
+
+
+def bouquet(weights: list[int]) -> MultiGraph:
+    """Triangles hung on vertex 1, one per weight, every edge of a triangle
+    of that weight: each triangle is a loop chain of the center."""
+    triples = []
+    for i, w in enumerate(weights):
+        a, b = 2 * i + 2, 2 * i + 3
+        triples += [(1, a, w), (a, b, w), (b, 1, w)]
+    return MultiGraph.from_edges(2 * len(weights) + 1, triples)
 
 
 def even_degrees(m) -> bool:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import kpostman
+import kpostman.solve
 from kpostman.cli import main
 from kpostman.generators import (
     cycle_graph,
@@ -27,6 +28,8 @@ from kpostman.graph import (
     serialize_instance,
     verify_solution,
 )
+
+from conftest import bouquet
 
 BOWTIE = "p kcpp 5 6 2 6\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 1\ne 4 5 1\ne 3 5 1\n"
 TRIANGLE = "p kcpp 3 3 2 4\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
@@ -223,6 +226,18 @@ def test_parse_error_exits_one(tmp_path, capsys):
     f.write_text("p kcpp 2 1 1\ne 1 1 1\n")
     assert main(["solve", str(f)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_search_refusal_exits_one(tmp_path, capsys, monkeypatch):
+    # the 24-triangle bouquet at k = 40 needs more even sets than the budget
+    # allows; a smaller budget takes the same exit path in a fraction of
+    # the time (test_solver checks the real budget)
+    monkeypatch.setattr(kpostman.solve, "MAX_SEARCH_SETS", 50)
+    f = tmp_path / "bouquet.kcpp"
+    f.write_text(serialize_instance(Instance(bouquet([1] * 24), 40)))
+    assert main(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: search budget exceeded: more than 50 even duplication sets\n"
 
 
 def test_usage_error_exits_one():

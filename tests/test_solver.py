@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -19,17 +20,32 @@ from kpostman.cpp import (
 )
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
 from kpostman.generators import (
+    cycle_graph,
     inflate_chains,
     named_graph,
     random_connected_graph,
+    theta_graph,
     uniform_inflation,
 )
-from kpostman.graph import GraphError, MultiGraph, Solution, chain_decomposition, verify_solution
-from kpostman.kernel import kernelize
-from kpostman.solve import MAX_SEARCH_CHAINS, oracle_kcpp, solve_kcpp, solve_kcpp_exact
+from kpostman.graph import (
+    GraphError,
+    MultiGraph,
+    SearchBudgetExceeded,
+    Solution,
+    chain_decomposition,
+    verify_solution,
+)
+from kpostman.kernel import Reduced, kernelize
+from kpostman.solve import (
+    MAX_SEARCH_CHAINS,
+    MAX_SEARCH_SETS,
+    oracle_kcpp,
+    solve_kcpp,
+    solve_kcpp_exact,
+)
 from kpostman.walks import split_into_k_walks
 
-from conftest import even_degrees, random_small_graphs
+from conftest import bouquet, chain_union_minimum, even_degrees, random_small_graphs
 
 
 def two_cycle(g, eid):
@@ -189,6 +205,101 @@ def test_exact_matches_oracle_everywhere_reachable():
         sol = solve_kcpp_exact(g, k)
         verify_solution(g, k, sol)
         assert sol.total_weight == oracle_kcpp(g, k)
+
+
+def _chain_search_corpus():
+    """Kernels of seeded random graphs with up to 14 chains, a quarter of
+    them with zero-weight edges, then the shapes the cycle-space search
+    treats apart: bouquets (loop chains only), rings, and thetas (parallel
+    chains)."""
+    rng = random.Random(83)
+    corpus = []
+    while len(corpus) < 120:
+        n = rng.randint(6, 10)
+        g = random_connected_graph(rng, n, rng.randint(n + 3, n + 9), max_weight=3)
+        if len(corpus) % 4:
+            g = MultiGraph.from_edges(n, [(e.u, e.v, e.weight + 1) for e in g.edges])
+        k = rng.randint(3, 10)
+        out = kernelize(g, k)
+        if isinstance(out, Reduced) and len(chain_decomposition(out.kernel)) <= 14:
+            corpus.append((out.kernel, k))
+    for t in range(2, 13, 2):
+        corpus.append((bouquet([rng.randint(1, 3) for _ in range(t)]), t + rng.randint(1, t)))
+    for n in (3, 5, 8):
+        corpus.append((cycle_graph(n, [rng.randint(1, 4) for _ in range(n)]), rng.randint(1, 4)))
+    for paths, length in ((2, 3), (4, 2), (5, 1), (6, 2)):
+        corpus.append((theta_graph(paths, length, rng.randint(1, 3)), rng.randint(2, 6)))
+    return corpus
+
+
+def test_exact_matches_the_chain_union_oracle():
+    corpus = _chain_search_corpus()
+    chains = [len(chain_decomposition(g)) for g, _ in corpus]
+    assert max(chains) == 14 and sum(g.min_weight() == 0 for g, _ in corpus) >= 20
+    for g, k in corpus:
+        sol = solve_kcpp_exact(g, k)
+        assert verify_solution(g, k, sol) == sol.total_weight == chain_union_minimum(g, k)
+
+
+# (weights 1-4, seed, k) of random_connected_graph(n=16, m=24) whose kernels
+# keep 17-24 chains; weights 0-4 draw a zero weight, so mu = 0 there
+ABOVE_CHAIN_CAP = [
+    (False, 0, 20),
+    (False, 1, 12),
+    (False, 2, 20),
+    (False, 4, 20),
+    (True, 0, 14),
+    (True, 1, 14),
+    (True, 2, 10),
+]
+
+
+@pytest.mark.parametrize("positive,seed,k", ABOVE_CHAIN_CAP)
+def test_metamorphic_relations_above_the_old_chain_cap(positive, seed, k):
+    g = random_connected_graph(random.Random(seed), 16, 24, max_weight=3 if positive else 4)
+    if positive:
+        g = MultiGraph.from_edges(16, [(e.u, e.v, e.weight + 1) for e in g.edges])
+    out = kernelize(g, k)
+    assert isinstance(out, Reduced) and 17 <= len(chain_decomposition(out.kernel)) <= 24
+    cpp, mu = solve_cpp(g).weight, g.min_weight()
+    assert (mu > 0) == positive
+    res = _solved(g, k)
+    assert res.method == "kernel"
+    assert cpp <= res.weight <= cpp + 2 * mu * (k - 1)
+    assert res.weight <= _solved(g, k + 1).weight <= res.weight + 2 * mu
+    relabel = [0, *random.Random(seed).sample(range(1, 17), 16)]
+    moved = MultiGraph.from_edges(16, [(relabel[e.u], relabel[e.v], e.weight) for e in g.edges[::-1]])
+    assert _solved(moved, k).weight == res.weight
+    scaled = MultiGraph.from_edges(16, [(e.u, e.v, 3 * e.weight) for e in g.edges])
+    assert _solved(scaled, k).weight == 3 * res.weight
+
+
+def test_bouquet_of_24_triangles():
+    # 24 loop chains, so 2^24 even sets: three triangles doubled give the
+    # 30 cycles, 72 + 9 = 81, and the search stops after about 300 sets
+    g = bouquet([1] * 24)
+    assert len(chain_decomposition(g)) == 24
+    res = _solved(g, 30)
+    assert (res.weight, res.method) == (81, "kernel")
+
+
+def test_refuses_more_chains_than_the_cap():
+    g = bouquet([1] * (MAX_SEARCH_CHAINS + 1))
+    with pytest.raises(SearchBudgetExceeded, match=f"{MAX_SEARCH_CHAINS + 1} chains > {MAX_SEARCH_CHAINS}$"):
+        solve_kcpp_exact(g, 40)
+    assert isinstance(kernelize(g, 40), Reduced)
+    with pytest.raises(SearchBudgetExceeded, match="chains"):
+        solve_kcpp(g, 40)
+
+
+def test_refuses_past_the_set_budget():
+    # at k = 40 the optimum doubles 8 triangles, past every set of up to 7
+    start = time.perf_counter()
+    with pytest.raises(
+        SearchBudgetExceeded, match=f"more than {MAX_SEARCH_SETS} even duplication sets$"
+    ):
+        solve_kcpp(bouquet([1] * 24), 40)
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize(
