@@ -294,4 +294,5 @@ def min_weight_perfect_matching(cost: list[list[int]]) -> list[int]:
 
     while stage():
         pass
+    del set_match  # the recursive closure holds itself and every table above
     return mate[:n]

@@ -278,6 +278,7 @@ class PackingSearch:
                     dfs(nxt, verts + (nxt,), slots + (s,))
 
         dfs(v, (v,), ())
+        del dfs  # see _search
         return cycles
 
     def _search(self, state: int, copies: int, target: int) -> Packed:
@@ -317,4 +318,9 @@ class PackingSearch:
             memo[key] = best
             return best
 
-        return search(state, copies, target)
+        found = search(state, copies, target)
+        # a recursive closure holds itself, and through the memo and self
+        # it would keep every dead searcher alive until a full collection,
+        # so peak memory would hinge on when that happens to run
+        del search
+        return found

@@ -107,11 +107,12 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
 
     The sets are visited in cycle-space order after the CPP join (see the
     module docstring).  A set's cycle count comes from a greedy packing,
-    and from the exhaustive packing search when the greedy one falls short
-    of k and the missing cycles cost something.  The winner's packing,
-    padded with 2-cycles on the minimum-weight edge, is split into the k
-    walks.  Raises SearchBudgetExceeded on more than MAX_SEARCH_CHAINS
-    chains or MAX_SEARCH_SETS visited sets.
+    and, when that falls short of k and the missing cycles cost something,
+    from the exhaustive packing search over the simple graph that greedy's
+    2-cycles leave.  The winner's packing, padded with 2-cycles on the
+    minimum-weight edge, is split into the k walks.  Raises
+    SearchBudgetExceeded on more than MAX_SEARCH_CHAINS chains or
+    MAX_SEARCH_SETS visited sets.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
@@ -148,9 +149,16 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
                 counts.update(dict.fromkeys(c.edges, 2))
         cycles = list(greedy_cycle_packing(Multiplicities(g, counts), k).cycles)
         if len(cycles) < k and mu:
-            got, found = searcher.run(counts, k)
-            if got > len(cycles):
-                cycles = list(found)
+            # greedy takes every 2-cycle first, and some maximum packing
+            # holds each of them, so only the simple rest needs the search
+            pairs = [c for c in cycles if len(c) == 2]
+            rest = dict(counts)
+            for c in pairs:
+                for eid in c.edges:
+                    rest[eid] -= 1
+            got, found = searcher.run(rest, k - len(pairs))
+            if len(pairs) + got > len(cycles):
+                cycles = pairs + list(found)
         return base + w + 2 * mu * (k - len(cycles)), counts, cycles
 
     # every odd vertex of g is an anchor, so the CPP join is whole chains

@@ -165,6 +165,20 @@ def test_greedy_never_beats_exact_and_certifies():
         check_packing(m, greedy)
 
 
+def test_greedy_two_cycles_lie_in_a_maximum_packing():
+    # the kernel search packs only what is left after greedy's 2-cycles:
+    # their count plus the maximum packing of the rest is the maximum
+    rng = random.Random(92)
+    for g in random_small_graphs(seed=35, trials=60, max_n=6, max_m=9):
+        counts = {e.id: rng.randint(1, 3) for e in g.edges}
+        m = Multiplicities(g, counts)
+        greedy = greedy_cycle_packing(m, m.copies())
+        pairs = [c for c in greedy.cycles if len(c) == 2]
+        rest = m.without(CyclePacking(tuple(pairs)).edge_multiset())
+        assert shortest_cycle(rest) is None or len(shortest_cycle(rest)) >= 3
+        assert len(pairs) + _max_packing(rest)[0] == _max_packing(m)[0]
+
+
 def test_removing_packing_preserves_even_degrees():
     for g in random_small_graphs(seed=34, trials=40):
         counts = {e.id: 2 for e in g.edges}
