@@ -33,6 +33,7 @@ from .graph import (
     ParseError,
     Solution,
     Walk,
+    checked_instance,
     parse_instance,
     serialize_instance,
     serialize_solution,
@@ -60,7 +61,7 @@ def _instance_from(args) -> Instance:
     inst = parse_instance(_read_input(args.input))
     k = args.k if args.k is not None else inst.k
     p = args.p if args.p is not None else inst.p
-    return Instance(inst.graph, k, p)
+    return checked_instance(inst.graph, k, p)
 
 
 def _cmd_solve(args) -> int:

@@ -121,6 +121,8 @@ def random_connected_graph(
 
 
 def random_digraph(rng: random.Random, n: int, arcs: int, max_weight: int = 1) -> DiGraph:
+    if arcs < 0:
+        raise GraphError(f"arc count must be >= 0, got {arcs}")
     if arcs > 0 and n < 2:
         raise GraphError("need n >= 2 to draw arcs without loops")
     if max_weight < 0:

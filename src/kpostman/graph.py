@@ -446,12 +446,21 @@ def parse_instance(text: str | bytes) -> Instance:
     exactly m edge records ``e <u> <v> <w>``; ``#`` starts a comment line.
     """
     header, triples = read_triples(text, "kcpp", "e", (3, 4))
-    n, m, k = header[:3]
+    n, _, k = header[:3]
     p = header[3] if len(header) == 4 else None
-    max_w = max((w for _, _, w in triples), default=0)
-    if m * max_w * (2 * k + 2) > MAX_TOTAL_WEIGHT:
+    return checked_instance(MultiGraph.from_edges(n, triples), k, p)
+
+
+def checked_instance(g: MultiGraph, k: int, p: int | None = None) -> Instance:
+    """Instance(g, k, p) once k >= 1, p >= 0 and 2k+2 traversals of every
+    edge fit in a 64-bit total; raises ParseError otherwise."""
+    if k < 1:
+        raise ParseError(f"k must be >= 1, got {k}")
+    if p is not None and p < 0:
+        raise ParseError(f"budget p must be >= 0, got {p}")
+    max_w = max((e.weight for e in g.edges), default=0)
+    if len(g.edges) * max_w * (2 * k + 2) > MAX_TOTAL_WEIGHT:
         raise ParseError("instance weights may overflow 64-bit totals")
-    g = MultiGraph.from_edges(n, triples)
     return Instance(g, k, p)
 
 

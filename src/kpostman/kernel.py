@@ -1,9 +1,10 @@
-"""Kernelization pipeline: degree shortcuts, the chain reduction rule, the
-parallel-chain shortcut, and solution lifting.
+"""Kernelization pipeline: degree shortcuts, the chain reduction rule, and
+solution lifting.
 
 The pipeline is certificate-driven: a shortcut only fires when it holds an
-actual cycle packing in hand.  The kernel report states only what was
-measured: degree classes and chain sizes.
+actual cycle packing in hand.  Both shortcuts run once, on the input; the
+reduced graph goes straight to the exact search.  The kernel report states
+only what was measured: degree classes and chain sizes.
 """
 
 from __future__ import annotations
@@ -212,7 +213,9 @@ def packing_shortcut(
 
 def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
     """k disjoint cycles obtained by pairing up 2k parallel chains of
-    find_chains, from the lowest anchor pair that has that many."""
+    find_chains, from the lowest anchor pair that has that many.  kernelize
+    does not call this rule: the reduction keeps every anchor, so the
+    packing shortcut on the input has already found k cycles."""
     groups = _parallel_groups(chains)
     for key in sorted(groups):
         group = groups[key]
@@ -275,13 +278,13 @@ def _build_report(
     g: MultiGraph, k: int, fired: str | None, chains: list[Chain], dropped: int
 ) -> KernelReport:
     """Measure g, whose find_chains list is chains; h_edges and
-    max_parallel are reported only when no shortcut before the parallel
-    one fired and g is not a bare cycle."""
+    max_parallel are reported only when no shortcut fired and g is not a
+    bare cycle."""
     dc = degree_classes(g)
     bare = not chains
     max_internal = len(dc.v2) - 2 if bare else max(len(c.internal) for c in chains)
     h_edges = max_par = None
-    if fired in (None, "parallel") and not bare:
+    if fired is None and not bare:
         sizes = [len(group) for group in _parallel_groups(chains).values()]
         h_edges, max_par = sum(sizes), max(sizes, default=0)
     return KernelReport(
@@ -319,9 +322,9 @@ def _compact(em: ExpansionMap) -> tuple[ExpansionMap, int]:
 
 
 def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
-    """Run the full pipeline: pendant shortcut, packing shortcut, chain
-    reduction, then the parallel-chain shortcut on the reduced graph; if
-    nothing fires, return the reduced instance with an expansion map."""
+    """Run the pipeline: pendant shortcut, then packing shortcut, both at the
+    single-walk optimum; if neither fires, return the chain-reduced
+    instance with an expansion map for the exact search."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     cpp = solve_cpp(g)  # raises for a graph without edges or not connected
@@ -332,26 +335,10 @@ def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
             return Solved(sol, method, cpp.weight, report)
 
     work, em = apply_reduction_rule(g, k)
-    chains = find_chains(work)
-
-    if chains:  # not a bare cycle
-        cpp_w = solve_cpp(work)
-        sol = packing_shortcut(work, k, cpp=cpp_w)
-        if sol is not None:
-            lifted = lift_solution(em, sol)
-            report = _build_report(work, k, "packing", chains, 0)
-            return Solved(lifted, "packing", cpp_w.weight, report)
-        packing = parallel_edge_shortcut(chains, k)
-        if packing is not None:
-            sol = split_into_k_walks(cpp_w.multiplicities, packing)
-            lifted = lift_solution(em, sol)
-            report = _build_report(work, k, "parallel", chains, 0)
-            return Solved(lifted, "parallel", cpp_w.weight, report)
-
     # compaction only drops isolated vertices and renumbers, so the report
     # measured on work holds for the kernel
     compacted, dropped = _compact(em)
-    report = _build_report(work, k, None, chains, dropped)
+    report = _build_report(work, k, None, find_chains(work), dropped)
     return Reduced(compacted, k, cpp.weight, report)
 
 

@@ -206,14 +206,34 @@ def test_gen_directed_random(tmp_path):
         ["directed-random", "--k", "0"],
         ["random-connected", "--max-weight", "-1"],
         ["directed-random", "--n", "1"],
+        ["directed-random", "--arcs", "-1"],
     ],
-    ids=["theta-k0", "theta-p-3", "directed-k0", "random-max-weight", "directed-n1"],
+    ids=[
+        "theta-k0", "theta-p-3", "directed-k0", "random-max-weight", "directed-n1",
+        "directed-arcs-1",
+    ],
 )
 def test_gen_refuses_what_the_parsers_refuse(argv, tmp_path, capsys):
     out = tmp_path / "gen.txt"
     assert main(["gen", *argv, "-o", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        (TRIANGLE, ["--p", "-1"]),
+        (f"p kcpp 3 3 1\ne 1 2 {2**40}\ne 2 3 {2**40}\ne 3 1 {2**40}\n", ["--k", "4194304"]),
+    ],
+    ids=["p-negative", "k-overflows-totals"],
+)
+def test_overrides_refuse_what_the_header_refuses(text, flags, tmp_path, capsys):
+    f = tmp_path / "in.kcpp"
+    f.write_text(text)
+    parse_instance(text)  # the header itself is valid
+    assert main(["solve", str(f), *flags, "-o", str(tmp_path / "s.txt")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_random_digraph_refuses_negative_max_weight():

@@ -268,11 +268,18 @@ def test_kernelize_subdivided_bowtie_solved_at_cpp_weight():
 
 
 def test_kernelize_theta_parallel_shortcut_after_reduction():
-    g = theta_graph(4, 8)  # four 8-edge chains between two hubs
-    out = kernelize(g, 2)
-    assert isinstance(out, Solved)
-    assert out.solution.total_weight == out.cpp_weight
-    verify_solution(g, 2, out.solution)
+    # 2k or 2k+1 parallel chains between two hubs survive the reduction as
+    # parallel chains, and the packing shortcut on the input, before the
+    # reduction, already finds k cycles on them
+    for k in range(1, 5):
+        for paths in (2 * k, 2 * k + 1):
+            for length in range(1, 9):
+                g = theta_graph(paths, length)
+                out = kernelize(g, k)
+                assert isinstance(out, Solved)
+                assert out.method == out.report.fired == "packing"
+                assert out.solution.total_weight == out.cpp_weight == solve_cpp(g).weight
+                verify_solution(g, k, out.solution)
 
 
 def test_kernelize_reduced_structural_bounds():
