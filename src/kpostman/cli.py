@@ -156,26 +156,22 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.k < 1:
-        raise GraphError(f"k must be >= 1, got {args.k}")
-    if args.p is not None and args.p < 0:
-        raise GraphError(f"budget p must be >= 0, got {args.p}")
     rng = random.Random(args.seed)
-    if args.kind == "theta":
-        g = theta_graph(args.paths, args.len)
-        text = serialize_instance(Instance(g, args.k, args.p))
-    elif args.kind == "chain-inflated":
-        base = named_graph(args.base)
-        g = uniform_inflation(base, args.chain)
-        text = serialize_instance(Instance(g, args.k, args.p))
-    elif args.kind == "random-connected":
-        g = random_connected_graph(rng, args.n, args.m, args.max_weight)
-        text = serialize_instance(Instance(g, args.k, args.p))
-    elif args.kind == "directed-random":
-        d = random_digraph(rng, args.n, args.arcs)
-        text = serialize_directed_instance(d, args.k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown generator kind {args.kind}")
+    if args.kind == "directed-random":
+        if args.k < 1:
+            raise GraphError(f"k must be >= 1, got {args.k}")
+        text = serialize_directed_instance(random_digraph(rng, args.n, args.arcs), args.k)
+    else:
+        if args.kind == "theta":
+            g = theta_graph(args.paths, args.len)
+        elif args.kind == "chain-inflated":
+            g = uniform_inflation(named_graph(args.base), args.chain)
+        elif args.kind == "random-connected":
+            g = random_connected_graph(rng, args.n, args.m, args.max_weight)
+        else:  # pragma: no cover - argparse restricts choices
+            raise GraphError(f"unknown generator kind {args.kind}")
+        # the checks parse_instance applies, so solve reads what gen writes
+        text = serialize_instance(checked_instance(g, args.k, args.p))
     _write_output(args.output, text)
     return 0
 

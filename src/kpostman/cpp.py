@@ -56,9 +56,6 @@ class Multiplicities:
     def degree(self, vertex: int) -> int:
         return sum(self.counts.get(e.id, 0) for e in self.base.adjacency[vertex])
 
-    def support(self) -> list:
-        return [e for e in self.base.edges if self.counts.get(e.id, 0) > 0]
-
     def without(self, removed: Mapping[int, int]) -> "Multiplicities":
         """Subtract edge copies; raises if more copies are removed than exist."""
         counts = dict(self.counts)

@@ -4,6 +4,12 @@ that serves undirected and directed graphs alike.
 Cycles live in a multigraph-with-counts: two copies of one edge form a
 2-cycle, as do two parallel edges.  "Shortest" is by edge count, then by
 total weight; ties on both are broken deterministically.
+
+The greedy packing takes a shortest cycle again and again, in one pass:
+taking a 2-cycle only spends copies, so the 2-cycles are one list sorted
+once and swept in order.  What the sweep leaves is a simple graph, whose
+2-core is peeled once and then again, in place, from the vertices of each
+cycle taken out; shortest_cycle and the greedy share one girth search.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Collection, Mapping, Protocol
 
-from .cpp import Multiplicities
-from .graph import Chain, Edge, GraphError, MultiGraph, chain_decomposition, core_edge_ids
+from .cpp import Multiplicities, _read_counts
+from .graph import Chain, Edge, GraphError, MultiGraph, _chains, _core, _peel
 
 
 @dataclass(frozen=True)
@@ -75,44 +81,63 @@ def check_packing(m: Multiplicities, packing: CyclePacking) -> None:
             raise GraphError(f"packing uses edge {eid} {uses} times, only {m.count(eid)} copies")
 
 
-def _two_cycle_candidates(m: Multiplicities) -> list[tuple[int, int, tuple[int, ...], Cycle]]:
+def _support(m: Multiplicities) -> tuple[list[Edge], dict[int, int]]:
+    """The edges with copies in m, in base order, and the copies of every
+    base edge.  Raises on a count that names no edge of the base or is
+    negative."""
+    _, left = _read_counts(m)
+    return [e for e in m.base.edges if left[e.id]], left
+
+
+def _two_cycles(
+    support: list[Edge], left: Mapping[int, int]
+) -> list[tuple[int, tuple[int, int], Cycle]]:
+    """Every 2-cycle of the support, two copies of one edge or two parallel
+    edges, as (weight, edge ids, cycle), sorted."""
     out = []
-    support = m.support()
-    by_pair: dict[frozenset[int], list[Edge]] = {}
+    by_pair: dict[tuple[int, int], list[Edge]] = {}
     for e in support:
-        by_pair.setdefault(e.endpoints(), []).append(e)
-    for e in support:
-        if m.count(e.id) >= 2:
+        if left[e.id] >= 2:
             ids = (e.id, e.id)
-            out.append((2, 2 * e.weight, ids, Cycle((e.u, e.v), ids)))
+            out.append((2 * e.weight, ids, Cycle((e.u, e.v), ids)))
+        by_pair.setdefault((e.u, e.v) if e.u < e.v else (e.v, e.u), []).append(e)
     for pair_edges in by_pair.values():
         for i, e in enumerate(pair_edges):
             for f in pair_edges[i + 1:]:
-                ids = tuple(sorted((e.id, f.id)))
-                out.append((2, e.weight + f.weight, ids, Cycle((e.u, e.v), ids)))
+                ids = (e.id, f.id) if e.id < f.id else (f.id, e.id)
+                out.append((e.weight + f.weight, ids, Cycle((e.u, e.v), ids)))
+    out.sort(key=lambda t: t[:2])
     return out
 
 
 def shortest_cycle(m: Multiplicities) -> Cycle | None:
     """Minimum (edge count, weight) cycle of the multigraph, or None if acyclic.
 
-    Without 2-cycles the support is a simple graph.  Its 2-core is cut into
-    chains; loop chains and rings are cycles as they are, and every other
-    cycle is found by one lexicographic (hops, weight) Dijkstra per anchor
-    over the chains, closing over a non-tree chain whose ends hang from
-    different root branches.  A search stops once it pops more than half
-    the best cycle so far, which keeps the result exact.
+    A 2-cycle wins if there is one.  Otherwise the support is a simple
+    graph, and _girth searches its 2-core.
     """
-    two = _two_cycle_candidates(m)
+    support, left = _support(m)
+    two = _two_cycles(support, left)
     if two:
-        return min(two, key=lambda t: (t[0], t[1], t[2]))[3]
-    g = m.base
-    chains = chain_decomposition(g, core_edge_ids(g, [e.id for e in m.support()]))
+        return two[0][2]
+    return _girth(_core(support))
+
+
+def _girth(core: Mapping[int, Collection[Edge]]) -> Cycle | None:
+    """Minimum (edge count, weight) cycle of a simple graph's 2-core, given
+    by its incidence map, or None if the core is empty.
+
+    The core is cut into chains; loop chains and rings are cycles as they
+    are, and every other cycle is found by one lexicographic (hops, weight)
+    Dijkstra per anchor over the chains, closing over a non-tree chain
+    whose ends hang from different root branches.  A search stops once it
+    pops more than half the best cycle so far, which keeps the result exact.
+    """
     best_key: tuple[float, float] = (math.inf, math.inf)
     best: Cycle | None = None
     open_chains: list[Chain] = []
     incident: dict[int, list[int]] = {}
-    for c in chains:
+    for c in _chains(core):
         if c.u == c.v:
             if (len(c.edges), c.weight) < best_key:
                 best_key, best = (len(c.edges), c.weight), Cycle(c.vertices[:-1], c.edges)
@@ -172,17 +197,44 @@ def shortest_cycle(m: Multiplicities) -> Cycle | None:
 
 
 def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:
-    """Repeatedly extract a shortest cycle, up to k cycles or until acyclic."""
+    """Repeatedly extract a shortest cycle, up to k cycles or until acyclic,
+    in one pass over the counts.
+
+    The 2-cycles come first, from one sorted list: taking a 2-cycle only
+    spends copies, so no 2-cycle appears that was not there at the start,
+    and a candidate's (weight, ids) key never changes.  The repeated
+    minimum is then the first candidate in sorted order that still fits,
+    and the sweep takes each one as many times as it fits.  What is left
+    is a simple graph.  Its 2-core is peeled once into an incidence map;
+    each shortest cycle is taken out of that map, and the peel restarts
+    from the cycle's vertices only, which leaves the 2-core of the rest.
+    Raises on a count that names no edge of the base or is negative.
+    """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    cur = m
+    support, left = _support(m)
     cycles: list[Cycle] = []
+    for _, (a, b), c in _two_cycles(support, left):
+        fits = left[a] // 2 if a == b else min(left[a], left[b])
+        times = min(fits, k - len(cycles))
+        if times > 0:
+            cycles.extend([c] * times)
+            left[a] -= times
+            left[b] -= times
+            if len(cycles) == k:
+                return CyclePacking(tuple(cycles))
+    core = _core(e for e in support if left[e.id])
+    edge = m.base.edge_by_id
     while len(cycles) < k:
-        c = shortest_cycle(cur)
+        c = _girth(core)
         if c is None:
             break
         cycles.append(c)
-        cur = cur.without(c.edge_multiset())
+        for eid in c.edges:
+            e = edge[eid]
+            del core[e.u][e]
+            del core[e.v][e]
+        _peel(core, c.vertices)
     return CyclePacking(tuple(cycles))
 
 

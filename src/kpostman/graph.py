@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
@@ -41,9 +41,6 @@ class Edge(NamedTuple):
         if vertex == self.v:
             return self.u
         raise GraphError(f"vertex {vertex} is not an endpoint of edge {self.id}")
-
-    def endpoints(self) -> frozenset[int]:
-        return frozenset((self.u, self.v))
 
 
 @dataclass(frozen=True)
@@ -221,21 +218,44 @@ def _incidence(g: MultiGraph, edge_ids: Iterable[int] | None) -> dict[int, Seque
 def core_edge_ids(g: MultiGraph, edge_ids: Iterable[int] | None = None) -> set[int]:
     """Edges of the 2-core of the subgraph on edge_ids (default: all edges):
     degree-1 vertices are stripped until none is left."""
-    adj = _incidence(g, edge_ids)
-    deg = {v: len(es) for v, es in adj.items()}
-    live = {e.id for es in adj.values() for e in es}
-    leaves = [v for v, d in deg.items() if d == 1]
-    while leaves:
-        v = leaves.pop()
-        for e in adj[v]:
-            if e.id in live:
-                live.discard(e.id)
-                deg[v] -= 1
-                w = e.other(v)
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaves.append(w)
-    return live
+    if edge_ids is None:
+        edges: Iterable[Edge] = g.edges
+    else:
+        keep = set(edge_ids)
+        edges = [e for e in g.edges if e.id in keep]
+    return {e.id for es in _core(edges).values() for e in es}
+
+
+def _core(edges: Iterable[Edge]) -> dict[int, dict[Edge, None]]:
+    """Incidence map of the 2-core of the graph on edges: the incident
+    edges of each vertex left, in the order given, as the keys of a dict so
+    that one can be dropped in O(1) (see _peel)."""
+    adj: dict[int, dict[Edge, None]] = {}
+    for e in edges:
+        adj.setdefault(e.u, {})[e] = None
+        adj.setdefault(e.v, {})[e] = None
+    _peel(adj, list(adj))
+    return adj
+
+
+def _peel(adj: dict[int, dict[Edge, None]], vertices: Iterable[int]) -> None:
+    """Strip degree-1 vertices from the incidence map in place, starting at
+    vertices, until none is left; a vertex left with no edge is dropped.
+    Only the vertices given and those their stripping reaches are read, so
+    after edges are taken out of a 2-core, their ends suffice."""
+    stack = list(vertices)
+    while stack:
+        v = stack.pop()
+        es = adj.get(v)
+        if es is None or len(es) > 1:
+            continue
+        del adj[v]
+        for e in es:
+            w = e.other(v)
+            ws = adj[w]
+            del ws[e]
+            if len(ws) < 2:
+                stack.append(w)
 
 
 def chain_decomposition(
@@ -245,7 +265,12 @@ def chain_decomposition(
     anchors, the vertices of degree other than 2 and the vertices in cuts,
     plus one ring per component without an anchor.  Linear in the
     subgraph's size."""
-    adj = _incidence(g, edge_ids)
+    return _chains(_incidence(g, edge_ids), cuts)
+
+
+def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> list[Chain]:
+    """chain_decomposition of the subgraph given by its incidence map: the
+    incident edges of each non-isolated vertex, in base edge order."""
     cut = set(cuts)
     used: set[int] = set()
     chains: list[Chain] = []

@@ -1,7 +1,10 @@
 """Shared brute-force oracles and instance builders for the test suite.
 
 The oracles here enumerate raw search spaces and never call the code paths
-they are used to check.
+they are used to check.  The one exception is reference_greedy_packing: it
+is the greedy packing as a plain loop over the public shortest_cycle (itself
+checked against enumeration), so it checks the one-pass bookkeeping of
+greedy_cycle_packing, not its girth search.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from kpostman.cycles import PackingSearch
+from kpostman.cpp import Multiplicities
+from kpostman.cycles import Cycle, CyclePacking, PackingSearch, shortest_cycle
 from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
 from kpostman.graph import MultiGraph, chain_decomposition
@@ -33,6 +37,7 @@ __all__ = [
     "all_directed_cycles",
     "min_cycle_key",
     "max_disjoint_from_list",
+    "reference_greedy_packing",
     "random_small_graphs",
     "record_texts",
 ]
@@ -286,6 +291,19 @@ def max_disjoint_from_list(cycles: list[tuple[int, ...]], counts: dict[int, int]
         return memo[state]
 
     return rec(state | guards)
+
+
+def reference_greedy_packing(m: Multiplicities, k: int) -> CyclePacking:
+    """Up to k cycles: a shortest cycle of what is left, again and again,
+    each time on a fresh Multiplicities without the copies taken."""
+    cycles: list[Cycle] = []
+    while len(cycles) < k:
+        c = shortest_cycle(m)
+        if c is None:
+            break
+        cycles.append(c)
+        m = m.without(c.edge_multiset())
+    return CyclePacking(tuple(cycles))
 
 
 def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):

@@ -207,10 +207,12 @@ def test_gen_directed_random(tmp_path):
         ["random-connected", "--max-weight", "-1"],
         ["directed-random", "--n", "1"],
         ["directed-random", "--arcs", "-1"],
+        # weights whose totals overflow 64 bits, which parse_instance refuses
+        ["random-connected", "--n", "3", "--m", "3", "--max-weight", str(2**62), "--seed", "1"],
     ],
     ids=[
         "theta-k0", "theta-p-3", "directed-k0", "random-max-weight", "directed-n1",
-        "directed-arcs-1",
+        "directed-arcs-1", "random-overflow",
     ],
 )
 def test_gen_refuses_what_the_parsers_refuse(argv, tmp_path, capsys):

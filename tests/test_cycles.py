@@ -16,7 +16,7 @@ from kpostman.cycles import (
     shortest_cycle,
 )
 from kpostman.generators import inflate_chains
-from kpostman.graph import GraphError, MultiGraph
+from kpostman.graph import Edge, GraphError, MultiGraph
 
 from conftest import (
     all_simple_cycles,
@@ -26,6 +26,7 @@ from conftest import (
     named_graph,
     random_connected_graph,
     random_small_graphs,
+    reference_greedy_packing,
 )
 
 
@@ -127,6 +128,61 @@ def test_greedy_bowtie_two_triangles():
     packing = greedy_cycle_packing(m, 2)
     assert [len(c.edges) for c in packing.cycles] == [3, 3]
     check_packing(m, packing)
+
+
+def _greedy_cases():
+    """Seeded multigraphs with 0-3 copies per edge: parallel edges, chains,
+    pendant trees, and edges listed out of id order with their ends swapped."""
+    rng = random.Random(61)
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        m = rng.randint(n - 1, 2 * n + 2)
+        g = random_connected_graph(rng, n, m, max_weight=rng.choice([0, 2, 5]))
+        if rng.random() < 0.4:
+            g = _decorated(g, rng)
+        if rng.random() < 0.3:
+            edges = [Edge(e.id, e.v, e.u, e.weight) if rng.random() < 0.5 else e for e in g.edges]
+            rng.shuffle(edges)
+            g = MultiGraph(g.vertex_count, tuple(edges))
+        yield Multiplicities(g, {e.id: rng.randint(0, 3) for e in g.edges})
+    # k ends inside the 2-cycle sweep: 4 and 5 copies of edge 3 after a
+    # parallel pair of the same weight and lower ids, and a triangle behind
+    for copies in (4, 5):
+        g = MultiGraph.from_edges(5, [(2, 3, 1), (2, 3, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)])
+        yield Multiplicities(g, {1: 1, 2: 1, 3: copies, 4: 1, 5: 1, 6: 1})
+    # the core peels away before k: two triangles joined by a path, a bowtie
+    g = MultiGraph.from_edges(
+        7, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 2), (4, 5, 2), (5, 6, 1), (6, 7, 1), (7, 5, 1)]
+    )
+    yield Multiplicities.uniform(g)
+    yield Multiplicities.uniform(named_graph("bowtie"))
+
+
+def test_greedy_matches_reference_loop():
+    swept = short = 0
+    for m in _greedy_cases():
+        for k in range(1, m.copies() + 1):
+            packing = greedy_cycle_packing(m, k)
+            assert packing == reference_greedy_packing(m, k), (m.base.edges, m.counts, k)
+            check_packing(m, packing)
+            rest = m.without(packing.edge_multiset())
+            if len(packing) == k and shortest_cycle(rest) is not None and len(shortest_cycle(rest)) == 2:
+                swept += 1  # k was reached with 2-cycles still left
+            if len(packing) < k and any(len(c) > 2 for c in packing.cycles):
+                short += 1  # the core emptied after some longer cycles
+    assert swept and short
+
+
+@pytest.mark.parametrize(
+    "find", [shortest_cycle, lambda m: greedy_cycle_packing(m, 2)], ids=["shortest", "greedy"]
+)
+def test_cycle_search_names_bad_counts(find):
+    tri = named_graph("triangle")
+    with pytest.raises(GraphError, match="no edge with id 9"):
+        find(Multiplicities(tri, {1: 1, 2: 1, 3: 1, 9: 1}))
+    with pytest.raises(GraphError, match="edge 1 has negative count -1"):
+        find(Multiplicities(tri, {1: -1, 2: 1, 3: 1}))
+    assert find(Multiplicities(tri, {1: 1, 2: 1, 3: 0})) in (None, CyclePacking(()))
 
 
 def _max_packing(m: Multiplicities) -> tuple[int, tuple]:
