@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .cycles import PackingSearch
-from .graph import GraphError, read_triples
+from .graph import GraphError, SearchBudgetExceeded, read_triples
 
 
 class Arc(NamedTuple):
@@ -95,10 +95,11 @@ class EquivalenceReport:
     holds: bool
 
 
-def build_balanced_extension(d: DiGraph, gadget_arc_weight: int = 1) -> GadgetResult:
+def build_balanced_extension(d: DiGraph) -> GadgetResult:
     """Balance every vertex by routing its surplus through a new vertex x via
-    fresh two-arc paths.  Already balanced inputs are returned untouched with
-    no x at all, which keeps a connected input connected."""
+    fresh two-arc paths of unit-weight arcs.  Already balanced inputs are
+    returned untouched with no x at all, which keeps a connected input
+    connected."""
     surplus = {
         v: d.outdegree(v) - d.indegree(v) for v in range(1, d.vertex_count + 1)
     }
@@ -117,12 +118,12 @@ def build_balanced_extension(d: DiGraph, gadget_arc_weight: int = 1) -> GadgetRe
             next_vertex += 1
             midpoints.append(mid)
             if s > 0:
-                arcs.append(Arc(next_arc, x, mid, gadget_arc_weight))
-                arcs.append(Arc(next_arc + 1, mid, v, gadget_arc_weight))
+                arcs.append(Arc(next_arc, x, mid, 1))
+                arcs.append(Arc(next_arc + 1, mid, v, 1))
                 x_out += 1
             else:
-                arcs.append(Arc(next_arc, v, mid, gadget_arc_weight))
-                arcs.append(Arc(next_arc + 1, mid, x, gadget_arc_weight))
+                arcs.append(Arc(next_arc, v, mid, 1))
+                arcs.append(Arc(next_arc + 1, mid, x, 1))
             next_arc += 2
     d_prime = DiGraph(next_vertex - 1, tuple(arcs))
     assert d_prime.is_balanced()
@@ -132,7 +133,7 @@ def build_balanced_extension(d: DiGraph, gadget_arc_weight: int = 1) -> GadgetRe
 def max_arc_disjoint_cycles(d: DiGraph, size_limit: int = 16) -> int:
     """Exact maximum number of pairwise arc-disjoint directed cycles."""
     if len(d.arcs) > size_limit:
-        raise GraphError(f"{len(d.arcs)} arcs exceed the size limit {size_limit}")
+        raise SearchBudgetExceeded(f"search budget exceeded: {len(d.arcs)} arcs > {size_limit}")
     return PackingSearch(d).run({a.id: 1 for a in d.arcs}, len(d.arcs) // 2)[0]
 
 

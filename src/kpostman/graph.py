@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
@@ -202,30 +202,6 @@ class Chain(NamedTuple):
         return self.vertices[::-1], self.edges[::-1]
 
 
-def _incidence(g: MultiGraph, edge_ids: Iterable[int] | None) -> dict[int, Sequence[Edge]]:
-    """Incident edges of each non-isolated vertex of the subgraph on edge_ids."""
-    if edge_ids is None:
-        return {v: es for v, es in g.adjacency.items() if es}
-    keep = set(edge_ids)
-    adj: dict[int, list[Edge]] = {}
-    for e in g.edges:
-        if e.id in keep:
-            adj.setdefault(e.u, []).append(e)
-            adj.setdefault(e.v, []).append(e)
-    return adj
-
-
-def core_edge_ids(g: MultiGraph, edge_ids: Iterable[int] | None = None) -> set[int]:
-    """Edges of the 2-core of the subgraph on edge_ids (default: all edges):
-    degree-1 vertices are stripped until none is left."""
-    if edge_ids is None:
-        edges: Iterable[Edge] = g.edges
-    else:
-        keep = set(edge_ids)
-        edges = [e for e in g.edges if e.id in keep]
-    return {e.id for es in _core(edges).values() for e in es}
-
-
 def _core(edges: Iterable[Edge]) -> dict[int, dict[Edge, None]]:
     """Incidence map of the 2-core of the graph on edges: the incident
     edges of each vertex left, in the order given, as the keys of a dict so
@@ -258,19 +234,17 @@ def _peel(adj: dict[int, dict[Edge, None]], vertices: Iterable[int]) -> None:
                 stack.append(w)
 
 
-def chain_decomposition(
-    g: MultiGraph, edge_ids: Iterable[int] | None = None, cuts: Iterable[int] = ()
-) -> list[Chain]:
-    """Cut the subgraph on edge_ids (default: all edges) into chains at its
-    anchors, the vertices of degree other than 2 and the vertices in cuts,
-    plus one ring per component without an anchor.  Linear in the
-    subgraph's size."""
-    return _chains(_incidence(g, edge_ids), cuts)
+def chain_decomposition(g: MultiGraph, cuts: Iterable[int] = ()) -> list[Chain]:
+    """Cut g into chains at its anchors, the vertices of degree other than
+    2 and the vertices in cuts, plus one ring per component without an
+    anchor.  Linear in the size of g."""
+    return _chains(g.adjacency, cuts)
 
 
 def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> list[Chain]:
-    """chain_decomposition of the subgraph given by its incidence map: the
-    incident edges of each non-isolated vertex, in base edge order."""
+    """chain_decomposition of the graph given by its incidence map: the
+    incident edges of each vertex, in base edge order; a vertex without
+    edges is skipped."""
     cut = set(cuts)
     used: set[int] = set()
     chains: list[Chain] = []

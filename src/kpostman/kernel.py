@@ -1,10 +1,10 @@
-"""Kernelization pipeline: degree shortcuts, the chain reduction rule, and
-solution lifting.
+"""Kernelization pipeline: the packing shortcut, the chain reduction rule,
+and solution lifting.
 
-The pipeline is certificate-driven: a shortcut only fires when it holds an
-actual cycle packing in hand.  Both shortcuts run once, on the input; the
-reduced graph goes straight to the exact search.  The kernel report states
-only what was measured: degree classes and chain sizes.
+The pipeline is certificate-driven: the shortcut only fires when it holds
+an actual cycle packing in hand.  It runs once, on the input; the reduced
+graph goes straight to the exact search.  The kernel report states only
+what was measured: degree classes and chain sizes.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from .graph import (
     MultiGraph,
     Solution,
     Walk,
+    _chains,
+    _core,
     chain_decomposition,
-    core_edge_ids,
     degree_classes,
     is_connected,
     verify_solution,
@@ -145,7 +146,10 @@ def pendant_shortcut(
 ) -> Solution | None:
     """If at least k distinct pendant edges exist, every one is doubled in an
     optimal single-walk cover; their 2-cycles split that cover into k walks
-    at the single-walk optimum."""
+    at the single-walk optimum.  kernelize does not call this rule: a
+    pendant vertex has odd degree, so its edge lies in every T-join; the
+    join then has at least k edges, and the packing shortcut's 2-cycles on
+    them fire first."""
     dc = degree_classes(g)
     if len(dc.v1) < k:
         return None
@@ -168,7 +172,7 @@ def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
     """Greedy cycles of the 2-core of g with each degree-2 chain counted as
     one edge, mapped back to cycles of g.  Loop chains and rings are cycles
     as they are; the greedy runs on the open chains."""
-    chains = chain_decomposition(g, core_edge_ids(g))
+    chains = _chains(_core(g.edges))
     out = [Cycle(c.vertices[:-1], c.edges) for c in chains if c.u == c.v]
     open_chains = [c for c in chains if c.u != c.v]
     if len(out) >= k or not open_chains:
@@ -192,15 +196,16 @@ def packing_shortcut(
     g: MultiGraph, k: int, cpp: CppSolution | None = None
 ) -> Solution | None:
     """Try to certify k disjoint cycles in the optimal cover's multigraph:
-    one 2-cycle per duplicated join edge, then greedy on what remains, then
-    greedy on the degree-stripped core of g.  Fires at the single-walk
-    optimum whenever k cycles are found."""
+    a 2-cycle on each of the first k duplicated join edges, then greedy on
+    what remains, then greedy on the degree-stripped core of g.  Fires at
+    the single-walk optimum whenever k cycles are found, so also wherever
+    pendant_shortcut does."""
     if cpp is None:
         cpp = solve_cpp(g)
     m = cpp.multiplicities
-    cycles: list[Cycle] = [_two_cycle(g.edge(eid)) for eid in sorted(cpp.join)]
-    if len(cycles) >= k:
-        return split_into_k_walks(m, CyclePacking(tuple(cycles[:k])))
+    cycles: list[Cycle] = [_two_cycle(g.edge(eid)) for eid in sorted(cpp.join)[:k]]
+    if len(cycles) == k:
+        return split_into_k_walks(m, CyclePacking(tuple(cycles)))
     residual = m.without(CyclePacking(tuple(cycles)).edge_multiset())
     cycles.extend(greedy_cycle_packing(residual, k - len(cycles)).cycles)
     if len(cycles) >= k:
@@ -322,17 +327,16 @@ def _compact(em: ExpansionMap) -> tuple[ExpansionMap, int]:
 
 
 def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
-    """Run the pipeline: pendant shortcut, then packing shortcut, both at the
-    single-walk optimum; if neither fires, return the chain-reduced
-    instance with an expansion map for the exact search."""
+    """Run the pipeline: the packing shortcut, at the single-walk optimum;
+    if it does not fire, return the chain-reduced instance with an
+    expansion map for the exact search."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     cpp = solve_cpp(g)  # raises for a graph without edges or not connected
-    for method, shortcut in (("pendant", pendant_shortcut), ("packing", packing_shortcut)):
-        sol = shortcut(g, k, cpp=cpp)
-        if sol is not None:
-            report = _build_report(g, k, method, find_chains(g), 0)
-            return Solved(sol, method, cpp.weight, report)
+    sol = packing_shortcut(g, k, cpp=cpp)
+    if sol is not None:
+        report = _build_report(g, k, "packing", find_chains(g), 0)
+        return Solved(sol, "packing", cpp.weight, report)
 
     work, em = apply_reduction_rule(g, k)
     # compaction only drops isolated vertices and renumbers, so the report

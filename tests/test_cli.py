@@ -106,7 +106,7 @@ def test_kernelize_solved_emits_solution(tmp_path):
     [
         (
             named_graph("star3"), 3,
-            "k=3 fired=pendant v1=3 v2=0 v3plus=1 bare_cycle=0 h_edges=- max_parallel=- "
+            "k=3 fired=packing v1=3 v2=0 v3plus=1 bare_cycle=0 h_edges=- max_parallel=- "
             "max_chain_internal=0 blocked_chains=0 dropped_vertices=0",
         ),
         (

@@ -17,7 +17,7 @@ from kpostman.digraph import (
     verify_packing_equivalence,
 )
 from kpostman.generators import random_digraph
-from kpostman.graph import GraphError, ParseError
+from kpostman.graph import GraphError, ParseError, SearchBudgetExceeded
 
 from conftest import all_directed_cycles, max_disjoint_from_list, record_texts
 
@@ -81,7 +81,7 @@ def test_packing_triangle_and_reverse():
 
 def test_packing_size_gate():
     d = random_digraph(random.Random(0), 5, 17)
-    with pytest.raises(GraphError):
+    with pytest.raises(SearchBudgetExceeded, match="17 arcs > 16"):
         max_arc_disjoint_cycles(d, size_limit=16)
 
 

@@ -26,7 +26,7 @@ from kpostman.kernel import (
     parallel_edge_shortcut,
     pendant_shortcut,
 )
-from kpostman.solve import oracle_kcpp, solve_kcpp_exact
+from kpostman.solve import MAX_SEARCH_CHAINS, oracle_kcpp, solve_kcpp, solve_kcpp_exact
 
 from conftest import random_small_graphs
 
@@ -92,6 +92,27 @@ def test_packing_falls_back_to_core_chain_cycles():
     sol = packing_shortcut(g, 4)
     assert sol is not None
     assert verify_solution(g, 4, sol) == solve_cpp(g).weight
+
+
+def test_core_chain_cycles_answer_above_the_chain_cap():
+    # 4 copies of a square a-b-d-c sharing a = 1, each side once as an edge
+    # and once as a 4-edge chain: greedy on the cover finds 2 cycles per
+    # copy, the core's chains as edges pair up into 4, and the 32 chains
+    # are more than the exact search takes
+    triples = []
+    n = 1
+    for _ in range(4):
+        a, b, c, d = 1, n + 1, n + 2, n + 3
+        n += 3
+        for x, y in ((a, b), (c, d), (a, c), (b, d)):
+            triples.append((x, y, 1))
+            path = [x, n + 1, n + 2, n + 3, y]
+            n += 3
+            triples.extend((p, q, 1) for p, q in zip(path, path[1:]))
+    g = MultiGraph.from_edges(n, triples)
+    assert len(g.edges) == 80 and len(find_chains(g)) > MAX_SEARCH_CHAINS
+    res = solve_kcpp(g, 12)
+    assert res.method == "packing" and res.weight == 80 == solve_cpp(g).weight
 
 
 def test_packing_triangle_k2_none():
@@ -246,8 +267,10 @@ def test_parallel_shortcut_thresholds():
 
 
 def test_kernelize_star_solved_by_pendant():
+    # the 3 pendant edges are the whole join, so their 2-cycles are the
+    # packing shortcut's first stage
     out = kernelize(named_graph("star3"), 3)
-    assert isinstance(out, Solved) and out.method == "pendant"
+    assert isinstance(out, Solved) and out.method == "packing"
     assert out.solution.total_weight == 6 == out.cpp_weight
 
 

@@ -35,7 +35,7 @@ from kpostman.graph import (
     chain_decomposition,
     verify_solution,
 )
-from kpostman.kernel import Reduced, kernelize
+from kpostman.kernel import Reduced, kernelize, pendant_shortcut
 from kpostman.solve import (
     MAX_SEARCH_CHAINS,
     MAX_SEARCH_SETS,
@@ -582,14 +582,16 @@ def _cpp_solved(g):
 
 
 def test_metamorphic_relations_above_the_old_terminal_cap():
-    methods = []
+    pendant_fired = []
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(many_odd_graphs(), st.integers(1, 5), st.data())
     def check(g, k, data):
         cpp = _cpp_solved(g)
         res = _solved(g, k)
-        methods.append(res.method)
+        pendant_fired.append(pendant_shortcut(g, k) is not None)
+        if pendant_fired[-1]:  # the join's 2-cycles hold the pendant edges
+            assert res.method == "packing"
         assert res.cpp_weight == cpp <= res.weight <= cpp + 2 * g.min_weight() * (k - 1)
         relabel = [0, *data.draw(st.permutations(range(1, g.vertex_count + 1)), label="relabel")]
         order = data.draw(st.permutations(g.edges), label="edge order")
@@ -606,4 +608,4 @@ def test_metamorphic_relations_above_the_old_terminal_cap():
         assert _solved(scaled, k).weight == scale * res.weight
 
     check()
-    assert len(set(methods)) >= 2, methods
+    assert len(set(pendant_fired)) == 2, pendant_fired
