@@ -129,7 +129,7 @@ def _cmd_pack_cycles(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _instance_from(args)
-    weight = oracle_kcpp(inst.graph, inst.k, args.cap)
+    weight = oracle_kcpp(inst.graph, inst.k)
     # walks for the emitted file come from the pipeline; disagreement with
     # the oracle weight is a hard error, never papered over
     best = solve_kcpp(inst.graph, inst.k).solution
@@ -149,7 +149,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gadget(args) -> int:
     d, k = parse_directed_instance(_read_input(args.input))
-    rep = verify_packing_equivalence(d, args.size_limit)
+    rep = verify_packing_equivalence(d)
     _write_output(args.output, serialize_directed_instance(build_balanced_extension(d).d_prime, k))
     print(f"g r={rep.r} r'={rep.r_prime} dx={rep.x_outdegree} holds={int(rep.holds)}")
     return 0
@@ -205,12 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="gated brute-force optimum")
     add_io(p)
-    p.add_argument("--cap", type=int, default=None, help="multiplicity cap (default 2k+2)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gadget", help="balancing gadget and packing equivalence report")
     add_io(p, needs_k=False)
-    p.add_argument("--size-limit", type=int, default=16)
     p.set_defaults(func=_cmd_gadget)
 
     p = sub.add_parser("gen", help="emit a generated instance")

@@ -5,7 +5,8 @@ multigraph Eulerian; an Euler tour of the result is an optimal single closed
 walk covering every edge.  The join is computed exactly on the anchor
 graph: the graph is cut into degree-2 chains at its anchors (vertices of
 degree other than 2) and at the terminals, one Dijkstra per terminal runs
-over whole chains, the terminals are paired by a minimum-weight perfect
+over whole chains keyed on (weight, hops), with paths that tie on both
+taken in heap order, the terminals are paired by a minimum-weight perfect
 matching over those distances (Edmonds' blossom algorithm, as in
 Edmonds-Johnson 1973), and the join is the symmetric difference of the
 chains on the paired paths.
@@ -94,34 +95,15 @@ def _anchor_paths(
 ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
     """Dijkstra over the chains from source until every target is settled.
 
-    Paths are ordered by (weight, hop count, edge-id sequence), the order a
-    Dijkstra over every vertex would use, so the chosen paths do not depend
-    on the contraction.  Returns (weight, hops) per reached anchor and the
+    Paths are keyed on (weight, hop count); paths that tie on both go by
+    heap order.  Returns (weight, hops) per reached anchor and the
     predecessor (chain index, previous anchor) of each.
     """
     dist = {source: (0, 0)}
     pred: dict[int, tuple[int, int]] = {}
-    depth = {source: 0}  # chains on the tree path
     heap = [(0, 0, source)]
     settled: set[int] = set()
     left = len(targets)
-
-    def first_edge(ci: int, x: int) -> int:
-        c = chains[ci]
-        return c.edges[0] if c.u == x else c.edges[-1]
-
-    def precedes(ci: int, x: int, y: int) -> bool:
-        """Whether chain ci from x gives y a smaller edge sequence than its
-        path now.  Both paths follow the tree down to their lowest common
-        anchor and leave it on different chains, whose first edges decide."""
-        (ca, a), (cb, b) = (ci, x), pred[y]
-        while a != b:
-            if depth[a] >= depth[b]:
-                ca, a = pred[a]
-            else:
-                cb, b = pred[b]
-        return first_edge(ca, a) < first_edge(cb, b)
-
     while heap and left:
         w, h, x = heapq.heappop(heap)
         if x in settled:
@@ -137,12 +119,9 @@ def _anchor_paths(
             cand = (w + c.weight, h + len(c.edges))
             old = dist.get(y)
             if old is None or cand < old:
+                dist[y] = cand
+                pred[y] = (ci, x)
                 heapq.heappush(heap, (*cand, y))
-            elif cand > old or not precedes(ci, x, y):
-                continue
-            dist[y] = cand
-            pred[y] = (ci, x)
-            depth[y] = depth[x] + 1
     return dist, pred
 
 

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .cycles import PackingSearch
-from .graph import GraphError, SearchBudgetExceeded, read_triples
+from .graph import GraphError, SearchBudgetExceeded, read_triples, write_triples
 
 
 class Arc(NamedTuple):
@@ -130,18 +130,31 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
     return GadgetResult(d_prime, x, x_out, frozenset(midpoints))
 
 
-def max_arc_disjoint_cycles(d: DiGraph, size_limit: int = 16) -> int:
-    """Exact maximum number of pairwise arc-disjoint directed cycles."""
-    if len(d.arcs) > size_limit:
-        raise SearchBudgetExceeded(f"search budget exceeded: {len(d.arcs)} arcs > {size_limit}")
+MAX_PACKING_ARCS = 16
+
+
+def max_arc_disjoint_cycles(d: DiGraph) -> int:
+    """Exact maximum number of pairwise arc-disjoint directed cycles; raises
+    SearchBudgetExceeded above MAX_PACKING_ARCS arcs."""
+    if len(d.arcs) > MAX_PACKING_ARCS:
+        raise SearchBudgetExceeded(
+            f"search budget exceeded: {len(d.arcs)} arcs > {MAX_PACKING_ARCS}"
+        )
+    return _max_packing(d)
+
+
+def _max_packing(d: DiGraph) -> int:
     return PackingSearch(d).run({a.id: 1 for a in d.arcs}, len(d.arcs) // 2)[0]
 
 
-def verify_packing_equivalence(d: DiGraph, size_limit: int = 16) -> EquivalenceReport:
-    """Check that balancing adds exactly x's outdegree to the packing number."""
+def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
+    """Check that balancing adds exactly x's outdegree to the packing number.
+
+    The arc cap applies to d; d' adds two arcs per path midpoint and is
+    searched without a cap of its own."""
     gadget = build_balanced_extension(d)
-    r = max_arc_disjoint_cycles(d, size_limit)
-    r_prime = max_arc_disjoint_cycles(gadget.d_prime, size_limit + 2 * len(gadget.path_midpoints))
+    r = max_arc_disjoint_cycles(d)
+    r_prime = _max_packing(gadget.d_prime)
     return EquivalenceReport(r, r_prime, gadget.x_outdegree, r_prime == r + gadget.x_outdegree)
 
 
@@ -152,7 +165,5 @@ def parse_directed_instance(text: str | bytes) -> tuple[DiGraph, int]:
 
 
 def serialize_directed_instance(d: DiGraph, k: int) -> str:
-    lines = [f"p dkcpp {d.vertex_count} {len(d.arcs)} {k}"]
-    for a in d.arcs:
-        lines.append(f"a {a.tail} {a.head} {a.weight}")
-    return "\n".join(lines) + "\n"
+    header = (d.vertex_count, len(d.arcs), k)
+    return write_triples("dkcpp", "a", header, ((a.tail, a.head, a.weight) for a in d.arcs))

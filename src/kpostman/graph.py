@@ -438,6 +438,16 @@ def read_triples(
     return header, triples
 
 
+def write_triples(
+    fmt: str, tag: str, header: Iterable[int], triples: Iterable[tuple[int, int, int]]
+) -> str:
+    """Write the shared graph format that read_triples reads: the header
+    ``p <fmt> ...`` then one ``<tag> <a> <b> <w>`` line per triple."""
+    lines = [" ".join(["p", fmt, *map(str, header)])]
+    lines.extend(f"{tag} {a} {b} {w}" for a, b, w in triples)
+    return "\n".join(lines) + "\n"
+
+
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the line-oriented instance format.
 
@@ -464,14 +474,9 @@ def checked_instance(g: MultiGraph, k: int, p: int | None = None) -> Instance:
 
 
 def serialize_instance(inst: Instance) -> str:
-    lines = []
-    head = f"p kcpp {inst.graph.vertex_count} {len(inst.graph.edges)} {inst.k}"
-    if inst.p is not None:
-        head += f" {inst.p}"
-    lines.append(head)
-    for e in inst.graph.edges:
-        lines.append(f"e {e.u} {e.v} {e.weight}")
-    return "\n".join(lines) + "\n"
+    g = inst.graph
+    header = [g.vertex_count, len(g.edges), inst.k] + ([] if inst.p is None else [inst.p])
+    return write_triples("kcpp", "e", header, ((e.u, e.v, e.weight) for e in g.edges))
 
 
 def serialize_solution(s: Solution) -> str:

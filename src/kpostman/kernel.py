@@ -144,28 +144,14 @@ def _two_cycle(e: Edge) -> Cycle:
 def pendant_shortcut(
     g: MultiGraph, k: int, cpp: CppSolution | None = None
 ) -> Solution | None:
-    """If at least k distinct pendant edges exist, every one is doubled in an
-    optimal single-walk cover; their 2-cycles split that cover into k walks
-    at the single-walk optimum.  kernelize does not call this rule: a
-    pendant vertex has odd degree, so its edge lies in every T-join; the
-    join then has at least k edges, and the packing shortcut's 2-cycles on
-    them fire first."""
-    dc = degree_classes(g)
-    if len(dc.v1) < k:
+    """The paper's pendant rule: with at least k distinct pendant edges, the
+    optimal single-walk cover splits into k walks.  A guard over
+    packing_shortcut, which kernelize runs instead: a pendant vertex has odd
+    degree, so its edge lies in every T-join; the join then has at least k
+    edges, and the shortcut's 2-cycles on them fire first."""
+    if len({g.adjacency[v][0].id for v in degree_classes(g).v1}) < k:
         return None
-    pendant_edges: list[Edge] = []
-    seen: set[int] = set()
-    for v in sorted(dc.v1):
-        e = g.adjacency[v][0]
-        if e.id not in seen:
-            seen.add(e.id)
-            pendant_edges.append(e)
-    if len(pendant_edges) < k:
-        return None
-    if cpp is None:
-        cpp = solve_cpp(g)
-    packing = CyclePacking(tuple(_two_cycle(e) for e in pendant_edges[:k]))
-    return split_into_k_walks(cpp.multiplicities, packing)
+    return packing_shortcut(g, k, cpp)
 
 
 def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
@@ -198,8 +184,7 @@ def packing_shortcut(
     """Try to certify k disjoint cycles in the optimal cover's multigraph:
     a 2-cycle on each of the first k duplicated join edges, then greedy on
     what remains, then greedy on the degree-stripped core of g.  Fires at
-    the single-walk optimum whenever k cycles are found, so also wherever
-    pendant_shortcut does."""
+    the single-walk optimum whenever k cycles are found."""
     if cpp is None:
         cpp = solve_cpp(g)
     m = cpp.multiplicities

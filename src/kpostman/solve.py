@@ -232,24 +232,26 @@ def solve_kcpp(g: MultiGraph, k: int, p: int | None = None) -> KcppResult:
     )
 
 
-def oracle_kcpp(g: MultiGraph, k: int, mult_cap: int | None = None) -> int:
-    """Brute-force optimum: enumerate per-edge traversal counts in increasing
-    added weight; a vector is feasible iff all degrees are even and the
-    exhaustive packing search finds k disjoint cycles.  No structural
-    restriction on where extra copies go.
+def oracle_kcpp(g: MultiGraph, k: int) -> int:
+    """Brute-force optimum: enumerate per-edge traversal counts up to 2k+2
+    in increasing added weight; a vector is feasible iff all degrees are
+    even and the exhaustive packing search finds k disjoint cycles.  No
+    structural restriction on where extra copies go.  Raises
+    SearchBudgetExceeded above ORACLE_MAX_EDGES edges or ORACLE_MAX_K.
     """
-    if mult_cap is None:
-        mult_cap = 2 * k + 2
-    if k < 1 or k > ORACLE_MAX_K:
-        raise GraphError(f"oracle gate: k must be in 1..{ORACLE_MAX_K}")
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
+    if k > ORACLE_MAX_K:
+        raise SearchBudgetExceeded(f"search budget exceeded: k = {k} > {ORACLE_MAX_K}")
     if len(g.edges) > ORACLE_MAX_EDGES:
-        raise GraphError(f"oracle gate: at most {ORACLE_MAX_EDGES} edges")
+        raise SearchBudgetExceeded(
+            f"search budget exceeded: {len(g.edges)} edges > {ORACLE_MAX_EDGES}"
+        )
     if not g.edges:
         raise GraphError("graph has no edges")
     if not is_connected(g):
         raise GraphError("graph must be connected")
-    if mult_cap < 1:
-        raise GraphError("mult_cap must be >= 1")
+    cap = 2 * k + 2
 
     zero = [e for e in g.edges if e.weight == 0]
     pos = [e for e in g.edges if e.weight > 0]
@@ -258,12 +260,7 @@ def oracle_kcpp(g: MultiGraph, k: int, mult_cap: int | None = None) -> int:
     # cost-free edges: only the count parity matters for degree parity, and
     # raising a count by two can never lose a packing, so only the largest
     # count of each parity within the cap needs trying
-    zero_options: list[list[int]] = []
-    for _ in zero:
-        opts = [mult_cap if mult_cap % 2 == 1 else mult_cap - 1]
-        if mult_cap >= 2:
-            opts.append(mult_cap if mult_cap % 2 == 0 else mult_cap - 1)
-        zero_options.append(sorted(opts))
+    zero_options = (cap - 1, cap)
 
     def feasible(counts: dict[int, int]) -> bool:
         for v in g.vertices():
@@ -277,7 +274,7 @@ def oracle_kcpp(g: MultiGraph, k: int, mult_cap: int | None = None) -> int:
             if i == len(zero):
                 yield acc
                 return
-            for c in zero_options[i]:
+            for c in zero_options:
                 nxt = dict(acc)
                 nxt[zero[i].id] = c
                 yield from rec(i + 1, nxt)
@@ -286,7 +283,7 @@ def oracle_kcpp(g: MultiGraph, k: int, mult_cap: int | None = None) -> int:
 
     suffix_max = [0] * (len(pos) + 1)
     for i in range(len(pos) - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + (mult_cap - 1) * pos[i].weight
+        suffix_max[i] = suffix_max[i + 1] + (cap - 1) * pos[i].weight
 
     def pos_vectors(budget: int):
         def rec(i: int, rem: int, acc: dict[int, int]):
@@ -295,7 +292,7 @@ def oracle_kcpp(g: MultiGraph, k: int, mult_cap: int | None = None) -> int:
                     yield acc
                 return
             w = pos[i].weight
-            for c in range(1, mult_cap + 1):
+            for c in range(1, cap + 1):
                 add = (c - 1) * w
                 if add > rem:
                     break
@@ -313,4 +310,4 @@ def oracle_kcpp(g: MultiGraph, k: int, mult_cap: int | None = None) -> int:
             for counts in zero_assignments(vec):
                 if feasible(counts):
                     return base_weight + budget
-    raise GraphError(f"no feasible multiplicity vector under cap {mult_cap}")
+    raise GraphError(f"no feasible multiplicity vector under cap {cap}")

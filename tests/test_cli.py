@@ -266,8 +266,19 @@ def test_usage_error_exits_one():
     assert main(["no-such-command"]) == 1
 
 
-def test_kernel_constant_flags_are_gone(bowtie_file):
-    assert main(["solve", "--c", "8", str(bowtie_file)]) == 1
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve", "--c", "8"], BOWTIE),
+        (["gadget", "--size-limit", "8"], PATH3D),
+        (["oracle", "--cap", "4"], BOWTIE),
+    ],
+    ids=["solve", "gadget", "oracle"],
+)
+def test_kernel_constant_flags_are_gone(tmp_path, argv, text):
+    f = tmp_path / "instance"
+    f.write_text(text)
+    assert main([*argv, str(f)]) == 1
 
 
 def test_console_entry_point_runs():

@@ -97,17 +97,6 @@ def test_join_with_terminals_inside_a_ring():
     _assert_parity(g, join, {1, 5})
 
 
-def test_join_breaks_weight_and_hop_ties_by_edge_sequence():
-    # two paths 1 -> 2 of weight 4 and 4 edges: edges 1-4 through anchor 4,
-    # and edges 5-8 through anchor 3, which the search settles first
-    g = MultiGraph.from_edges(
-        10,
-        [(1, 5, 1), (5, 6, 1), (6, 4, 1), (4, 2, 1), (1, 3, 1), (3, 7, 1), (7, 8, 1), (8, 2, 1)]
-        + [(3, 9, 1), (4, 10, 1)],
-    )
-    assert min_weight_join(g, {1, 2}) == {1, 2, 3, 4}
-
-
 def _assert_parity(g: MultiGraph, join: frozenset[int], t: set[int]) -> None:
     for v in g.vertices():
         flips = sum(1 for e in g.adjacency[v] if e.id in join)

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import kpostman.digraph
 from kpostman.cycles import PackingSearch
 from kpostman.digraph import (
     DiGraph,
@@ -82,16 +83,18 @@ def test_packing_triangle_and_reverse():
 def test_packing_size_gate():
     d = random_digraph(random.Random(0), 5, 17)
     with pytest.raises(SearchBudgetExceeded, match="17 arcs > 16"):
-        max_arc_disjoint_cycles(d, size_limit=16)
+        max_arc_disjoint_cycles(d)
 
 
-def test_packing_matches_independent_cycle_enumeration():
+def test_packing_matches_independent_cycle_enumeration(monkeypatch):
+    # the gadget of an 8-arc digraph has up to 8 + 2 * 16 arcs
+    monkeypatch.setattr(kpostman.digraph, "MAX_PACKING_ARCS", 40)
     rng = random.Random(29)
     for _ in range(150):
         d = random_digraph(rng, rng.randint(2, 5), rng.randint(1, 8))
         for graph in (d, build_balanced_extension(d).d_prime):
             ones = {a.id: 1 for a in graph.arcs}
-            nu = max_arc_disjoint_cycles(graph, size_limit=len(graph.arcs))
+            nu = max_arc_disjoint_cycles(graph)
             assert nu == max_disjoint_from_list(all_directed_cycles(graph), ones), graph.arcs
             got, witness = PackingSearch(graph).run(ones, len(graph.arcs))
             assert got == nu == len(witness)

@@ -351,10 +351,13 @@ def test_oracle_known_values():
 
 def test_oracle_gates():
     big = MultiGraph.from_edges(5, [(1, 2, 1)] * 9)
-    with pytest.raises(GraphError):
+    with pytest.raises(SearchBudgetExceeded, match=r"^search budget exceeded: 9 edges > 8$"):
         oracle_kcpp(big, 1)
-    with pytest.raises(GraphError):
+    with pytest.raises(SearchBudgetExceeded, match=r"^search budget exceeded: k = 4 > 3$"):
         oracle_kcpp(named_graph("triangle"), 4)
+    with pytest.raises(GraphError, match=r"^k must be >= 1, got 0$") as exc:
+        oracle_kcpp(named_graph("triangle"), 0)
+    assert not isinstance(exc.value, SearchBudgetExceeded)
 
 
 def test_pipeline_matches_oracle_on_random_instances():
