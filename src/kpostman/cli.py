@@ -14,7 +14,6 @@ import sys
 from .cpp import Multiplicities, euler_tour, solve_cpp
 from .cycles import greedy_cycle_packing
 from .digraph import (
-    build_balanced_extension,
     parse_directed_instance,
     serialize_directed_instance,
     verify_packing_equivalence,
@@ -150,7 +149,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_gadget(args) -> int:
     d, k = parse_directed_instance(_read_input(args.input))
     rep = verify_packing_equivalence(d)
-    _write_output(args.output, serialize_directed_instance(build_balanced_extension(d).d_prime, k))
+    _write_output(args.output, serialize_directed_instance(rep.d_prime, k))
     print(f"g r={rep.r} r'={rep.r_prime} dx={rep.x_outdegree} holds={int(rep.holds)}")
     return 0
 

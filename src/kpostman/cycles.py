@@ -21,7 +21,16 @@ from dataclasses import dataclass
 from typing import Collection, Mapping, Protocol
 
 from .cpp import Multiplicities, _read_counts
-from .graph import Chain, Edge, GraphError, MultiGraph, _chains, _core, _peel
+from .graph import (
+    Chain,
+    Edge,
+    GraphError,
+    MultiGraph,
+    SearchBudgetExceeded,
+    _chains,
+    _core,
+    _peel,
+)
 
 
 @dataclass(frozen=True)
@@ -250,6 +259,8 @@ class SteppedGraph(Protocol):
 RawCycle = tuple[tuple[int, ...], tuple[int, ...]]  # (vertices, slots)
 Packed = tuple[int, tuple[RawCycle, ...]]  # (cycles found, the cycles)
 
+MAX_PACKING_STATES = 1_000_000  # memo entries one PackingSearch may hold
+
 
 class PackingSearch:
     """Exhaustive branch over cycles through the lowest remaining edge copy,
@@ -260,12 +271,24 @@ class PackingSearch:
     taking a cycle is one subtraction and the cycle fits exactly when that
     clears no guard bit.  The search branches on the lowest live slot i,
     so every slot below i is empty: the cycles through i are enumerated
-    once, over slots >= i, and each state only filters that list.  The
-    memo is keyed by (state, target) and kept across count vectors over
-    the same base graph; a count too wide for the fields rebuilds the
-    layout and drops the memo and the cycle lists.  With a target ("find
-    at least this many") the returned value is capped there, which is all
-    a feasibility test needs.
+    once, over slots >= i, and each state only filters that list.
+
+    Each node takes the drop branch first: all c copies of slot i go, and
+    the rest packs d cycles.  Every copy of slot i lies in at most one
+    cycle, so the node's maximum is at most d + c, and each take branch is
+    asked for at most d + c - 1 more cycles; with c = 1 the first take
+    branch that finds d more ends the node.  With a target ("find at least
+    this many") a search may stop once it has that many, which is all a
+    feasibility test needs; `run` returns at most the target.
+
+    The memo is keyed by the state alone and kept across count vectors over
+    the same base graph.  Each entry holds the best packing found and
+    whether it is exact (it stayed below the target it was searched for,
+    so it is the maximum) or only a lower bound (it reached that target).
+    A lower bound answers only targets it reaches.  A count too wide for
+    the fields rebuilds the layout and drops the memo and the cycle lists.
+    A searcher that would hold more than MAX_PACKING_STATES memo entries
+    raises SearchBudgetExceeded.
     """
 
     def __init__(self, base: SteppedGraph):
@@ -273,7 +296,7 @@ class PackingSearch:
         self.slot = slot = {eid: i for i, eid in enumerate(self.ids)}
         self.ends = [base.ends[eid] for eid in self.ids]
         self.steps = {v: tuple((slot[eid], w) for eid, w in out) for v, out in base.steps.items()}
-        self.memo: dict[tuple[int, int], Packed] = {}
+        self.memo: dict[int, tuple[int, tuple[RawCycle, ...], bool]] = {}
         self._through: dict[int, list[tuple[int, int, RawCycle]]] = {}
         self._layout(1)
 
@@ -291,7 +314,8 @@ class PackingSearch:
 
     def run(self, counts: Mapping[int, int], target: int) -> tuple[int, tuple[Cycle, ...]]:
         """Up to `target` disjoint cycles within the edge copies in `counts`
-        (edge id -> copies; ids left out have none), and how many."""
+        (edge id -> copies; ids left out have none), and how many.  Raises
+        SearchBudgetExceeded past MAX_PACKING_STATES memo entries."""
         for eid, n in counts.items():
             if eid not in self.slot:
                 raise GraphError(f"no edge with id {eid}")
@@ -303,8 +327,10 @@ class PackingSearch:
         state = self.guards
         for eid, n in counts.items():
             state += n << (self.slot[eid] * self.stride)
-        got, found = self._search(state, sum(counts.values()), target)
-        return got, tuple(Cycle(verts, tuple(self.ids[s] for s in slots)) for verts, slots in found)
+        found = self._search(state, sum(counts.values()), target)[1][: max(target, 0)]
+        return len(found), tuple(
+            Cycle(verts, tuple(self.ids[s] for s in slots)) for verts, slots in found
+        )
 
     def _cycles_through(self, i: int) -> list[tuple[int, int, RawCycle]]:
         """Every simple cycle through one copy of slot i that uses only
@@ -339,40 +365,47 @@ class PackingSearch:
         memo, through, cycles_through = self.memo, self._through, self._cycles_through
         guards, values, stride = self.guards, self.values, self.stride
         full = (1 << self.width) - 1
+        limit = MAX_PACKING_STATES
 
         def search(state: int, copies: int, target: int) -> Packed:
+            """At least min(maximum, target) disjoint cycles in state."""
             if 2 * target > copies:
                 target = copies // 2  # every cycle eats >= 2 copies
             if target <= 0:
                 return 0, ()
-            key = (state, target)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+            hit = memo.get(state)
+            if hit is not None and (hit[2] or hit[0] >= target):
+                return hit[0], hit[1]
             live = state & values
             i = ((live & -live).bit_length() - 1) // stride
-            best: Packed = (0, ())
-            for delta, length, cyc in through.get(i) or cycles_through(i):
-                rest = state - delta
-                if rest & guards != guards:
-                    continue  # a slot has fewer copies left than the cycle uses
-                got, more = search(rest, copies - length, target - 1)
-                if 1 + got > best[0]:
-                    best = (1 + got, (cyc,) + more)
-                    if best[0] >= target:
-                        memo[key] = best
-                        return best
             lo = i * stride
             field = state & (full << lo)
-            dropped = search(state - field, copies - (field >> lo), target)
-            if dropped[0] > best[0]:
-                best = dropped
-            memo[key] = best
+            c = field >> lo
+            best = search(state - field, copies - c, target)
+            # below the target the drop branch is exact, and each copy of
+            # slot i lies in at most one cycle
+            bound = min(target, best[0] + c)
+            if best[0] < bound:
+                for delta, length, cyc in through.get(i) or cycles_through(i):
+                    rest = state - delta
+                    if rest & guards != guards:
+                        continue  # a slot has fewer copies left than the cycle uses
+                    got, more = search(rest, copies - length, bound - 1)
+                    if 1 + got > best[0]:
+                        best = (1 + got, (cyc,) + more)
+                        if best[0] >= bound:
+                            break
+            memo[state] = (best[0], best[1], best[0] < target)
+            if len(memo) > limit:
+                raise SearchBudgetExceeded(
+                    f"search budget exceeded: more than {limit} packing states"
+                )
             return best
 
-        found = search(state, copies, target)
-        # a recursive closure holds itself, and through the memo and self
-        # it would keep every dead searcher alive until a full collection,
-        # so peak memory would hinge on when that happens to run
-        del search
-        return found
+        try:
+            return search(state, copies, target)
+        finally:
+            # a recursive closure holds itself, and through the memo and self
+            # it would keep every dead searcher alive until a full collection,
+            # so peak memory would hinge on when that happens to run
+            del search

@@ -93,6 +93,7 @@ class EquivalenceReport:
     r_prime: int
     x_outdegree: int
     holds: bool
+    d_prime: DiGraph
 
 
 def build_balanced_extension(d: DiGraph) -> GadgetResult:
@@ -151,11 +152,14 @@ def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
     """Check that balancing adds exactly x's outdegree to the packing number.
 
     The arc cap applies to d; d' adds two arcs per path midpoint and is
-    searched without a cap of its own."""
+    bounded by the packing search's own state budget,
+    cycles.MAX_PACKING_STATES, past which it raises SearchBudgetExceeded.
+    The report carries d' for the caller to write out."""
     gadget = build_balanced_extension(d)
     r = max_arc_disjoint_cycles(d)
     r_prime = _max_packing(gadget.d_prime)
-    return EquivalenceReport(r, r_prime, gadget.x_outdegree, r_prime == r + gadget.x_outdegree)
+    holds = r_prime == r + gadget.x_outdegree
+    return EquivalenceReport(r, r_prime, gadget.x_outdegree, holds, gadget.d_prime)
 
 
 def parse_directed_instance(text: str | bytes) -> tuple[DiGraph, int]:

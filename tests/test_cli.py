@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import kpostman
+import kpostman.cycles
 import kpostman.solve
 from kpostman.cli import main
+from kpostman.digraph import DiGraph, serialize_directed_instance, verify_packing_equivalence
 from kpostman.generators import (
     cycle_graph,
     named_graph,
@@ -23,6 +25,7 @@ from kpostman.generators import (
 from kpostman.graph import (
     GraphError,
     Instance,
+    SearchBudgetExceeded,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -260,6 +263,21 @@ def test_search_refusal_exits_one(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(f)]) == 1
     err = capsys.readouterr().err
     assert err == "error: search budget exceeded: more than 50 even duplication sets\n"
+
+
+def test_packing_state_budget_exits_one(tmp_path, capsys, monkeypatch):
+    # d' of the 8-arc out-star needs about 1700 packing states; a budget of
+    # 100 refuses it in the search of d' (the 8 arcs of d pass their cap)
+    monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 100)
+    d = DiGraph.from_arcs(9, [(1, v, 1) for v in range(2, 10)])
+    with pytest.raises(SearchBudgetExceeded) as refused:
+        verify_packing_equivalence(d)
+    assert str(refused.value) == "search budget exceeded: more than 100 packing states"
+    f = tmp_path / "star.dkcpp"
+    f.write_text(serialize_directed_instance(d, 1))
+    assert main(["gadget", str(f), "-o", str(tmp_path / "dprime.dkcpp")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: search budget exceeded: more than 100 packing states\n"
 
 
 def test_usage_error_exits_one():

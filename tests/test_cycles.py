@@ -283,6 +283,22 @@ def test_reused_searcher_matches_enumeration_as_counts_widen():
             assert nu == max_disjoint_from_list(all_simple_cycles(g, counts), counts), (g.edges, counts)
 
 
+def test_reused_searcher_never_reads_a_lower_bound_as_the_maximum():
+    # target 1 leaves lower-bound memo entries (one cycle found, maybe more
+    # there); the full search after it on the same searcher must not stop
+    # at them, and target 2 after that is answered from exact entries
+    rng = random.Random(24)
+    for g in random_small_graphs(seed=37, trials=60, max_n=5, max_m=7):
+        searcher = PackingSearch(g)
+        counts = {e.id: rng.randint(0, 3) for e in g.edges}
+        m = Multiplicities(g, counts)
+        nu = max_disjoint_from_list(all_simple_cycles(g, counts), counts)
+        for target in (1, m.copies() // 2, 2):
+            got, witness = searcher.run(counts, target)
+            check_packing(m, CyclePacking(witness))
+            assert got == len(witness) == min(nu, target), (g.edges, counts, target)
+
+
 def test_packing_search_names_bad_counts():
     searcher = PackingSearch(named_graph("triangle"))
     with pytest.raises(GraphError, match="no edge with id 9"):

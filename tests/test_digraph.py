@@ -108,6 +108,17 @@ def test_packing_matches_independent_cycle_enumeration(monkeypatch):
                     assert arc[aid].head == c.vertices[(i + 1) % len(c.edges)]
 
 
+@pytest.mark.parametrize("n", range(8, 13))
+def test_equivalence_on_out_stars(n):
+    # d' of an out-star has 3n arcs and n arc-disjoint 5-cycles through x;
+    # every arc has one copy, so each search node stops at the first take
+    # branch that beats its drop branch
+    d = DiGraph.from_arcs(n + 1, [(1, v, 1) for v in range(2, n + 2)])
+    rep = verify_packing_equivalence(d)
+    assert (rep.r, rep.r_prime, rep.x_outdegree, rep.holds) == (0, n, n, True)
+    assert rep.d_prime == build_balanced_extension(d).d_prime
+
+
 def test_rejects_self_loop():
     with pytest.raises(GraphError):
         DiGraph.from_arcs(2, [(1, 1, 1)])
