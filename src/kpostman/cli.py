@@ -37,7 +37,7 @@ from .graph import (
     serialize_instance,
     serialize_solution,
 )
-from .kernel import Reduced, Solved, kernelize
+from .kernel import Reduced, Solved, kernel_report, kernelize
 from .solve import oracle_kcpp, solve_kcpp
 
 
@@ -77,7 +77,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_cpp(args) -> int:
-    inst = _instance_from(args)
+    inst = parse_instance(_read_input(args.input))
     res = solve_cpp(inst.graph)
     start = min(v for v in inst.graph.vertices() if inst.graph.degree(v) > 0)
     walk = euler_tour(res.multiplicities, start)
@@ -89,11 +89,11 @@ def _cmd_cpp(args) -> int:
 def _cmd_kernelize(args) -> int:
     inst = _instance_from(args)
     outcome = kernelize(inst.graph, inst.k)
-    for line in outcome.report.lines():
+    for line in kernel_report(inst.graph, outcome).lines():
         print(f"# {line}")
     if isinstance(outcome, Solved):
         _write_output(args.output, serialize_solution(outcome.solution))
-        print(f"# solved={outcome.method} weight={outcome.solution.total_weight}")
+        print(f"# solved=packing weight={outcome.solution.total_weight}")
         return 0
     assert isinstance(outcome, Reduced)
     em = outcome.expansion
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("cpp", help="single-walk optimum and Euler tour")
-    add_io(p)
+    add_io(p, needs_k=False)
     p.set_defaults(func=_cmd_cpp)
 
     p = sub.add_parser("kernelize", help="emit a solution or a kernel instance plus expansions")

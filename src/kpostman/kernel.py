@@ -3,8 +3,9 @@ and solution lifting.
 
 The pipeline is certificate-driven: the shortcut only fires when it holds
 an actual cycle packing in hand.  It runs once, on the input; the reduced
-graph goes straight to the exact search.  The kernel report states only
-what was measured: degree classes and chain sizes.
+graph goes straight to the exact search.  kernelize measures nothing
+else: kernel_report(g, outcome) measures degree classes and chain sizes
+only when asked, as `kpostman kernelize` does to print them.
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ def packing_shortcut(
     a 2-cycle on each of the first k duplicated join edges, then greedy on
     what remains, then greedy on the degree-stripped core of g.  Fires at
     the single-walk optimum whenever k cycles are found."""
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
     if cpp is None:
         cpp = solve_cpp(g)
     m = cpp.multiplicities
@@ -206,6 +209,8 @@ def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
     find_chains, from the lowest anchor pair that has that many.  kernelize
     does not call this rule: the reduction keeps every anchor, so the
     packing shortcut on the input has already found k cycles."""
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
     groups = _parallel_groups(chains)
     for key in sorted(groups):
         group = groups[key]
@@ -221,7 +226,8 @@ def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
 
 @dataclass(frozen=True)
 class KernelReport:
-    """What kernelize measured on the graph it solved or returned."""
+    """Degree classes and chain sizes of the graph kernelize solved or
+    returned; see kernel_report."""
 
     k: int
     fired: str | None
@@ -244,9 +250,7 @@ class KernelReport:
 @dataclass(frozen=True)
 class Solved:
     solution: Solution
-    method: str
     cpp_weight: int
-    report: KernelReport
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,6 @@ class Reduced:
     expansion: ExpansionMap
     k: int
     cpp_weight: int
-    report: KernelReport
 
     @property
     def kernel(self) -> MultiGraph:
@@ -264,13 +267,45 @@ class Reduced:
 KernelOutcome = Solved | Reduced
 
 
-def _build_report(
-    g: MultiGraph, k: int, fired: str | None, chains: list[Chain], dropped: int
-) -> KernelReport:
-    """Measure g, whose find_chains list is chains; h_edges and
-    max_parallel are reported only when no shortcut fired and g is not a
-    bare cycle."""
-    dc = degree_classes(g)
+def _compact(em: ExpansionMap) -> ExpansionMap:
+    """Drop isolated vertices and renumber vertices/edges for emission."""
+    work = em.kernel
+    live = sorted(v for v in work.vertices() if work.degree(v) > 0)
+    old_to_new = {v: i + 1 for i, v in enumerate(live)}
+    new_edges = []
+    expansions = {}
+    for new_id, e in enumerate(sorted(work.edges, key=lambda e: e.id), start=1):
+        new_edges.append(Edge(new_id, old_to_new[e.u], old_to_new[e.v], e.weight))
+        expansions[new_id] = em.expansions[e.id]
+    kernel = MultiGraph(len(live), tuple(new_edges))
+    vmap = {old_to_new[v]: em.vertex_to_original[v] for v in live}
+    return ExpansionMap(em.original, kernel, expansions, vmap)
+
+
+def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
+    """Run the pipeline: the packing shortcut, at the single-walk optimum;
+    if it does not fire, return the chain-reduced instance with an
+    expansion map for the exact search."""
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
+    cpp = solve_cpp(g)  # raises for a graph without edges or not connected
+    sol = packing_shortcut(g, k, cpp=cpp)
+    if sol is not None:
+        return Solved(sol, cpp.weight)
+    _, em = apply_reduction_rule(g, k)
+    return Reduced(_compact(em), k, cpp.weight)
+
+
+def kernel_report(g: MultiGraph, outcome: KernelOutcome) -> KernelReport:
+    """Measure what kernelize(g, k) returned: g itself when the shortcut
+    solved it, the kernel when it reduced g.  h_edges and max_parallel are
+    reported only for a kernel that is not a bare cycle."""
+    if isinstance(outcome, Solved):
+        measured, k, fired = g, len(outcome.solution.walks), "packing"
+    else:
+        measured, k, fired = outcome.kernel, outcome.k, None
+    chains = find_chains(measured)
+    dc = degree_classes(measured)
     bare = not chains
     max_internal = len(dc.v2) - 2 if bare else max(len(c.internal) for c in chains)
     h_edges = max_par = None
@@ -288,47 +323,8 @@ def _build_report(
         max_parallel=max_par,
         max_chain_internal=max_internal,
         blocked_chains=sum(1 for c in chains if len(c.internal) > k),
-        dropped_vertices=dropped,
+        dropped_vertices=g.vertex_count - measured.vertex_count,
     )
-
-
-def _compact(em: ExpansionMap) -> tuple[ExpansionMap, int]:
-    """Drop isolated vertices and renumber vertices/edges for emission."""
-    work = em.kernel
-    live = sorted(v for v in work.vertices() if work.degree(v) > 0)
-    old_to_new = {v: i + 1 for i, v in enumerate(live)}
-    dropped = work.vertex_count - len(live)
-    new_edges = []
-    expansions = {}
-    for new_id, e in enumerate(sorted(work.edges, key=lambda e: e.id), start=1):
-        new_edges.append(Edge(new_id, old_to_new[e.u], old_to_new[e.v], e.weight))
-        expansions[new_id] = em.expansions[e.id]
-    kernel = MultiGraph(len(live), tuple(new_edges))
-    vmap = {old_to_new[v]: em.vertex_to_original[v] for v in live}
-    return (
-        ExpansionMap(em.original, kernel, expansions, vmap),
-        dropped,
-    )
-
-
-def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
-    """Run the pipeline: the packing shortcut, at the single-walk optimum;
-    if it does not fire, return the chain-reduced instance with an
-    expansion map for the exact search."""
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
-    cpp = solve_cpp(g)  # raises for a graph without edges or not connected
-    sol = packing_shortcut(g, k, cpp=cpp)
-    if sol is not None:
-        report = _build_report(g, k, "packing", find_chains(g), 0)
-        return Solved(sol, "packing", cpp.weight, report)
-
-    work, em = apply_reduction_rule(g, k)
-    # compaction only drops isolated vertices and renumbers, so the report
-    # measured on work holds for the kernel
-    compacted, dropped = _compact(em)
-    report = _build_report(work, k, None, find_chains(work), dropped)
-    return Reduced(compacted, k, cpp.weight, report)
 
 
 def lift_solution(em: ExpansionMap, s: Solution) -> Solution:

@@ -55,6 +55,8 @@ class KcppResult:
     cpp_weight: int
     method: str
     decision: bool | None
+    # always None: solve_kcpp measures no kernel report (kernel_report does,
+    # on request); kept only because perfbench/tracer.py reads it
     report: KernelReport | None
 
 
@@ -220,16 +222,14 @@ def solve_kcpp(g: MultiGraph, k: int, p: int | None = None) -> KcppResult:
     outcome = kernelize(g, k)
     if isinstance(outcome, Solved):
         sol = outcome.solution
-        method = outcome.method
+        method = "packing"
     else:
         assert isinstance(outcome, Reduced)
         kernel_solution = solve_kcpp_exact(outcome.kernel, k)
         sol = lift_solution(outcome.expansion, kernel_solution)
         method = "kernel"
     decision = None if p is None else sol.total_weight <= p
-    return KcppResult(
-        sol, sol.total_weight, outcome.cpp_weight, method, decision, outcome.report
-    )
+    return KcppResult(sol, sol.total_weight, outcome.cpp_weight, method, decision, None)
 
 
 def oracle_kcpp(g: MultiGraph, k: int) -> int:

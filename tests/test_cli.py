@@ -25,6 +25,7 @@ from kpostman.generators import (
 from kpostman.graph import (
     GraphError,
     Instance,
+    MultiGraph,
     SearchBudgetExceeded,
     parse_instance,
     parse_solution,
@@ -127,8 +128,13 @@ def test_kernelize_solved_emits_solution(tmp_path):
             "k=2 fired=none v1=0 v2=4 v3plus=0 bare_cycle=1 h_edges=- max_parallel=- "
             "max_chain_internal=2 blocked_chains=0 dropped_vertices=6",
         ),
+        (
+            MultiGraph(12, cycle_graph(10).edges), 2,
+            "k=2 fired=none v1=0 v2=4 v3plus=0 bare_cycle=1 h_edges=- max_parallel=- "
+            "max_chain_internal=2 blocked_chains=0 dropped_vertices=8",
+        ),
     ],
-    ids=["pendant", "packing", "reduced-theta", "reduced-ring"],
+    ids=["pendant", "packing", "reduced-theta", "reduced-ring", "reduced-ring-isolated"],
 )  # fmt: skip
 def test_kernelize_report_line(graph, k, line, tmp_path, capsys):
     f = tmp_path / "in.kcpp"
@@ -290,8 +296,10 @@ def test_usage_error_exits_one():
         (["solve", "--c", "8"], BOWTIE),
         (["gadget", "--size-limit", "8"], PATH3D),
         (["oracle", "--cap", "4"], BOWTIE),
+        (["cpp", "--k", "2"], BOWTIE),
+        (["cpp", "--p", "3"], BOWTIE),
     ],
-    ids=["solve", "gadget", "oracle"],
+    ids=["solve", "gadget", "oracle", "cpp-k", "cpp-p"],
 )
 def test_kernel_constant_flags_are_gone(tmp_path, argv, text):
     f = tmp_path / "instance"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
+
 from kpostman.cpp import solve_cpp
 from kpostman.generators import (
     NAMED_BASES,
@@ -14,12 +16,13 @@ from kpostman.generators import (
     theta_graph,
     uniform_inflation,
 )
-from kpostman.graph import MultiGraph, verify_solution
+from kpostman.graph import GraphError, MultiGraph, verify_solution
 from kpostman.kernel import (
     Reduced,
     Solved,
     apply_reduction_rule,
     find_chains,
+    kernel_report,
     kernelize,
     lift_solution,
     packing_shortcut,
@@ -44,6 +47,21 @@ def dumbbell(chain_weights):
         prev = n
     chain.append((prev, 4, chain_weights[-1]))
     return MultiGraph.from_edges(n, tri1 + tri2 + chain)
+
+
+@pytest.mark.parametrize(
+    "shortcut, g",
+    [
+        (pendant_shortcut, named_graph("star3")),
+        (packing_shortcut, named_graph("star3")),
+        (lambda g, k: parallel_edge_shortcut(find_chains(g), k), theta_graph(4, 2)),
+    ],
+    ids=["pendant", "packing", "parallel-edge"],
+)
+@pytest.mark.parametrize("k", [0, -1])
+def test_shortcuts_refuse_k_below_one(shortcut, g, k):
+    with pytest.raises(GraphError, match=f"^k must be >= 1, got {k}$"):
+        shortcut(g, k)
 
 
 def test_pendant_star():
@@ -270,7 +288,7 @@ def test_kernelize_star_solved_by_pendant():
     # the 3 pendant edges are the whole join, so their 2-cycles are the
     # packing shortcut's first stage
     out = kernelize(named_graph("star3"), 3)
-    assert isinstance(out, Solved) and out.method == "packing"
+    assert isinstance(out, Solved)
     assert out.solution.total_weight == 6 == out.cpp_weight
 
 
@@ -285,7 +303,7 @@ def test_kernelize_triangle_k2_reduced_to_itself():
 def test_kernelize_subdivided_bowtie_solved_at_cpp_weight():
     g = uniform_inflation(named_graph("bowtie"), 10)
     out = kernelize(g, 2)
-    assert isinstance(out, Solved) and out.method == "packing"
+    assert isinstance(out, Solved)
     assert out.solution.total_weight == 60
     verify_solution(g, 2, out.solution)
 
@@ -300,7 +318,7 @@ def test_kernelize_theta_parallel_shortcut_after_reduction():
                 g = theta_graph(paths, length)
                 out = kernelize(g, k)
                 assert isinstance(out, Solved)
-                assert out.method == out.report.fired == "packing"
+                assert kernel_report(g, out).fired == "packing"
                 assert out.solution.total_weight == out.cpp_weight == solve_cpp(g).weight
                 verify_solution(g, k, out.solution)
 
@@ -326,7 +344,7 @@ def test_kernelize_reduced_structural_bounds():
             else:
                 per_pair = Counter(tuple(sorted((c.u, c.v))) for c in chains if c.u != c.v)
                 assert all(c < 2 * k for c in per_pair.values())
-                assert out.report.max_parallel == max(per_pair.values(), default=0)
+                assert kernel_report(g, out).max_parallel == max(per_pair.values(), default=0)
             out.expansion.validate()
     assert reduced_seen > 0
 
