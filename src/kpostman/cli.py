@@ -59,7 +59,7 @@ def _write_output(path: str | None, text: str) -> None:
 def _instance_from(args) -> Instance:
     inst = parse_instance(_read_input(args.input))
     k = args.k if args.k is not None else inst.k
-    p = args.p if args.p is not None else inst.p
+    p = inst.p if getattr(args, "p", None) is None else args.p  # pack-cycles has no --p
     return checked_instance(inst.graph, k, p)
 
 
@@ -179,35 +179,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kpostman")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_k=True):
+    overrides = {"k": "override k from the header", "p": "override budget p"}
+
+    def add_io(p, *flags):
+        """Input, output and the header overrides the command reads."""
         p.add_argument("input", nargs="?", default="-", help="instance file or - for stdin")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-        if needs_k:
-            p.add_argument("--k", type=int, default=None, help="override k from the header")
-            p.add_argument("--p", type=int, default=None, help="override budget p")
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int, default=None, help=overrides[flag])
 
     p = sub.add_parser("solve", help="full pipeline: kernelize, solve, lift")
-    add_io(p)
+    add_io(p, "k", "p")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("cpp", help="single-walk optimum and Euler tour")
-    add_io(p, needs_k=False)
+    add_io(p)
     p.set_defaults(func=_cmd_cpp)
 
     p = sub.add_parser("kernelize", help="emit a solution or a kernel instance plus expansions")
-    add_io(p)
+    add_io(p, "k", "p")
     p.set_defaults(func=_cmd_kernelize)
 
     p = sub.add_parser("pack-cycles", help="greedy edge-disjoint cycle packing")
-    add_io(p)
+    add_io(p, "k")
     p.set_defaults(func=_cmd_pack_cycles)
 
     p = sub.add_parser("oracle", help="gated brute-force optimum")
-    add_io(p)
+    add_io(p, "k", "p")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gadget", help="balancing gadget and packing equivalence report")
-    add_io(p, needs_k=False)
+    add_io(p)
     p.set_defaults(func=_cmd_gadget)
 
     p = sub.add_parser("gen", help="emit a generated instance")

@@ -247,6 +247,14 @@ def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:
     return CyclePacking(tuple(cycles))
 
 
+def cycle_rank_bound(copies: int, vertices: int) -> int:
+    """Most edge-disjoint cycles a connected multigraph with `copies` edge
+    copies on `vertices` vertices can hold: each cycle uses at least 2
+    copies, and disjoint cycles are independent in the cycle space, whose
+    dimension is copies - vertices + 1."""
+    return min(copies // 2, copies - vertices + 1)
+
+
 class SteppedGraph(Protocol):
     """A graph as PackingSearch reads it: `ends` gives an edge id's two ends
     and `steps` the (edge id, next vertex) pairs leaving a vertex.  A

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .cpp import CppSolution, Multiplicities, solve_cpp
-from .cycles import Cycle, CyclePacking, greedy_cycle_packing
+from .cycles import Cycle, CyclePacking, cycle_rank_bound, greedy_cycle_packing
 from .graph import (
     Chain,
     Edge,
@@ -84,7 +84,7 @@ def _chain_vertices(g: MultiGraph, ids: tuple[int, ...], start: int) -> list[int
     return verts
 
 
-def apply_reduction_rule(g: MultiGraph, k: int) -> tuple[MultiGraph, ExpansionMap]:
+def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
     """Shorten, in one pass, every chain with more than k internal vertices
     to k+1 segments, and a bare cycle with more than k+2 vertices to a ring
     of k+2 segments; each segment becomes one edge of summed weight.
@@ -129,12 +129,11 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> tuple[MultiGraph, ExpansionMa
             for eid in ids[lo:hi]:
                 del expansions[eid]
     kept = tuple(e for e in g.edges if e.id in expansions)
-    work = MultiGraph(g.vertex_count, kept + tuple(merged))
-    return work, ExpansionMap(
+    return ExpansionMap(
         original=g,
-        kernel=work,
+        kernel=MultiGraph(g.vertex_count, kept + tuple(merged)),
         expansions=expansions,
-        vertex_to_original={v: v for v in work.vertices()},
+        vertex_to_original={v: v for v in g.vertices()},
     )
 
 
@@ -185,11 +184,21 @@ def packing_shortcut(
     """Try to certify k disjoint cycles in the optimal cover's multigraph:
     a 2-cycle on each of the first k duplicated join edges, then greedy on
     what remains, then greedy on the degree-stripped core of g.  Fires at
-    the single-walk optimum whenever k cycles are found."""
+    the single-walk optimum whenever k cycles are found.
+
+    Returns None before any cycle work when k exceeds the cover's
+    cycle_rank_bound (copies |E(g)| + |join| on the vertices of g that
+    have an edge).  The guard is exact: the join 2-cycles, the greedy
+    cycles of the residual and the stripped-core cycles of g are all
+    edge-disjoint cycles of the cover, which is connected, so above that
+    bound none of the steps can find k of them."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if cpp is None:
         cpp = solve_cpp(g)
+    vertices = sum(1 for es in g.adjacency.values() if es)
+    if k > cycle_rank_bound(len(g.edges) + len(cpp.join), vertices):
+        return None
     m = cpp.multiplicities
     cycles: list[Cycle] = [_two_cycle(g.edge(eid)) for eid in sorted(cpp.join)[:k]]
     if len(cycles) == k:
@@ -292,8 +301,7 @@ def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
     sol = packing_shortcut(g, k, cpp=cpp)
     if sol is not None:
         return Solved(sol, cpp.weight)
-    _, em = apply_reduction_rule(g, k)
-    return Reduced(_compact(em), k, cpp.weight)
+    return Reduced(_compact(apply_reduction_rule(g, k)), k, cpp.weight)
 
 
 def kernel_report(g: MultiGraph, outcome: KernelOutcome) -> KernelReport:

@@ -27,7 +27,13 @@ import heapq
 from dataclasses import dataclass
 
 from .cpp import Multiplicities, _join, odd_vertices
-from .cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
+from .cycles import (
+    Cycle,
+    CyclePacking,
+    PackingSearch,
+    cycle_rank_bound,
+    greedy_cycle_packing,
+)
 from .graph import (
     Chain,
     GraphError,
@@ -196,8 +202,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         if s == j0:
             continue
         w, n = doubled(s)
-        copies = len(g.edges) + n
-        rank = min(copies // 2, copies - vertices + 1)  # bounds the cycles packed
+        rank = cycle_rank_bound(len(g.edges) + n, vertices)
         if base + w + 2 * mu * max(0, k - rank) >= best[0]:
             continue
         cand = evaluate(s, w)

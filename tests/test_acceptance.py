@@ -125,8 +125,8 @@ def test_criterion_3_reduction_rule_safety():
     checked = 0
     for g, k in _chain_inflated_instances():
         want = oracle_kcpp(g, k)
-        work, em = apply_reduction_rule(g, k)
-        lifted = lift_solution(em, solve_kcpp_exact(work, k))
+        em = apply_reduction_rule(g, k)
+        lifted = lift_solution(em, solve_kcpp_exact(em.kernel, k))
         verify_solution(g, k, lifted)
         assert lifted.total_weight == want, (g.edges, k)
         checked += 1

@@ -298,8 +298,9 @@ def test_usage_error_exits_one():
         (["oracle", "--cap", "4"], BOWTIE),
         (["cpp", "--k", "2"], BOWTIE),
         (["cpp", "--p", "3"], BOWTIE),
+        (["pack-cycles", "--p", "3"], BOWTIE),
     ],
-    ids=["solve", "gadget", "oracle", "cpp-k", "cpp-p"],
+    ids=["solve", "gadget", "oracle", "cpp-k", "cpp-p", "pack-cycles-p"],
 )
 def test_kernel_constant_flags_are_gone(tmp_path, argv, text):
     f = tmp_path / "instance"

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from kpostman.cpp import Multiplicities
+from kpostman.cpp import Multiplicities, solve_cpp
 from kpostman.cycles import (
     CyclePacking,
     PackingSearch,
     check_cycle,
     check_packing,
+    cycle_rank_bound,
     greedy_cycle_packing,
     shortest_cycle,
 )
@@ -233,6 +234,25 @@ def test_greedy_two_cycles_lie_in_a_maximum_packing():
         rest = m.without(CyclePacking(tuple(pairs)).edge_multiset())
         assert shortest_cycle(rest) is None or len(shortest_cycle(rest)) >= 3
         assert len(pairs) + _max_packing(rest)[0] == _max_packing(m)[0]
+
+
+def test_cycle_rank_bounds_every_packing():
+    # the packing shortcut and the kernel search skip what this bound rules
+    # out, so no maximum packing of a connected multigraph may exceed it
+    rng = random.Random(93)
+    cases = []
+    for g in random_small_graphs(seed=36, trials=60, max_n=6, max_m=9):
+        cases.append((g, {e.id: rng.randint(1, 3) for e in g.edges}))
+        cases.append((g, dict(solve_cpp(g).multiplicities.counts)))
+    tight = 0
+    for g, counts in cases:
+        copies = sum(counts.values())
+        vertices = sum(1 for es in g.adjacency.values() if es)
+        nu = PackingSearch(g).run(counts, copies)[0]
+        bound = cycle_rank_bound(copies, vertices)
+        assert nu <= bound, (g.edges, counts)
+        tight += nu == bound
+    assert tight > 0
 
 
 def test_removing_packing_preserves_even_degrees():

@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
+import kpostman.kernel as kernel
 from kpostman.cpp import solve_cpp
+from kpostman.cycles import cycle_rank_bound
 from kpostman.generators import (
     NAMED_BASES,
     cycle_graph,
@@ -133,6 +135,22 @@ def test_core_chain_cycles_answer_above_the_chain_cap():
     assert res.method == "packing" and res.weight == 80 == solve_cpp(g).weight
 
 
+def test_packing_shortcut_declines_above_the_cycle_rank(monkeypatch):
+    ring, bowtie = cycle_graph(50), named_graph("bowtie")
+    assert cycle_rank_bound(6, 5) == 2  # the unit bowtie: 6 edges, 5 vertices, no join
+
+    def refuse(*args):
+        raise AssertionError("cycle work ran above the cycle rank")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "greedy_cycle_packing", refuse)
+        patched.setattr(kernel, "split_into_k_walks", refuse)
+        assert packing_shortcut(ring, 2) is None
+        assert packing_shortcut(bowtie, 3) is None
+    sol = packing_shortcut(bowtie, 2)
+    assert sol is not None and verify_solution(bowtie, 2, sol) == 6
+
+
 def test_packing_triangle_k2_none():
     assert packing_shortcut(named_graph("triangle"), 2) is None
 
@@ -147,7 +165,8 @@ def test_packing_k4_k3():
 
 def test_reduction_dumbbell_chain_shrinks():
     g = dumbbell([1] * 6)  # 5 internal chain vertices
-    work, em = apply_reduction_rule(g, 3)
+    em = apply_reduction_rule(g, 3)
+    work = em.kernel
     em.validate()
     chains = [c for c in find_chains(work) if c.u != c.v]
     assert all(len(c.internal) <= 3 for c in chains)
@@ -156,14 +175,15 @@ def test_reduction_dumbbell_chain_shrinks():
 
 def test_reduction_triangle_unchanged():
     g = named_graph("triangle")
-    work, em = apply_reduction_rule(g, 1)
-    assert work.edges == g.edges
+    em = apply_reduction_rule(g, 1)
+    assert em.kernel.edges == g.edges
     em.validate()
 
 
 def test_reduction_bare_cycle_keeps_zero_minimum():
     g = cycle_graph(10, [1] * 9 + [0])
-    work, em = apply_reduction_rule(g, 2)
+    em = apply_reduction_rule(g, 2)
+    work = em.kernel
     em.validate()
     assert work.min_weight() == 0
     active = sum(1 for v in work.vertices() if work.degree(v) > 0)
@@ -173,7 +193,8 @@ def test_reduction_bare_cycle_keeps_zero_minimum():
 def test_reduction_blocked_interior_uses_end_position():
     # unique minimum sits on the only interior pair; an end position is safe
     g = dumbbell([5, 1, 5, 5])
-    work, em = apply_reduction_rule(g, 2)
+    em = apply_reduction_rule(g, 2)
+    work = em.kernel
     em.validate()
     assert work.min_weight() == 1
     chains = [c for c in find_chains(work) if c.u != c.v]
@@ -186,9 +207,9 @@ def test_reduction_min_weight_invariant_random():
         seg = {e.id: [rng.randint(0, 2) for _ in range(rng.randint(1, 3))] for e in core.edges}
         g = inflate_chains(core, seg)
         for k in (1, 2, 3):
-            work, em = apply_reduction_rule(g, k)
+            em = apply_reduction_rule(g, k)
             em.validate()
-            assert work.min_weight() == g.min_weight()
+            assert em.kernel.min_weight() == g.min_weight()
 
 
 def _reduction_bases():
@@ -209,7 +230,8 @@ def test_reduction_one_pass_bounds():
         active = sum(1 for v in g.vertices() if g.degree(v) > 0)
         e_min = g.min_weight_edge()
         for k in (1, 2, 3, 4):
-            work, em = apply_reduction_rule(g, k)
+            em = apply_reduction_rule(g, k)
+            work = em.kernel
             em.validate()
             assert work.min_weight() == g.min_weight()
             assert work.edge(e_min.id) == e_min
@@ -242,8 +264,8 @@ def test_reduction_safety_against_oracle():
         if len(g.edges) > 8:
             continue
         k = rng.randint(1, 3)
-        work, em = apply_reduction_rule(g, k)
-        lifted = lift_solution(em, solve_kcpp_exact(work, k))
+        em = apply_reduction_rule(g, k)
+        lifted = lift_solution(em, solve_kcpp_exact(em.kernel, k))
         verify_solution(g, k, lifted)
         assert lifted.total_weight == oracle_kcpp(g, k)
         checked += 1
@@ -361,14 +383,15 @@ def test_kernelize_solved_weight_equals_cpp_weight_when_shortcut_fires():
 
 def test_lift_identity_expansion():
     g = named_graph("triangle")
-    work, em = apply_reduction_rule(g, 2)
-    sol = solve_kcpp_exact(work, 2)
+    em = apply_reduction_rule(g, 2)
+    sol = solve_kcpp_exact(em.kernel, 2)
     assert lift_solution(em, sol) == sol
 
 
 def test_lift_expands_merged_chain():
     g = MultiGraph.from_edges(4, [(1, 2, 2), (2, 3, 3), (3, 4, 2), (4, 1, 2)])
-    work, em = apply_reduction_rule(g, 1)
+    em = apply_reduction_rule(g, 1)
+    work = em.kernel
     assert len(work.edges) < len(g.edges)
     sol = solve_kcpp_exact(work, 1)
     lifted = lift_solution(em, sol)
@@ -379,8 +402,8 @@ def test_lift_expands_merged_chain():
 def test_lift_double_crossing_counts_weight_twice():
     # a path kernelizes to a single merged edge; its walk crosses twice
     g2 = MultiGraph.from_edges(4, [(1, 2, 2), (2, 3, 3), (3, 4, 2)])
-    work2, em2 = apply_reduction_rule(g2, 1)
-    sol = solve_kcpp_exact(work2, 1)
+    em2 = apply_reduction_rule(g2, 1)
+    sol = solve_kcpp_exact(em2.kernel, 1)
     lifted = lift_solution(em2, sol)
     verify_solution(g2, 1, lifted)
     assert lifted.total_weight == 2 * g2.total_weight()
