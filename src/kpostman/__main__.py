@@ -1,0 +1,8 @@
+"""``python -m kpostman``: the command-line front-end of kpostman.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -331,24 +331,25 @@ def verify_solution(g: MultiGraph, k: int, s: Solution) -> int:
     """
     if len(s.walks) != k:
         raise VerificationError(f"expected {k} walks, got {len(s.walks)}")
+    edge_by_id = g.edge_by_id
     covered: set[int] = set()
     weight = 0
     for wi, walk in enumerate(s.walks):
-        if not walk.steps:
+        steps = walk.steps
+        if not steps:
             raise VerificationError(f"walk {wi} is empty")
-        r = len(walk.steps)
-        for i, (v, eid) in enumerate(walk.steps):
-            e = g.edge_by_id.get(eid)
+        # step i arrives at the vertex of step i + 1, the last step at step 0's
+        for i, ((v, eid), (nxt, _)) in enumerate(zip(steps, steps[1:] + steps[:1])):
+            e = edge_by_id.get(eid)
             if e is None:
                 raise VerificationError(f"walk {wi} step {i}: no edge with id {eid}")
-            nxt = walk.steps[(i + 1) % r][0]
-            if v not in (e.u, e.v) or nxt != e.other(v):
+            if not (v == e.u and nxt == e.v or v == e.v and nxt == e.u):
                 raise VerificationError(
                     f"walk {wi} step {i}: edge {eid} does not join {v} to {nxt}"
                 )
             covered.add(eid)
             weight += e.weight
-    missing = set(g.edge_by_id) - covered
+    missing = set(edge_by_id) - covered
     if missing:
         raise VerificationError(f"uncovered edges: {sorted(missing)}")
     if weight != s.total_weight:
@@ -366,35 +367,53 @@ def ascii_text(text: str | bytes) -> str:
     return text
 
 
+def _record(
+    lineno: int, raw: str, tok: list[str], tags: tuple[str, ...], fmt: str | None, signs: bool
+) -> tuple[str, list[int]] | None:
+    """(tag, integer fields) of line `lineno`, the ASCII text `raw` split
+    into tok; None for a blank line or one whose first token starts with
+    ``#``.
+
+    This is the one per-line check of every record reader, so each of its
+    messages is written once.  A ``p`` header must name `fmt` as its first
+    field, which is dropped.  Unknown tags and fields other than
+    ``-?[0-9]+`` raise ParseError.  `signs` says whether the whole text
+    holds a ``+`` or ``_``; only then is the line scanned for them.
+    """
+    if not tok or tok[0].startswith("#"):
+        return None
+    tag, fields = tok[0], tok[1:]
+    if tag not in tags:
+        raise ParseError(f"line {lineno}: unknown record tag {tag!r}")
+    if tag == "p":
+        if fields[:1] != [fmt]:
+            raise ParseError(f"line {lineno}: malformed header {raw.strip()!r}")
+        fields = fields[1:]
+    # on ASCII tokens int() takes -?[0-9]+ and also a '+' sign and '_' separators
+    if signs and ("+" in raw or "_" in raw):
+        raise ParseError(f"line {lineno}: '+' or '_' in {raw.strip()!r}")
+    try:
+        values = [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer field in {raw.strip()!r}") from None
+    return tag, values
+
+
 def _records(
     text: str | bytes, tags: tuple[str, ...], fmt: str | None = None
 ) -> Iterator[tuple[int, str, list[int]]]:
     """Yield (line number, tag, integer fields) for each record line.
 
-    The text must be ASCII; blank lines and lines starting with ``#`` are
-    skipped.  A ``p`` header must name `fmt` as its first field, which is
-    not yielded.  Unknown tags and fields other than ``-?[0-9]+`` raise
-    ParseError.
+    The text must be ASCII.  Each line goes through _record, which skips
+    blank and comment lines and raises ParseError on the rest of the
+    per-line faults.
     """
-    for lineno, raw in enumerate(ascii_text(text).splitlines(), start=1):
-        tok = raw.split()
-        if not tok or tok[0].startswith("#"):
-            continue
-        tag, fields = tok[0], tok[1:]
-        if tag not in tags:
-            raise ParseError(f"line {lineno}: unknown record tag {tag!r}")
-        if tag == "p":
-            if fields[:1] != [fmt]:
-                raise ParseError(f"line {lineno}: malformed header {raw.strip()!r}")
-            fields = fields[1:]
-        # on ASCII tokens int() takes -?[0-9]+ and also a '+' sign and '_' separators
-        if "+" in raw or "_" in raw:
-            raise ParseError(f"line {lineno}: '+' or '_' in {raw.strip()!r}")
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer field in {raw.strip()!r}") from None
-        yield lineno, tag, values
+    text = ascii_text(text)
+    signs = "+" in text or "_" in text
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        rec = _record(lineno, raw, raw.split(), tags, fmt, signs)
+        if rec is not None:
+            yield lineno, *rec
 
 
 def read_triples(
@@ -406,29 +425,51 @@ def read_triples(
 
     n and m must be nonnegative, k at least 1 and any further header value
     nonnegative.  Returns the header values and the (a, b, w) triples.
+
+    A plain record after the header, four tokens in a text without ``+``
+    or ``_``, is converted and checked here.  Every other line, and a
+    plain record with a non-integer field, goes to the per-line check
+    _record that the solution reader shares, so each message and the line
+    it names are those of reading every line through _record.
     """
+    text = ascii_text(text)
+    signs = "+" in text or "_" in text
+    tags = ("p", tag)
     header: list[int] | None = None
+    n = 0
     triples: list[tuple[int, int, int]] = []
-    for lineno, t, values in _records(text, ("p", tag), fmt):
-        if t == "p":
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(values) not in header_sizes:
-                raise ParseError(f"line {lineno}: malformed header")
-            if values[2] < 1 or any(x < 0 for x in values):
-                raise ParseError(f"line {lineno}: header values out of range")
-            header = values
-            continue
-        if header is None:
-            raise ParseError(f"line {lineno}: record before header")
-        if len(values) != 3:
-            raise ParseError(f"line {lineno}: malformed record, expected 3 fields")
-        a, b, w = values
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split()
+        if header is not None and not signs and len(tok) == 4 and tok[0] == tag:
+            try:
+                a, b, w = int(tok[1]), int(tok[2]), int(tok[3])
+            except ValueError:
+                _record(lineno, raw, tok, tags, fmt, signs)  # raises: a field is no integer
+                raise
+        else:
+            rec = _record(lineno, raw, tok, tags, fmt, signs)
+            if rec is None:
+                continue
+            t, values = rec
+            if t == "p":
+                if header is not None:
+                    raise ParseError(f"line {lineno}: duplicate header")
+                if len(values) not in header_sizes:
+                    raise ParseError(f"line {lineno}: malformed header")
+                if values[2] < 1 or any(x < 0 for x in values):
+                    raise ParseError(f"line {lineno}: header values out of range")
+                header, n = values, values[0]
+                continue
+            if header is None:
+                raise ParseError(f"line {lineno}: record before header")
+            if len(values) != 3:
+                raise ParseError(f"line {lineno}: malformed record, expected 3 fields")
+            a, b, w = values
         if a == b:
             raise ParseError(f"line {lineno}: loop {a}-{b}")
         if w < 0:
             raise ParseError(f"line {lineno}: negative weight {w}")
-        if not (1 <= a <= header[0] and 1 <= b <= header[0]):
+        if not (1 <= a <= n and 1 <= b <= n):
             raise ParseError(f"line {lineno}: vertex index out of range")
         triples.append((a, b, w))
     if header is None:
@@ -483,11 +524,9 @@ def serialize_solution(s: Solution) -> str:
     """Solution format: ``s <total_weight> <k>`` then one ``w`` line per walk."""
     lines = [f"s {s.total_weight} {len(s.walks)}"]
     for walk in s.walks:
-        flat: list[int] = []
-        for v, e in walk.steps:
-            flat.extend((v, e))
-        flat.append(walk.steps[0][0])
-        lines.append("w " + " ".join(str(x) for x in ([len(walk.steps)] + flat)))
+        steps = walk.steps
+        body = " ".join([f"{v} {e}" for v, e in steps])
+        lines.append(f"w {len(steps)} {body} {steps[0][0]}")
     return "\n".join(lines) + "\n"
 
 
@@ -515,8 +554,8 @@ def parse_solution(text: str | bytes) -> Solution:
                 raise ParseError(f"line {lineno}: walk needs >= 1 step and 2*count+1 tokens")
             if body[0] != body[-1]:
                 raise ParseError(f"line {lineno}: walk does not close on its start vertex")
-            steps = tuple((body[2 * i], body[2 * i + 1]) for i in range(count))
-            walks.append(Walk(steps))
+            pairs = iter(body)  # zip takes (v, e) pairs and leaves the closing vertex
+            walks.append(Walk(tuple(zip(pairs, pairs))))
     if total is None or k is None:
         raise ParseError("missing solution header")
     if len(walks) != k:

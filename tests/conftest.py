@@ -4,7 +4,9 @@ The oracles here enumerate raw search spaces and never call the code paths
 they are used to check.  The one exception is reference_greedy_packing: it
 is the greedy packing as a plain loop over the public shortest_cycle (itself
 checked against enumeration), so it checks the one-pass bookkeeping of
-greedy_cycle_packing, not its girth search.
+greedy_cycle_packing, not its girth search.  The record readers
+reference_read_triples and reference_parse_solution are the library's
+earlier readers, kept as they were.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import combinations, product
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -21,7 +24,14 @@ from kpostman.cpp import Multiplicities
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, shortest_cycle
 from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
-from kpostman.graph import MultiGraph, chain_decomposition
+from kpostman.graph import (
+    MultiGraph,
+    ParseError,
+    Solution,
+    Walk,
+    ascii_text,
+    chain_decomposition,
+)
 
 __all__ = [
     "named_graph",
@@ -38,6 +48,8 @@ __all__ = [
     "min_cycle_key",
     "max_disjoint_from_list",
     "reference_greedy_packing",
+    "reference_read_triples",
+    "reference_parse_solution",
     "random_small_graphs",
     "record_texts",
 ]
@@ -314,7 +326,10 @@ def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):
         yield random_connected_graph(rng, n, m, max_weight=max_w)
 
 
-_TOKENS = ["p", "kcpp", "dkcpp", "e", "a", "s", "w", "#", "0", "1", "2", "3", "-1", "x", "1.5", "\u0661", "9" * 30]
+_TOKENS = [
+    *("p", "kcpp", "dkcpp", "e", "a", "s", "w", "#"),
+    *("0", "1", "2", "3", "-1", "x", "1.5", "+1", "1_0", "\u0661", "9" * 30),
+]
 
 
 @st.composite
@@ -337,9 +352,121 @@ def _matched_texts(draw) -> str:
     return "\n".join(lines)
 
 
+_token_lines = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=7).map(" ".join)
+_plain_fields = st.sampled_from(["-1", "0", "1", "2", "3", "+1", "1_0", "x"])
+_plain_records = st.tuples(st.sampled_from(["e", "a"]), *[_plain_fields] * 3).map(" ".join)
+
+
+@st.composite
+def _edited_texts(draw) -> str:
+    """A matched text with one line of record-like tokens or one edge or
+    arc record of four tokens put in, so that faults also come before the
+    header, after it and among valid records."""
+    lines = draw(_matched_texts()).split("\n")
+    at = draw(st.integers(0, len(lines)))
+    return "\n".join(lines[:at] + [draw(st.one_of(_token_lines, _plain_records))] + lines[at:])
+
+
 def record_texts():
     """Arbitrary text, lines of record-like tokens that get past the first
-    checks of the instance and solution parsers, and texts whose records
-    match their header, so that valid values come up too."""
-    line = st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=7).map(" ".join)
-    return st.one_of(st.text(), st.lists(line, max_size=8).map("\n".join), _matched_texts())
+    checks of the instance and solution parsers, texts whose records match
+    their header, so that valid values come up too, and such texts with
+    one line of tokens put in."""
+    lines = st.lists(_token_lines, max_size=8).map("\n".join)
+    return st.one_of(st.text(), lines, _matched_texts(), _edited_texts())
+
+
+def _reference_records(
+    text: str | bytes, tags: tuple[str, ...], fmt: str | None = None
+) -> Iterator[tuple[int, str, list[int]]]:
+    """The earlier graph._records, kept as the reference: every line is
+    split, checked for its tag, header format, '+' or '_' and integer
+    fields in this order, and yielded."""
+    for lineno, raw in enumerate(ascii_text(text).splitlines(), start=1):
+        tok = raw.split()
+        if not tok or tok[0].startswith("#"):
+            continue
+        tag, fields = tok[0], tok[1:]
+        if tag not in tags:
+            raise ParseError(f"line {lineno}: unknown record tag {tag!r}")
+        if tag == "p":
+            if fields[:1] != [fmt]:
+                raise ParseError(f"line {lineno}: malformed header {raw.strip()!r}")
+            fields = fields[1:]
+        if "+" in raw or "_" in raw:
+            raise ParseError(f"line {lineno}: '+' or '_' in {raw.strip()!r}")
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer field in {raw.strip()!r}") from None
+        yield lineno, tag, values
+
+
+def reference_read_triples(
+    text: str | bytes, fmt: str, tag: str, header_sizes: tuple[int, ...]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The earlier graph.read_triples, kept as the reference: each record
+    from _reference_records, then the header and triple checks."""
+    header: list[int] | None = None
+    triples: list[tuple[int, int, int]] = []
+    for lineno, t, values in _reference_records(text, ("p", tag), fmt):
+        if t == "p":
+            if header is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(values) not in header_sizes:
+                raise ParseError(f"line {lineno}: malformed header")
+            if values[2] < 1 or any(x < 0 for x in values):
+                raise ParseError(f"line {lineno}: header values out of range")
+            header = values
+            continue
+        if header is None:
+            raise ParseError(f"line {lineno}: record before header")
+        if len(values) != 3:
+            raise ParseError(f"line {lineno}: malformed record, expected 3 fields")
+        a, b, w = values
+        if a == b:
+            raise ParseError(f"line {lineno}: loop {a}-{b}")
+        if w < 0:
+            raise ParseError(f"line {lineno}: negative weight {w}")
+        if not (1 <= a <= header[0] and 1 <= b <= header[0]):
+            raise ParseError(f"line {lineno}: vertex index out of range")
+        triples.append((a, b, w))
+    if header is None:
+        raise ParseError("missing header")
+    if len(triples) != header[1]:
+        raise ParseError(f"header declares m={header[1]} but found {len(triples)} records")
+    return header, triples
+
+
+def reference_parse_solution(text: str | bytes) -> Solution:
+    """The earlier graph.parse_solution, kept as the reference: records
+    from _reference_records, and each walk's steps taken by index."""
+    total: int | None = None
+    k: int | None = None
+    walks: list[Walk] = []
+    for lineno, tag, numbers in _reference_records(text, ("s", "w")):
+        if tag == "s":
+            if total is not None:
+                raise ParseError(f"line {lineno}: duplicate solution header")
+            if len(numbers) != 2:
+                raise ParseError(f"line {lineno}: malformed solution header")
+            total, k = numbers
+            if total < 0 or k < 1:
+                raise ParseError(f"line {lineno}: solution header values out of range")
+        else:
+            if total is None:
+                raise ParseError(f"line {lineno}: walk before solution header")
+            if not numbers:
+                raise ParseError(f"line {lineno}: walk record without a step count")
+            count, body = numbers[0], numbers[1:]
+            if count < 1 or len(body) != 2 * count + 1:
+                raise ParseError(f"line {lineno}: walk needs >= 1 step and 2*count+1 tokens")
+            if body[0] != body[-1]:
+                raise ParseError(f"line {lineno}: walk does not close on its start vertex")
+            steps = tuple((body[2 * i], body[2 * i + 1]) for i in range(count))
+            walks.append(Walk(steps))
+    if total is None or k is None:
+        raise ParseError("missing solution header")
+    if len(walks) != k:
+        raise ParseError(f"solution header declares {k} walks, found {len(walks)}")
+    return Solution(tuple(walks), total)

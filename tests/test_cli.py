@@ -319,3 +319,12 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p kcpp")
+
+
+def test_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(kpostman.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kpostman", "gen", "theta"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("p kcpp")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpostman.generators import cycle_graph
@@ -21,12 +23,13 @@ from kpostman.graph import (
     is_connected,
     parse_instance,
     parse_solution,
+    read_triples,
     serialize_instance,
     serialize_solution,
     verify_solution,
 )
 
-from conftest import named_graph, record_texts
+from conftest import named_graph, record_texts, reference_parse_solution, reference_read_triples
 
 TRIANGLE_TEXT = "p kcpp 3 3 1\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
 
@@ -207,38 +210,47 @@ def test_verify_edge_used_twice():
 def test_verify_rejects_empty_walk():
     g = named_graph("triangle")
     walks = (Walk(((1, 1), (2, 2), (3, 3))), Walk(()))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="^walk 1 is empty$"):
         verify_solution(g, 2, Solution(walks, 3))
 
 
 def test_verify_rejects_wrong_walk_count():
     g = named_graph("triangle")
     walk = Walk(((1, 1), (2, 2), (3, 3)))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="^expected 2 walks, got 1$"):
         verify_solution(g, 2, Solution((walk,), 3))
 
 
 def test_verify_rejects_uncovered_edge():
     g = named_graph("path2")
     walk = Walk(((1, 1), (2, 1)))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match=re.escape("uncovered edges: [2]")):
         verify_solution(g, 1, Solution((walk,), 2))
 
 
 def test_verify_rejects_broken_adjacency():
     g = named_graph("path2")
-    for walk in (
-        Walk(((1, 1), (3, 2))),  # step 1 claims to leave vertex 3 along edge 2->ok, but 1->3 via edge 1 is wrong
-        Walk(((1, 1), (2, 9))),  # no edge with id 9
+    for walk, message in (
+        # step 1 leaves vertex 3 along edge 2, but step 0 cannot reach 3 from 1 along edge 1
+        (Walk(((1, 1), (3, 2))), "walk 0 step 0: edge 1 does not join 1 to 3"),
+        (Walk(((1, 1), (2, 9))), "walk 0 step 1: no edge with id 9"),
     ):
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match=f"^{message}$"):
             verify_solution(g, 1, Solution((walk,), 2))
+
+
+def test_verify_rejects_broken_last_step():
+    # the last step arrives at step 0's vertex: edge 2 leads from 3 back to 2, not to 1
+    g = named_graph("triangle")
+    walks = (Walk(((1, 1), (2, 2), (3, 3))), Walk(((1, 1), (2, 2), (3, 2))))
+    with pytest.raises(VerificationError, match="^walk 1 step 2: edge 2 does not join 3 to 1$"):
+        verify_solution(g, 2, Solution(walks, 6))
 
 
 def test_verify_rejects_weight_mismatch():
     g = named_graph("triangle")
     walk = Walk(((1, 1), (2, 2), (3, 3)))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="^stated weight 4 != recomputed 3$"):
         verify_solution(g, 1, Solution((walk,), 4))
 
 
@@ -299,3 +311,30 @@ def test_parse_solution_fuzz_value_or_parse_error(text):
     except ParseError:
         return
     assert parse_solution(serialize_solution(sol)) == sol
+
+
+def _outcome(read, *args):
+    """The value read returns, or the message of the ParseError it raises."""
+    try:
+        return "value", read(*args)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_texts())
+@example("e 1 2 1\np kcpp 2 1 1\n")  # a plain record before the header
+@example("p kcpp 3 2 1\ne 1 2 1\ne 2 3 1_0\n")  # '_' but no '+' in the text
+@example("p kcpp 3 2 1\ne 1 2 +1\ne 2 3 1\n")
+@example("p kcpp 3 2 1\n# a comment with + and _\ne 1 2 1\ne 3 3 1\n")
+def test_read_triples_matches_reference(text):
+    for layout in (("kcpp", "e", (3, 4)), ("dkcpp", "a", (3,))):
+        assert _outcome(read_triples, text, *layout) == _outcome(reference_read_triples, text, *layout)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_texts())
+@example("s 2 1\nw 1 1 1_0 1\n")
+@example("# + \ns 2 1\nw 1 1 +1 1\n")
+def test_parse_solution_matches_reference(text):
+    assert _outcome(parse_solution, text) == _outcome(reference_parse_solution, text)
