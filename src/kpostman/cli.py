@@ -116,6 +116,8 @@ def _cmd_kernelize(args) -> int:
 def _cmd_pack_cycles(args) -> int:
     inst = _instance_from(args)
     packing = greedy_cycle_packing(Multiplicities.uniform(inst.graph), inst.k)
+    if not packing.cycles:  # the solution format needs k >= 1 walks
+        raise GraphError("graph has no cycle")
     walks = tuple(
         Walk(tuple((c.vertices[i], c.edges[i]) for i in range(len(c.edges))))
         for c in packing.cycles

@@ -9,7 +9,9 @@ over whole chains keyed on (weight, hops), with paths that tie on both
 taken in heap order, the terminals are paired by a minimum-weight perfect
 matching over those distances (Edmonds' blossom algorithm, as in
 Edmonds-Johnson 1973), and the join is the symmetric difference of the
-chains on the paired paths.
+chains on the paired paths.  _join_chains returns it as chain indices, so
+the kernel search reads it off its own chain cut; _join expands it to
+edge ids.
 """
 
 from __future__ import annotations
@@ -78,18 +80,6 @@ def odd_vertices(g: MultiGraph) -> frozenset[int]:
     return frozenset(v for v in g.vertices() if g.degree(v) % 2 == 1)
 
 
-def _tree_path(chains: list[Chain], pred: dict[int, tuple[int, int]], y: int) -> list[int]:
-    """Edge ids, in order, of the tree path from the source to anchor y."""
-    hops = []
-    while y in pred:
-        ci, y = pred[y]
-        hops.append((ci, y))
-    ids: list[int] = []
-    for ci, x in reversed(hops):
-        ids.extend(chains[ci].walk_from(x)[1])
-    return ids
-
-
 def _anchor_paths(
     chains: list[Chain], incident: dict[int, list[int]], source: int, targets: set[int]
 ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
@@ -145,19 +135,31 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
 
 def _join(g: MultiGraph, terminals: list[int]) -> frozenset[int]:
     """min_weight_join for sorted, distinct, in-range terminals of even
-    count on a connected g.
-
-    A shortest path between anchors enters a chain only to traverse all of
-    it, so the search runs over the chains cut at the anchors and at every
-    terminal; loop chains never lie on a shortest path and are dropped.
-    """
+    count on a connected g: _join_chains over g cut at the anchors and at
+    every terminal, expanded to edge ids."""
     if not terminals:
         return frozenset()
-    chains = [c for c in chain_decomposition(g, cuts=terminals) if c.u != c.v]
+    chains = chain_decomposition(g, cuts=terminals)
+    return frozenset(eid for i in _join_chains(chains, terminals) for eid in chains[i].edges)
+
+
+def _join_chains(chains: list[Chain], terminals: list[int]) -> set[int]:
+    """Indices into chains of a minimum join over the sorted, distinct
+    terminals, which must all be anchors of the cut.
+
+    A shortest path between anchors enters a chain only to traverse all of
+    it, so the search runs over whole chains; loop chains and rings never
+    lie on a shortest path and are skipped.  The join is the symmetric
+    difference of the chains on the matched paths.  Raises if two
+    terminals have no path between them.
+    """
+    if not terminals:
+        return set()
     incident: dict[int, list[int]] = {v: [] for v in terminals}
     for ci, c in enumerate(chains):
-        incident.setdefault(c.u, []).append(ci)
-        incident.setdefault(c.v, []).append(ci)
+        if c.u != c.v:
+            incident.setdefault(c.u, []).append(ci)
+            incident.setdefault(c.v, []).append(ci)
     n = len(terminals)
     dist = [[0] * n for _ in range(n)]
     trees: list[dict[int, tuple[int, int]]] = []
@@ -171,8 +173,11 @@ def _join(g: MultiGraph, terminals: list[int]) -> frozenset[int]:
     join: set[int] = set()
     for i, j in enumerate(min_weight_perfect_matching(dist)):
         if i < j:
-            join ^= set(_tree_path(chains, trees[i], terminals[j]))
-    return frozenset(join)
+            pred, y = trees[i], terminals[j]
+            while y in pred:
+                ci, y = pred[y]
+                join ^= {ci}
+    return join
 
 
 def solve_cpp(g: MultiGraph) -> CppSolution:

@@ -18,7 +18,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Mapping, Protocol
+from typing import Collection, Iterable, Mapping, Protocol
 
 from .cpp import Multiplicities, _read_counts
 from .graph import (
@@ -160,19 +160,11 @@ def _girth(core: Mapping[int, Collection[Edge]]) -> Cycle | None:
 
         def up(v: int):  # tree chains from v up to the root
             while v != root:
-                yield pred[v]
                 c = open_chains[pred[v]]
+                yield c
                 v = c.u if c.v == v else c.v
 
-        verts: list[int] = []
-        ids: list[int] = []
-        cur = root
-        for j in [*reversed(list(up(x))), i, *up(y)]:
-            vs, es = open_chains[j].walk_from(cur)
-            verts.extend(vs[:-1])
-            ids.extend(es)
-            cur = vs[-1]
-        return Cycle(tuple(verts), tuple(ids))
+        return _chain_cycle(root, [*reversed(list(up(x))), open_chains[i], *up(y)])
 
     for root in sorted(incident):
         dist = {root: (0, 0)}
@@ -203,6 +195,24 @@ def _girth(core: Mapping[int, Collection[Edge]]) -> Cycle | None:
                     branch[y] = i if x == root else branch[x]
                     heapq.heappush(heap, (cand, y))
     return best
+
+
+def _chain_cycle(start: int, chains: Iterable[Chain]) -> Cycle:
+    """The cycle that runs from start through each chain in turn, entering
+    each at the end where the one before it left off; the last must end at
+    start."""
+    verts: list[int] = []
+    ids: list[int] = []
+    for c in chains:
+        if c.u == start:
+            verts.extend(c.vertices[:-1])
+            ids.extend(c.edges)
+            start = c.v
+        else:
+            verts.extend(c.vertices[:0:-1])
+            ids.extend(c.edges[::-1])
+            start = c.u
+    return Cycle(tuple(verts), tuple(ids))
 
 
 def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:

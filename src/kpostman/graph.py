@@ -195,12 +195,6 @@ class Chain(NamedTuple):
     def internal(self) -> tuple[int, ...]:
         return self.vertices[1:-1]
 
-    def walk_from(self, vertex: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(vertices, edges) in traversal order from end `vertex` to the other."""
-        if vertex == self.vertices[0]:
-            return self.vertices, self.edges
-        return self.vertices[::-1], self.edges[::-1]
-
 
 def _core(edges: Iterable[Edge]) -> dict[int, dict[Edge, None]]:
     """Incidence map of the 2-core of the graph on edges: the incident

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .cpp import CppSolution, Multiplicities, solve_cpp
-from .cycles import Cycle, CyclePacking, cycle_rank_bound, greedy_cycle_packing
+from .cycles import Cycle, CyclePacking, _chain_cycle, cycle_rank_bound, greedy_cycle_packing
 from .graph import (
     Chain,
     Edge,
@@ -25,7 +25,6 @@ from .graph import (
     _core,
     chain_decomposition,
     degree_classes,
-    is_connected,
     verify_solution,
 )
 from .walks import split_into_k_walks
@@ -92,12 +91,11 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
     The minimum-weight edge g.min_weight_edge() always stays a segment of
     its own, so the minimum edge weight is unchanged.  When it lies strictly
     inside a chain and k = 1, that chain keeps 2 internal vertices.
-    Bypassed vertices stay as isolated indices.
+    Bypassed vertices stay as isolated indices.  The rule works chain by
+    chain and does not check connectivity; kernelize has checked g.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
     min_id = g.min_weight_edge().id if g.edges else None
     next_id = g.max_edge_id() + 1
     expansions: dict[int, tuple[int, ...]] = {e.id: (e.id,) for e in g.edges}
@@ -168,13 +166,7 @@ def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
         tuple(Edge(i, c.u, c.v, c.weight) for i, c in enumerate(open_chains, start=1)),
     )
     for cyc in greedy_cycle_packing(Multiplicities.uniform(core), k - len(out)).cycles:
-        verts: list[int] = []
-        ids: list[int] = []
-        for frm, eid in zip(cyc.vertices, cyc.edges):
-            vs, es = open_chains[eid - 1].walk_from(frm)
-            verts.extend(vs[:-1])
-            ids.extend(es)
-        out.append(Cycle(tuple(verts), tuple(ids)))
+        out.append(_chain_cycle(cyc.vertices[0], [open_chains[eid - 1] for eid in cyc.edges]))
     return out
 
 
@@ -225,11 +217,8 @@ def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
         group = groups[key]
         if len(group) < 2 * k:
             continue
-        cycles = []
-        for c1, c2 in zip(group[0 : 2 * k : 2], group[1 : 2 * k : 2]):
-            there, back = c1.walk_from(c1.u), c2.walk_from(c1.v)
-            cycles.append(Cycle(there[0][:-1] + back[0][:-1], there[1] + back[1]))
-        return CyclePacking(tuple(cycles))
+        pairs = zip(group[0 : 2 * k : 2], group[1 : 2 * k : 2])
+        return CyclePacking(tuple(_chain_cycle(key[0], pair) for pair in pairs))
     return None
 
 

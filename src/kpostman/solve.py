@@ -15,7 +15,9 @@ XOR the fundamental cycles of exactly one subset F of the cotree chains,
 and it contains F, so w(F) bounds its weight from below.  The CPP join,
 the lightest even set, is evaluated first as the incumbent; then the
 subsets F are drawn lazily from a heap in increasing w(F) until no later
-set can beat the incumbent.  A set is skipped without a packing when its
+set can beat the incumbent.  Every odd vertex is an anchor, so the CPP
+join is whole chains, and the search takes it as chain indices from the
+cut it has already made.  A set is skipped without a packing when its
 weight plus the pairs its cycle rank forces already reaches the incumbent.
 The oracle enumerates raw multiplicity vectors instead and knows nothing
 of either restriction.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .cpp import Multiplicities, _join, odd_vertices
+from .cpp import Multiplicities, _join_chains, odd_vertices
 from .cycles import (
     Cycle,
     CyclePacking,
@@ -120,14 +122,14 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     2-cycles leave.  The winner's packing, padded with 2-cycles on the
     minimum-weight edge, is split into the k walks.  Raises
     SearchBudgetExceeded on more than MAX_SEARCH_CHAINS chains or
-    MAX_SEARCH_SETS visited sets.
+    MAX_SEARCH_SETS visited sets.  Connectivity is not checked up front: on
+    a disconnected g the join raises when two odd vertices have no path,
+    and the walk split when the cover has more than one component.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if not g.edges:
         raise GraphError("graph has no edges")
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
     chains = sorted(chain_decomposition(g), key=lambda c: c.edges[0])
     if len(chains) > MAX_SEARCH_CHAINS:
         raise SearchBudgetExceeded(
@@ -170,13 +172,8 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         return base + w + 2 * mu * (k - len(cycles)), counts, cycles
 
     # every odd vertex of g is an anchor, so the CPP join is whole chains
-    chain_of = {eid: i for i, c in enumerate(chains) for eid in c.edges}
-    join = _join(g, sorted(odd_vertices(g)))
-    j0 = 0
-    for eid in join:
-        j0 |= 1 << chain_of[eid]
-    w0, n0 = doubled(j0)
-    assert n0 == len(join), "the CPP join splits a chain"
+    j0 = sum(1 << i for i in _join_chains(chains, sorted(odd_vertices(g))))
+    w0 = doubled(j0)[0]
     best = evaluate(j0, w0)
 
     start, cotree = _cycle_space(chains)

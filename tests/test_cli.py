@@ -37,6 +37,7 @@ from conftest import bouquet
 
 BOWTIE = "p kcpp 5 6 2 6\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 1\ne 4 5 1\ne 3 5 1\n"
 TRIANGLE = "p kcpp 3 3 2 4\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
+PATH3 = "p kcpp 3 2 2\ne 1 2 1\ne 2 3 1\n"
 PATH3D = "p dkcpp 3 2 1\na 1 2 1\na 2 3 1\n"
 
 
@@ -151,6 +152,27 @@ def test_pack_cycles(tmp_path):
     packed = parse_solution(out.read_text())
     assert len(packed.walks) == 2
     assert packed.total_weight == 6
+
+
+@pytest.mark.parametrize(
+    "text, refusals",
+    [(BOWTIE, {}), (PATH3, {"pack-cycles": "graph has no cycle"})],
+    ids=["bowtie", "path"],
+)
+@pytest.mark.parametrize("command", ["solve", "cpp", "kernelize", "pack-cycles", "oracle"])
+def test_solution_text_reads_back(command, text, refusals, tmp_path, capsys):
+    # kernelize solves both instances by the packing shortcut; a packing of
+    # zero cycles would be the header `s 0 0`, which parse_solution refuses
+    f = tmp_path / "in.kcpp"
+    f.write_text(text)
+    out = tmp_path / "out.txt"
+    rc = main([command, str(f), "-o", str(out)])
+    if command in refusals:
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: {refusals[command]}\n"
+        return
+    assert rc == 0
+    assert parse_solution(out.read_text()).walks
 
 
 def test_oracle_matches_solver(tmp_path, capsys):

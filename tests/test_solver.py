@@ -319,9 +319,17 @@ def test_entry_points_reject_disconnected(call):
 
 
 def test_exact_rejects_disconnected():
+    # the search checks no connectivity itself: odd vertices in two
+    # components have no join, and Eulerian components no k walks
     g = MultiGraph.from_edges(4, [(1, 2, 1), (3, 4, 1)])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^no path between odd vertices 1 and 3$"):
         solve_kcpp_exact(g, 1)
+    triangles = MultiGraph.from_edges(
+        6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1)]
+    )
+    for k in (1, 2):
+        with pytest.raises(GraphError, match="^multigraph must be connected$"):
+            solve_kcpp_exact(triangles, k)
 
 
 def test_solve_decision_yes_bowtie():
