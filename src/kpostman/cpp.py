@@ -2,26 +2,37 @@
 
 Duplicating a minimum-weight join over the odd-degree vertices makes the
 multigraph Eulerian; an Euler tour of the result is an optimal single closed
-walk covering every edge.  The join is computed exactly on the anchor
-graph: the graph is cut into degree-2 chains at its anchors (vertices of
-degree other than 2) and at the terminals, one Dijkstra per terminal runs
-over whole chains keyed on (weight, hops), with paths that tie on both
-taken in heap order, the terminals are paired by a minimum-weight perfect
-matching over those distances (Edmonds' blossom algorithm, as in
-Edmonds-Johnson 1973), and the join is the symmetric difference of the
-chains on the paired paths.  _join_chains returns it as chain indices, so
-the kernel search reads it off its own chain cut; _join expands it to
-edge ids.
+walk covering every edge.  solve_cpp reads everything it needs off the
+graph's cached cut into degree-2 chains at its anchors (vertices of degree
+other than 2): connectivity (a union-find over the chain ends, each ring a
+component of its own), the odd vertices (every odd vertex is an anchor, at
+which an odd number of chains end) and the join.  The join is computed
+exactly on the anchor graph: one Dijkstra per terminal runs over whole
+chains keyed on (weight, hops), with paths that tie on both taken in heap
+order, the terminals are paired by a minimum-weight perfect matching over
+those distances (Edmonds' blossom algorithm, as in Edmonds-Johnson 1973),
+and the join is the symmetric difference of the chains on the paired
+paths.  _join_chains returns it as chain indices, so solve_cpp and the
+kernel search read it off their own chain cut; min_weight_join, whose
+terminals need not be anchors, cuts at them too.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._matching import min_weight_perfect_matching
-from .graph import Chain, GraphError, MultiGraph, Walk, chain_decomposition, is_connected
+from .graph import (
+    Chain,
+    GraphError,
+    MultiGraph,
+    Walk,
+    _find,
+    chain_decomposition,
+    is_connected,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +62,11 @@ class Multiplicities:
         return self.counts.get(edge_id, 0)
 
     def weight(self) -> int:
-        return sum(self.base.edge(eid).weight * c for eid, c in self.counts.items() if c > 0)
+        by_id = self.base.edge_by_id
+        try:
+            return sum(by_id[eid].weight * c for eid, c in self.counts.items() if c > 0)
+        except KeyError as exc:
+            raise GraphError(f"no edge with id {exc.args[0]}") from None
 
     def copies(self) -> int:
         return sum(c for c in self.counts.values() if c > 0)
@@ -80,10 +95,37 @@ def odd_vertices(g: MultiGraph) -> frozenset[int]:
     return frozenset(v for v in g.vertices() if g.degree(v) % 2 == 1)
 
 
+def _odd_anchors(chains: Iterable[Chain]) -> list[int]:
+    """The odd vertices, ascending, of a graph cut into chains at (at
+    least) its anchors: every odd vertex is an anchor, and it is odd iff an
+    odd number of open chains end at it (a loop chain ends there twice, a
+    ring nowhere)."""
+    odd: set[int] = set()
+    for c in chains:
+        if c.u != c.v:
+            odd ^= {c.u, c.v}
+    return sorted(odd)
+
+
+def _connected(chains: Iterable[Chain]) -> bool:
+    """True iff the graph cut into chains has at most one component that
+    has an edge: a union-find over the chain ends, where a ring, whose ends
+    are its lowest vertex, is a component of its own."""
+    root: dict[int, int] = {}
+    unions = 0
+    for c in chains:
+        a, b = _find(root, c.u), _find(root, c.v)
+        if a != b:
+            root[a] = b
+            unions += 1
+    return len(root) - unions <= 1
+
+
 def _anchor_paths(
-    chains: list[Chain], incident: dict[int, list[int]], source: int, targets: set[int]
+    incident: dict[int, list[tuple[int, int, int, int]]], source: int, targets: set[int]
 ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-    """Dijkstra over the chains from source until every target is settled.
+    """Dijkstra over the chains from source until every target is settled;
+    incident lists (chain index, other end, weight, edge count) per anchor.
 
     Paths are keyed on (weight, hop count); paths that tie on both go by
     heap order.  Returns (weight, hops) per reached anchor and the
@@ -101,12 +143,10 @@ def _anchor_paths(
         settled.add(x)
         if x in targets:
             left -= 1
-        for ci in incident[x]:
-            c = chains[ci]
-            y = c.v if c.u == x else c.u
+        for ci, y, cw, ch in incident[x]:
             if y in settled:
                 continue
-            cand = (w + c.weight, h + len(c.edges))
+            cand = (w + cw, h + ch)
             old = dist.get(y)
             if old is None or cand < old:
                 dist[y] = cand
@@ -130,20 +170,13 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
         raise GraphError(f"odd-vertex set has odd size {len(terminals)}")
     if not is_connected(g):
         raise GraphError("graph must be connected")
-    return _join(g, terminals)
-
-
-def _join(g: MultiGraph, terminals: list[int]) -> frozenset[int]:
-    """min_weight_join for sorted, distinct, in-range terminals of even
-    count on a connected g: _join_chains over g cut at the anchors and at
-    every terminal, expanded to edge ids."""
     if not terminals:
         return frozenset()
     chains = chain_decomposition(g, cuts=terminals)
     return frozenset(eid for i in _join_chains(chains, terminals) for eid in chains[i].edges)
 
 
-def _join_chains(chains: list[Chain], terminals: list[int]) -> set[int]:
+def _join_chains(chains: Sequence[Chain], terminals: list[int]) -> set[int]:
     """Indices into chains of a minimum join over the sorted, distinct
     terminals, which must all be anchors of the cut.
 
@@ -155,16 +188,17 @@ def _join_chains(chains: list[Chain], terminals: list[int]) -> set[int]:
     """
     if not terminals:
         return set()
-    incident: dict[int, list[int]] = {v: [] for v in terminals}
-    for ci, c in enumerate(chains):
-        if c.u != c.v:
-            incident.setdefault(c.u, []).append(ci)
-            incident.setdefault(c.v, []).append(ci)
+    incident: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in terminals}
+    for ci, (verts, ids, weight, _) in enumerate(chains):
+        u, v = verts[0], verts[-1]
+        if u != v:
+            incident.setdefault(u, []).append((ci, v, weight, len(ids)))
+            incident.setdefault(v, []).append((ci, u, weight, len(ids)))
     n = len(terminals)
     dist = [[0] * n for _ in range(n)]
     trees: list[dict[int, tuple[int, int]]] = []
     for i, s in enumerate(terminals[:-1]):
-        reached, pred = _anchor_paths(chains, incident, s, set(terminals[i + 1 :]))
+        reached, pred = _anchor_paths(incident, s, set(terminals[i + 1 :]))
         for j in range(i + 1, n):
             if terminals[j] not in reached:
                 raise GraphError(f"no path between odd vertices {s} and {terminals[j]}")
@@ -184,16 +218,23 @@ def solve_cpp(g: MultiGraph) -> CppSolution:
     """Optimal single-walk cover: duplicate a minimum join over odd vertices.
 
     Returns the join, the covering counts (1 outside the join, 2 on it) and
-    the optimal weight total(g) + weight(join).
+    the optimal weight total(g) + weight(join).  Connectivity, the odd
+    vertices and the join all come from g's cached chain cut.
     """
     if not g.edges:
         raise GraphError("graph has no edges")
-    if not is_connected(g):
+    chains = g.chains
+    if not _connected(chains):
         raise GraphError("graph must be connected")
-    join = _join(g, sorted(odd_vertices(g)))
-    counts = {e.id: (2 if e.id in join else 1) for e in g.edges}
-    weight = g.total_weight() + sum(g.edge(eid).weight for eid in join)
-    return CppSolution(join, Multiplicities.cover(g, counts), weight)
+    counts = dict.fromkeys(g.edge_by_id, 1)
+    weight = g.total_weight()
+    join: list[int] = []
+    for i in _join_chains(chains, _odd_anchors(chains)):
+        c = chains[i]
+        counts.update(dict.fromkeys(c.edges, 2))
+        weight += c.weight
+        join.extend(c.edges)
+    return CppSolution(frozenset(join), Multiplicities.cover(g, counts), weight)
 
 
 def euler_tour(m: Multiplicities, start: int) -> Walk:

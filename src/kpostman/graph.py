@@ -53,22 +53,26 @@ class MultiGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise GraphError("vertex count must be nonnegative")
+        n = self.vertex_count
         seen: set[int] = set()
-        for e in self.edges:
-            if not (1 <= e.u <= self.vertex_count and 1 <= e.v <= self.vertex_count):
-                raise GraphError(f"edge {e.id}: vertex out of range 1..{self.vertex_count}")
-            if e.u == e.v:
-                raise GraphError(f"edge {e.id}: loop edge {e.u}-{e.v} not allowed")
-            if e.weight < 0:
-                raise GraphError(f"edge {e.id}: negative weight {e.weight}")
-            if e.id in seen:
-                raise GraphError(f"duplicate edge id {e.id}")
-            seen.add(e.id)
+        for eid, u, v, w in self.edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphError(f"edge {eid}: vertex out of range 1..{n}")
+            if u == v:
+                raise GraphError(f"edge {eid}: loop edge {u}-{v} not allowed")
+            if w < 0:
+                raise GraphError(f"edge {eid}: negative weight {w}")
+            if eid in seen:
+                raise GraphError(f"duplicate edge id {eid}")
+            seen.add(eid)
 
     @classmethod
     def from_edges(cls, vertex_count: int, triples: Iterable[tuple[int, int, int]]) -> "MultiGraph":
         """Build a graph assigning edge ids 1..m in iteration order."""
-        edges = tuple(Edge(i, u, v, w) for i, (u, v, w) in enumerate(triples, start=1))
+        # tuple.__new__ skips Edge's Python-level __new__; __post_init__
+        # still checks every edge
+        new = tuple.__new__
+        edges = tuple([new(Edge, (i, u, v, w)) for i, (u, v, w) in enumerate(triples, start=1)])
         return cls(vertex_count, edges)
 
     @cached_property
@@ -88,6 +92,11 @@ class MultiGraph:
     def steps(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """(edge id, next vertex) pairs leaving each vertex, in adjacency order."""
         return {v: tuple((e.id, e.other(v)) for e in es) for v, es in self.adjacency.items()}
+
+    @cached_property
+    def chains(self) -> tuple[Chain, ...]:
+        """The cut at the anchors, as chain_decomposition(self) returns it."""
+        return tuple(_chains(self.adjacency))
 
     @cached_property
     def ends(self) -> dict[int, tuple[int, int]]:
@@ -231,8 +240,10 @@ def _peel(adj: dict[int, dict[Edge, None]], vertices: Iterable[int]) -> None:
 def chain_decomposition(g: MultiGraph, cuts: Iterable[int] = ()) -> list[Chain]:
     """Cut g into chains at its anchors, the vertices of degree other than
     2 and the vertices in cuts, plus one ring per component without an
-    anchor.  Linear in the size of g."""
-    return _chains(g.adjacency, cuts)
+    anchor.  Linear in the size of g; without cuts it copies the cut that
+    g caches, so every reader of one graph shares a single cut."""
+    cut = set(cuts)
+    return _chains(g.adjacency, cut) if cut else list(g.chains)
 
 
 def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> list[Chain]:
@@ -244,26 +255,48 @@ def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> li
     chains: list[Chain] = []
 
     def follow(a: int, start: Edge, ring: bool) -> None:
-        verts, ids, weight = [a], [start.id], start.weight
-        edge, cur = start, start.other(a)
-        while cur != a and len(adj[cur]) == 2 and cur not in cut:
+        eid, x, y, weight = start
+        verts, ids = [a], [eid]
+        cur = x + y - a  # the other end
+        while cur != a and cur not in cut:
+            es = adj[cur]
+            if len(es) != 2:
+                break
             verts.append(cur)
-            e1, e2 = adj[cur]
-            edge = e2 if e1.id == edge.id else e1
-            ids.append(edge.id)
-            weight += edge.weight
-            cur = edge.other(cur)
+            e1, e2 = es
+            eid, x, y, w = e2 if e1[0] == eid else e1
+            ids.append(eid)
+            weight += w
+            cur = x + y - cur
         verts.append(cur)
         used.update(ids)
         chains.append(Chain(tuple(verts), tuple(ids), weight, ring))
 
-    for ring in (False, True):
-        for a in sorted(adj):
-            if (len(adj[a]) == 2 and a not in cut) == ring:
-                for start in adj[a]:
-                    if start.id not in used:
-                        follow(a, start, ring)
+    twos: list[int] = []
+    degrees = 0
+    for a in sorted(adj):
+        es = adj[a]
+        degrees += len(es)
+        if len(es) == 2 and a not in cut:
+            twos.append(a)
+            continue
+        for start in es:
+            if start[0] not in used:
+                follow(a, start, False)
+    if 2 * len(used) < degrees:  # edges are left over: they form rings
+        for a in twos:
+            for start in adj[a]:
+                if start[0] not in used:
+                    follow(a, start, True)
     return chains
+
+
+def _find(root: dict[int, int], x: int) -> int:
+    """Representative of x in the union-find forest `root`, halving the
+    path on the way; an x not yet in root becomes a root of its own."""
+    while root.setdefault(x, x) != x:
+        root[x] = x = root[root[x]]
+    return x
 
 
 def degree_classes(g: MultiGraph) -> DegreeClasses:

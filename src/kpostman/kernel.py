@@ -33,7 +33,7 @@ from .walks import split_into_k_walks
 def find_chains(g: MultiGraph) -> list[Chain]:
     """All anchor-to-anchor chains; empty when the graph is a bare cycle.
     Anchors are visited in ascending order, so an open chain has u < v."""
-    return [c for c in chain_decomposition(g) if not c.ring]
+    return [c for c in g.chains if not c.ring]
 
 
 def _parallel_groups(chains: list[Chain]) -> dict[tuple[int, int], list[Chain]]:
@@ -98,6 +98,7 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
         raise GraphError(f"k must be >= 1, got {k}")
     min_id = g.min_weight_edge().id if g.edges else None
     next_id = g.max_edge_id() + 1
+    edge_by_id = g.edge_by_id
     expansions: dict[int, tuple[int, ...]] = {e.id: (e.id,) for e in g.edges}
     merged: list[Edge] = []
     for c in chain_decomposition(g):
@@ -120,7 +121,7 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
         for lo, hi in zip(bounds, bounds[1:]):
             if hi - lo < 2:
                 continue
-            weight = sum(g.edge(eid).weight for eid in ids[lo:hi])
+            weight = sum(edge_by_id[eid].weight for eid in ids[lo:hi])
             merged.append(Edge(next_id, verts[lo], verts[hi], weight))
             expansions[next_id] = ids[lo:hi]
             next_id += 1
@@ -268,7 +269,7 @@ KernelOutcome = Solved | Reduced
 def _compact(em: ExpansionMap) -> ExpansionMap:
     """Drop isolated vertices and renumber vertices/edges for emission."""
     work = em.kernel
-    live = sorted(v for v in work.vertices() if work.degree(v) > 0)
+    live = sorted({x for e in work.edges for x in (e.u, e.v)})
     old_to_new = {v: i + 1 for i, v in enumerate(live)}
     new_edges = []
     expansions = {}
@@ -327,26 +328,29 @@ def kernel_report(g: MultiGraph, outcome: KernelOutcome) -> KernelReport:
 def lift_solution(em: ExpansionMap, s: Solution) -> Solution:
     """Replace every kernel-edge traversal by its oriented original chain."""
     verify_solution(em.kernel, len(s.walks), s)
-    lifted = []
+    kernel_edges = em.kernel.edge_by_id
+    original_edges = em.original.edge_by_id
+    to_original = em.vertex_to_original
+    walks = []
+    total = 0
     for walk in s.walks:
         steps: list[tuple[int, int]] = []
         r = len(walk.steps)
         for i, (v, eid) in enumerate(walk.steps):
-            rec = em.kernel.edge(eid)
             ids = em.expansions.get(eid)
             if ids is None:
                 raise GraphError(f"no expansion recorded for kernel edge {eid}")
-            oriented = ids if v == rec.u else tuple(reversed(ids))
-            cur = em.vertex_to_original[v]
+            oriented = ids if v == kernel_edges[eid].u else ids[::-1]
+            cur = to_original[v]
             for oid in oriented:
                 steps.append((cur, oid))
-                cur = em.original.edge(oid).other(cur)
+                _, a, b, w = original_edges[oid]
+                cur = a + b - cur  # the other end
+                total += w
             nxt = walk.steps[(i + 1) % r][0]
-            if cur != em.vertex_to_original[nxt]:
+            if cur != to_original[nxt]:
                 raise GraphError(f"expansion of edge {eid} does not reconnect the walk")
-        lifted.append(tuple(steps))
-    walks = tuple(Walk(st) for st in lifted)
-    total = sum(w.weight(em.original) for w in walks)
+        walks.append(Walk(tuple(steps)))
     if total != s.total_weight:
         raise GraphError(f"lift changed total weight {s.total_weight} -> {total}")
-    return Solution(walks, total)
+    return Solution(tuple(walks), total)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .cpp import Multiplicities, _join_chains, odd_vertices
+from .cpp import Multiplicities, _join_chains, _odd_anchors
 from .cycles import (
     Cycle,
     CyclePacking,
@@ -42,6 +42,7 @@ from .graph import (
     MultiGraph,
     SearchBudgetExceeded,
     Solution,
+    _find,
     chain_decomposition,
     is_connected,
 )
@@ -73,17 +74,11 @@ def _cycle_space(chains: list[Chain]) -> tuple[int, list[tuple[int, int]]]:
     forest of H, and the (weight, fundamental cycle) of each cotree chain,
     lightest first.  Loop chains and rings are always cotree."""
     root: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while root.setdefault(x, x) != x:
-            root[x] = x = root[root[x]]
-        return x
-
     tree: dict[int, list[tuple[int, int]]] = {}
     cotree = []
     for i in sorted(range(len(chains)), key=lambda i: (chains[i].weight, i)):
         c = chains[i]
-        a, b = find(c.u), find(c.v)
+        a, b = _find(root, c.u), _find(root, c.v)
         if a == b:
             cotree.append(i)
         else:
@@ -172,7 +167,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         return base + w + 2 * mu * (k - len(cycles)), counts, cycles
 
     # every odd vertex of g is an anchor, so the CPP join is whole chains
-    j0 = sum(1 << i for i in _join_chains(chains, sorted(odd_vertices(g))))
+    j0 = sum(1 << i for i in _join_chains(chains, _odd_anchors(chains)))
     w0 = doubled(j0)[0]
     best = evaluate(j0, w0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import Counter
 from itertools import combinations
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kpostman import graph as graph_module
 from kpostman.cpp import (
     Multiplicities,
     euler_tour,
@@ -33,6 +35,7 @@ from kpostman.graph import (
     SearchBudgetExceeded,
     Solution,
     chain_decomposition,
+    is_connected,
     verify_solution,
 )
 from kpostman.kernel import Reduced, kernelize, pendant_shortcut
@@ -313,9 +316,110 @@ def test_refuses_past_the_set_budget():
     ids=["kernelize", "solve_cpp", "min_weight_join", "solve_kcpp"],
 )
 def test_entry_points_reject_disconnected(call):
-    g = MultiGraph.from_edges(4, [(1, 2, 1), (3, 4, 1)])
-    with pytest.raises(GraphError, match="^graph must be connected$"):
-        call(g)
+    # the cut of each has open chains, rings or loop chains in separate parts
+    shapes = [
+        MultiGraph.from_edges(4, [(1, 2, 1), (3, 4, 1)]),
+        # two disjoint triangles: two rings
+        MultiGraph.from_edges(
+            6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1)]
+        ),
+        # a ring plus a path
+        MultiGraph.from_edges(6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1)]),
+        # a bowtie (two loop chains on vertex 3) plus a separate edge
+        MultiGraph.from_edges(
+            7, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1), (6, 7, 1)]
+        ),
+    ]
+    for g in shapes:
+        with pytest.raises(GraphError, match="^graph must be connected$"):
+            call(g)
+
+
+def test_ring_with_isolated_vertices_solves():
+    g = MultiGraph.from_edges(6, [(2, 4, 1), (4, 5, 2), (5, 2, 3)])
+    cpp = solve_cpp(g)
+    assert cpp.weight == 6 and cpp.join == frozenset()
+    res = solve_kcpp(g, 2)
+    verify_solution(g, 2, res.solution)
+    assert res.weight == oracle_kcpp(g, 2) == 8
+
+
+def _component_soup(rng: random.Random) -> MultiGraph:
+    """Random graph of one or more parts: rings, bouquets of loop chains,
+    paths, small random connected graphs and isolated vertices, with the
+    vertex labels shuffled."""
+    triples: list[tuple[int, int, int]] = []
+    n = 0
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        kind = rng.choice(["ring", "bouquet", "path", "random"])
+        if kind == "ring":
+            size = rng.randint(2, 6)
+            ring = [*range(n + 1, n + size + 1), n + 1]
+            triples += [(a, b, rng.randint(0, 4)) for a, b in zip(ring, ring[1:])]
+            n += size
+        elif kind == "bouquet":
+            center, n = n + 1, n + 1
+            for _ in range(rng.randint(1, 3)):
+                size = rng.randint(1, 3)
+                cycle = [center, *range(n + 1, n + size + 1), center]
+                triples += [(a, b, rng.randint(0, 4)) for a, b in zip(cycle, cycle[1:])]
+                n += size
+        elif kind == "path":
+            size = rng.randint(2, 5)
+            triples += [(n + i, n + i + 1, rng.randint(0, 4)) for i in range(1, size)]
+            n += size
+        else:
+            size = rng.randint(2, 6)
+            g = random_connected_graph(rng, size, size - 1 + rng.randint(0, 4), 4)
+            triples += [(e.u + n, e.v + n, e.weight) for e in g.edges]
+            n += g.vertex_count
+    n += rng.randint(0, 2)  # isolated vertices
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return MultiGraph.from_edges(n, [(label[a - 1], label[b - 1], c) for a, b, c in triples])
+
+
+def test_solve_cpp_connectivity_and_join_agree_with_the_graph_checks():
+    rng = random.Random(20)
+    connected = 0
+    for _ in range(300):
+        g = _component_soup(rng)
+        if not is_connected(g):
+            with pytest.raises(GraphError, match="^graph must be connected$"):
+                solve_cpp(g)
+            continue
+        connected += 1
+        cpp = solve_cpp(g)
+        join_weight = sum(g.edge(eid).weight for eid in cpp.join)
+        reference = min_weight_join(g, odd_vertices(g))
+        assert join_weight == sum(g.edge(eid).weight for eid in reference)
+        assert cpp.weight == g.total_weight() + join_weight
+    assert 50 <= connected <= 250
+
+
+def test_kernel_path_reads_connectivity_and_parity_off_one_cut(monkeypatch):
+    g = uniform_inflation(theta_graph(4, 2), 5)
+
+    def refuse(*args):
+        raise AssertionError("the solve path ran a per-vertex check")
+
+    for name, module in list(sys.modules.items()):
+        if name == "kpostman" or name.startswith("kpostman."):
+            for attr, fn in (("is_connected", is_connected), ("odd_vertices", odd_vertices)):
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+    cut = graph_module._chains
+    cut_maps = []
+
+    def counted(adj, cuts=()):
+        cut_maps.append(adj)
+        return cut(adj, cuts)
+
+    monkeypatch.setattr(graph_module, "_chains", counted)
+    res = solve_kcpp(g, 3)
+    assert res.method == "kernel" and res.weight == 42
+    verify_solution(g, 3, res.solution)
+    assert sum(adj is g.adjacency for adj in cut_maps) == 1
 
 
 def test_exact_rejects_disconnected():
