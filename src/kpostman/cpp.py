@@ -4,35 +4,27 @@ Duplicating a minimum-weight join over the odd-degree vertices makes the
 multigraph Eulerian; an Euler tour of the result is an optimal single closed
 walk covering every edge.  solve_cpp reads everything it needs off the
 graph's cached cut into degree-2 chains at its anchors (vertices of degree
-other than 2): connectivity (a union-find over the chain ends, each ring a
-component of its own), the odd vertices (every odd vertex is an anchor, at
-which an odd number of chains end) and the join.  The join is computed
-exactly on the anchor graph: one Dijkstra per terminal runs over whole
-chains keyed on (weight, hops), with paths that tie on both taken in heap
-order, the terminals are paired by a minimum-weight perfect matching over
-those distances (Edmonds' blossom algorithm, as in Edmonds-Johnson 1973),
-and the join is the symmetric difference of the chains on the paired
-paths.  _join_chains returns it as chain indices, so solve_cpp and the
-kernel search read it off their own chain cut; min_weight_join, whose
-terminals need not be anchors, cuts at them too.
+other than 2): connectivity (graph._connected, a union-find over the chain
+ends), the odd vertices (every odd vertex is an anchor, at which an odd
+number of chains end) and the join; is_connected and odd_vertices read the
+same cut.  The join is computed exactly on the anchor graph: the chain
+Dijkstra graph._settle, which the girth search shares, runs from each
+terminal over whole chains keyed on (weight, hops), with paths that tie on
+both taken in heap order, the terminals are paired by a minimum-weight
+perfect matching over those distances (Edmonds' blossom algorithm, as in
+Edmonds-Johnson 1973), and the join is the symmetric difference of the
+chains on the paired paths.  _join_chains returns it as chain indices, so
+solve_cpp and the kernel search read it off their own chain cut;
+min_weight_join, whose terminals need not be anchors, cuts at them too.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._matching import min_weight_perfect_matching
-from .graph import (
-    Chain,
-    GraphError,
-    MultiGraph,
-    Walk,
-    _find,
-    chain_decomposition,
-    is_connected,
-)
+from .graph import Chain, GraphError, MultiGraph, Walk, _chains, _connected, _settle
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +84,7 @@ class CppSolution(NamedTuple):
 
 
 def odd_vertices(g: MultiGraph) -> frozenset[int]:
-    return frozenset(v for v in g.vertices() if g.degree(v) % 2 == 1)
+    return frozenset(_odd_anchors(g.chains))
 
 
 def _odd_anchors(chains: Iterable[Chain]) -> list[int]:
@@ -105,54 +97,6 @@ def _odd_anchors(chains: Iterable[Chain]) -> list[int]:
         if c.u != c.v:
             odd ^= {c.u, c.v}
     return sorted(odd)
-
-
-def _connected(chains: Iterable[Chain]) -> bool:
-    """True iff the graph cut into chains has at most one component that
-    has an edge: a union-find over the chain ends, where a ring, whose ends
-    are its lowest vertex, is a component of its own."""
-    root: dict[int, int] = {}
-    unions = 0
-    for c in chains:
-        a, b = _find(root, c.u), _find(root, c.v)
-        if a != b:
-            root[a] = b
-            unions += 1
-    return len(root) - unions <= 1
-
-
-def _anchor_paths(
-    incident: dict[int, list[tuple[int, int, int, int]]], source: int, targets: set[int]
-) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-    """Dijkstra over the chains from source until every target is settled;
-    incident lists (chain index, other end, weight, edge count) per anchor.
-
-    Paths are keyed on (weight, hop count); paths that tie on both go by
-    heap order.  Returns (weight, hops) per reached anchor and the
-    predecessor (chain index, previous anchor) of each.
-    """
-    dist = {source: (0, 0)}
-    pred: dict[int, tuple[int, int]] = {}
-    heap = [(0, 0, source)]
-    settled: set[int] = set()
-    left = len(targets)
-    while heap and left:
-        w, h, x = heapq.heappop(heap)
-        if x in settled:
-            continue
-        settled.add(x)
-        if x in targets:
-            left -= 1
-        for ci, y, cw, ch in incident[x]:
-            if y in settled:
-                continue
-            cand = (w + cw, h + ch)
-            old = dist.get(y)
-            if old is None or cand < old:
-                dist[y] = cand
-                pred[y] = (ci, x)
-                heapq.heappush(heap, (*cand, y))
-    return dist, pred
 
 
 def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
@@ -168,11 +112,9 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
             raise GraphError(f"vertex {v} out of range 1..{g.vertex_count}")
     if len(terminals) % 2 != 0:
         raise GraphError(f"odd-vertex set has odd size {len(terminals)}")
-    if not is_connected(g):
+    chains = _chains(g.adjacency, terminals)
+    if not _connected(chains):
         raise GraphError("graph must be connected")
-    if not terminals:
-        return frozenset()
-    chains = chain_decomposition(g, cuts=terminals)
     return frozenset(eid for i in _join_chains(chains, terminals) for eid in chains[i].edges)
 
 
@@ -189,27 +131,32 @@ def _join_chains(chains: Sequence[Chain], terminals: list[int]) -> set[int]:
     if not terminals:
         return set()
     incident: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in terminals}
-    for ci, (verts, ids, weight, _) in enumerate(chains):
-        u, v = verts[0], verts[-1]
-        if u != v:
-            incident.setdefault(u, []).append((ci, v, weight, len(ids)))
-            incident.setdefault(v, []).append((ci, u, weight, len(ids)))
+    for ci, c in enumerate(chains):
+        if c.u != c.v:
+            incident.setdefault(c.u, []).append((ci, c.v, c.weight, len(c.edges)))
+            incident.setdefault(c.v, []).append((ci, c.u, c.weight, len(c.edges)))
     n = len(terminals)
     dist = [[0] * n for _ in range(n)]
-    trees: list[dict[int, tuple[int, int]]] = []
+    trees: list[dict[int, tuple[int, int] | None]] = []
     for i, s in enumerate(terminals[:-1]):
-        reached, pred = _anchor_paths(incident, s, set(terminals[i + 1 :]))
-        for j in range(i + 1, n):
-            if terminals[j] not in reached:
-                raise GraphError(f"no path between odd vertices {s} and {terminals[j]}")
-            dist[i][j] = dist[j][i] = reached[terminals[j]][0]
-        trees.append(pred)
+        left = {t: j for j, t in enumerate(terminals[i + 1 :], start=i + 1)}
+        tree: dict[int, tuple[int, int] | None] = {}
+        for x, (w, _), via in _settle(incident, s):
+            tree[x] = via
+            j = left.pop(x, None)
+            if j is not None:
+                dist[i][j] = dist[j][i] = w
+                if not left:
+                    break
+        if left:
+            raise GraphError(f"no path between odd vertices {s} and {min(left)}")
+        trees.append(tree)
     join: set[int] = set()
     for i, j in enumerate(min_weight_perfect_matching(dist)):
         if i < j:
-            pred, y = trees[i], terminals[j]
-            while y in pred:
-                ci, y = pred[y]
+            tree, y = trees[i], terminals[j]
+            while (via := tree[y]) is not None:
+                ci, y = via
                 join ^= {ci}
     return join
 

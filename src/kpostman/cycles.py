@@ -9,12 +9,12 @@ The greedy packing takes a shortest cycle again and again, in one pass:
 taking a 2-cycle only spends copies, so the 2-cycles are one list sorted
 once and swept in order.  What the sweep leaves is a simple graph, whose
 2-core is peeled once and then again, in place, from the vertices of each
-cycle taken out; shortest_cycle and the greedy share one girth search.
+cycle taken out; shortest_cycle and the greedy share one girth search,
+which runs the chain Dijkstra graph._settle that the CPP join runs too.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -30,6 +30,7 @@ from .graph import (
     _chains,
     _core,
     _peel,
+    _settle,
 )
 
 
@@ -137,63 +138,45 @@ def _girth(core: Mapping[int, Collection[Edge]]) -> Cycle | None:
     by its incidence map, or None if the core is empty.
 
     The core is cut into chains; loop chains and rings are cycles as they
-    are, and every other cycle is found by one lexicographic (hops, weight)
-    Dijkstra per anchor over the chains, closing over a non-tree chain
-    whose ends hang from different root branches.  A search stops once it
-    pops more than half the best cycle so far, which keeps the result exact.
+    are, and every other cycle is found by one (hops, weight) run of the
+    chain Dijkstra graph._settle, which the CPP join shares, per anchor:
+    as each anchor settles, a chain to an anchor settled before it that is
+    not its own tree chain closes a cycle if the two hang from different
+    root branches.  A run stops once it settles more than half the best
+    cycle so far, which keeps the result exact.
     """
     best_key: tuple[float, float] = (math.inf, math.inf)
     best: Cycle | None = None
-    open_chains: list[Chain] = []
-    incident: dict[int, list[int]] = {}
-    for c in _chains(core):
+    chains = _chains(core)
+    incident: dict[int, list[tuple[int, int, int, int]]] = {}
+    for ci, c in enumerate(chains):
         if c.u == c.v:
             if (len(c.edges), c.weight) < best_key:
                 best_key, best = (len(c.edges), c.weight), Cycle(c.vertices[:-1], c.edges)
         else:
-            incident.setdefault(c.u, []).append(len(open_chains))
-            incident.setdefault(c.v, []).append(len(open_chains))
-            open_chains.append(c)
-
-    def closed(root: int, pred: dict[int, int], x: int, i: int, y: int) -> Cycle:
-        """Tree path root -> x, chain i to y, tree path y -> root."""
-
-        def up(v: int):  # tree chains from v up to the root
-            while v != root:
-                c = open_chains[pred[v]]
-                yield c
-                v = c.u if c.v == v else c.v
-
-        return _chain_cycle(root, [*reversed(list(up(x))), open_chains[i], *up(y)])
-
+            incident.setdefault(c.u, []).append((ci, c.v, len(c.edges), c.weight))
+            incident.setdefault(c.v, []).append((ci, c.u, len(c.edges), c.weight))
     for root in sorted(incident):
-        dist = {root: (0, 0)}
-        pred: dict[int, int] = {}  # vertex -> index of its tree chain
-        branch = {root: -1}  # vertex -> index of the first chain on its tree path
-        settled: set[int] = set()
-        heap = [((0, 0), root)]
-        while heap:
-            (h, w), x = heapq.heappop(heap)
-            if x in settled:
-                continue
+        dist: dict[int, tuple[int, int]] = {}
+        tree: dict[int, tuple[int, int] | None] = {}  # settled anchor -> its via
+        branch = {root: -1}  # settled anchor -> index of the first chain on its tree path
+        for x, (h, w), via in _settle(incident, root):
             if (2 * h, 2 * w) > best_key:
                 break
-            settled.add(x)
-            for i in incident[x]:
-                c = open_chains[i]
-                y = c.v if c.u == x else c.u
-                if y in settled:
-                    if i != pred.get(x) and branch[y] != branch[x]:
-                        key = (h + len(c.edges) + dist[y][0], w + c.weight + dist[y][1])
-                        if key < best_key:
-                            best_key, best = key, closed(root, pred, x, i, y)
-                    continue
-                cand = (h + len(c.edges), w + c.weight)
-                if y not in dist or cand < dist[y]:
-                    dist[y] = cand
-                    pred[y] = i
-                    branch[y] = i if x == root else branch[x]
-                    heapq.heappush(heap, (cand, y))
+            dist[x], tree[x] = (h, w), via
+            if via is not None:
+                branch[x] = via[0] if via[1] == root else branch[via[1]]
+            for i, y, ch, cw in incident[x]:
+                if y in dist and (via is None or i != via[0]) and branch[y] != branch[x]:
+                    key = (h + ch + dist[y][0], w + cw + dist[y][1])
+                    if key < best_key:
+                        down: list[Chain] = []  # tree chains x -> root
+                        up: list[Chain] = []  # tree chains y -> root
+                        for v, path in ((x, down), (y, up)):
+                            while tree[v] is not None:
+                                ci, v = tree[v]
+                                path.append(chains[ci])
+                        best_key, best = key, _chain_cycle(root, [*down[::-1], chains[i], *up])
     return best
 
 

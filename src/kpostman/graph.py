@@ -6,6 +6,7 @@ one graph value.  Graphs are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -95,7 +96,9 @@ class MultiGraph:
 
     @cached_property
     def chains(self) -> tuple[Chain, ...]:
-        """The cut at the anchors, as chain_decomposition(self) returns it."""
+        """The cut into chains at the anchors (see _chains), made once per
+        graph; connectivity, the odd vertices, the CPP join and the
+        reduction all read it."""
         return tuple(_chains(self.adjacency))
 
     @cached_property
@@ -190,15 +193,9 @@ class Chain(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
     weight: int
-    ring: bool = False
-
-    @property
-    def u(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def v(self) -> int:
-        return self.vertices[-1]
+    ring: bool
+    u: int  # vertices[0]
+    v: int  # vertices[-1]
 
     @property
     def internal(self) -> tuple[int, ...]:
@@ -237,19 +234,13 @@ def _peel(adj: dict[int, dict[Edge, None]], vertices: Iterable[int]) -> None:
                 stack.append(w)
 
 
-def chain_decomposition(g: MultiGraph, cuts: Iterable[int] = ()) -> list[Chain]:
-    """Cut g into chains at its anchors, the vertices of degree other than
-    2 and the vertices in cuts, plus one ring per component without an
-    anchor.  Linear in the size of g; without cuts it copies the cut that
-    g caches, so every reader of one graph shares a single cut."""
-    cut = set(cuts)
-    return _chains(g.adjacency, cut) if cut else list(g.chains)
-
-
 def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> list[Chain]:
-    """chain_decomposition of the graph given by its incidence map: the
-    incident edges of each vertex, in base edge order; a vertex without
-    edges is skipped."""
+    """Cut the graph given by its incidence map (the incident edges of each
+    vertex, in base edge order) into chains at its anchors, the vertices of
+    degree other than 2 and the vertices in cuts, plus one ring per
+    component without an anchor; a vertex without edges is skipped.  Linear
+    in the size of the graph.  MultiGraph.chains caches the cut without
+    cuts, so every reader of one graph shares it."""
     cut = set(cuts)
     used: set[int] = set()
     chains: list[Chain] = []
@@ -270,7 +261,7 @@ def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> li
             cur = x + y - cur
         verts.append(cur)
         used.update(ids)
-        chains.append(Chain(tuple(verts), tuple(ids), weight, ring))
+        chains.append(Chain(tuple(verts), tuple(ids), weight, ring, a, cur))
 
     twos: list[int] = []
     degrees = 0
@@ -297,6 +288,52 @@ def _find(root: dict[int, int], x: int) -> int:
     while root.setdefault(x, x) != x:
         root[x] = x = root[root[x]]
     return x
+
+
+def _connected(chains: Iterable[Chain]) -> bool:
+    """True iff the graph cut into chains has at most one component that
+    has an edge: a union-find over the chain ends, where a ring, whose ends
+    are its lowest vertex, is a component of its own."""
+    root: dict[int, int] = {}
+    unions = 0
+    for c in chains:
+        a, b = _find(root, c.u), _find(root, c.v)
+        if a != b:
+            root[a] = b
+            unions += 1
+    return len(root) - unions <= 1
+
+
+def _settle(
+    incident: Mapping[int, Iterable[tuple[int, int, int, int]]], source: int
+) -> Iterator[tuple[int, tuple[int, int], tuple[int, int] | None]]:
+    """Dijkstra over a chain graph from source.  incident lists (chain
+    index, other end, first key, second key) per anchor, and a path's key
+    is the pair of its chains' key sums, compared lexicographically; paths
+    that tie go by heap order.  Yields (anchor, key, via) in settle order,
+    via being the (chain index, previous anchor) the anchor was reached
+    over, None at the source; the caller stops iterating once it has what
+    it needs.  The CPP join keys chains on (weight, hops), the girth on
+    (hops, weight)."""
+    dist = {source: (0, 0)}
+    via: dict[int, tuple[int, int]] = {}
+    settled: set[int] = set()
+    heap = [(0, 0, source)]
+    while heap:
+        a, b, x = heapq.heappop(heap)
+        if x in settled:
+            continue
+        settled.add(x)
+        yield x, (a, b), via.get(x)
+        for ci, y, ca, cb in incident[x]:
+            if y in settled:
+                continue
+            cand = (a + ca, b + cb)
+            old = dist.get(y)
+            if old is None or cand < old:
+                dist[y] = cand
+                via[y] = (ci, x)
+                heapq.heappush(heap, (*cand, y))
 
 
 def degree_classes(g: MultiGraph) -> DegreeClasses:
@@ -334,20 +371,7 @@ def bypass(g: MultiGraph, vertex: int) -> BypassResult:
 
 def is_connected(g: MultiGraph) -> bool:
     """True iff all vertices of degree >= 1 lie in one component."""
-    adjacency = g.adjacency
-    active = [v for v, es in adjacency.items() if es]
-    if not active:
-        return True
-    seen = {active[0]}
-    stack = [active[0]]
-    while stack:
-        v = stack.pop()
-        for e in adjacency[v]:
-            w = e.u + e.v - v  # the other end
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(active)
+    return _connected(g.chains)
 
 
 def verify_solution(g: MultiGraph, k: int, s: Solution) -> int:

@@ -23,7 +23,6 @@ from .graph import (
     Walk,
     _chains,
     _core,
-    chain_decomposition,
     degree_classes,
     verify_solution,
 )
@@ -101,7 +100,7 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
     edge_by_id = g.edge_by_id
     expansions: dict[int, tuple[int, ...]] = {e.id: (e.id,) for e in g.edges}
     merged: list[Edge] = []
-    for c in chain_decomposition(g):
+    for c in g.chains:
         parts = k + 2 if c.ring else k + 1
         if len(c.edges) <= parts:
             continue

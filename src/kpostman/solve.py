@@ -43,7 +43,6 @@ from .graph import (
     SearchBudgetExceeded,
     Solution,
     _find,
-    chain_decomposition,
     is_connected,
 )
 from .kernel import KernelReport, Reduced, Solved, kernelize, lift_solution
@@ -125,7 +124,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         raise GraphError(f"k must be >= 1, got {k}")
     if not g.edges:
         raise GraphError("graph has no edges")
-    chains = sorted(chain_decomposition(g), key=lambda c: c.edges[0])
+    chains = sorted(g.chains, key=lambda c: c.edges[0])
     if len(chains) > MAX_SEARCH_CHAINS:
         raise SearchBudgetExceeded(
             f"search budget exceeded: {len(chains)} chains > {MAX_SEARCH_CHAINS}"

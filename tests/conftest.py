@@ -6,7 +6,9 @@ is the greedy packing as a plain loop over the public shortest_cycle (itself
 checked against enumeration), so it checks the one-pass bookkeeping of
 greedy_cycle_packing, not its girth search.  The record readers
 reference_read_triples and reference_parse_solution are the library's
-earlier readers, kept as they were.
+earlier readers, kept as they were, and so are bfs_connected and
+odd_by_degree, the per-vertex connectivity and parity checks that the
+library now reads off its chain cut.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from kpostman.graph import (
     Solution,
     Walk,
     ascii_text,
-    chain_decomposition,
 )
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
     "join_enumeration_minimum",
     "join_pairing_minimum",
     "chain_union_minimum",
+    "bfs_connected",
+    "odd_by_degree",
     "bouquet",
     "shortest_distances",
     "even_degrees",
@@ -53,6 +56,28 @@ __all__ = [
     "random_small_graphs",
     "record_texts",
 ]
+
+
+def bfs_connected(g: MultiGraph) -> bool:
+    """True iff all vertices of degree >= 1 lie in one component."""
+    adjacency = g.adjacency
+    active = [v for v, es in adjacency.items() if es]
+    if not active:
+        return True
+    seen = {active[0]}
+    stack = [active[0]]
+    while stack:
+        v = stack.pop()
+        for e in adjacency[v]:
+            w = e.u + e.v - v  # the other end
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(active)
+
+
+def odd_by_degree(g: MultiGraph) -> frozenset[int]:
+    return frozenset(v for v in g.vertices() if g.degree(v) % 2 == 1)
 
 
 def cpp_enumeration_minimum(g: MultiGraph) -> int:
@@ -137,7 +162,7 @@ def chain_union_minimum(g: MultiGraph, k: int) -> int:
     leave a vertex of odd degree are dropped, and the rest are scored in
     increasing weight by the exhaustive packing search alone, each
     missing cycle paid as one pair, until no heavier union can win."""
-    chains = sorted(chain_decomposition(g), key=lambda c: c.edges[0])
+    chains = sorted(g.chains, key=lambda c: c.edges[0])
     odd = 0  # bit v: vertex v has odd degree
     for v in g.vertices():
         odd |= (g.degree(v) & 1) << v

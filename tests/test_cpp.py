@@ -23,6 +23,7 @@ from conftest import (
     join_enumeration_minimum,
     join_pairing_minimum,
     named_graph,
+    odd_by_degree,
     random_connected_graph,
     random_small_graphs,
     shortest_distances,
@@ -60,7 +61,7 @@ def test_join_k4_matches_brute_force():
 
 def test_join_weight_equals_brute_force_on_random_graphs():
     for g in random_small_graphs(seed=11, trials=40, max_m=6):
-        t = odd_vertices(g)
+        t = odd_by_degree(g)
         join = min_weight_join(g, t)
         got = sum(g.edge(e).weight for e in join)
         assert got == join_enumeration_minimum(g, t)
@@ -68,7 +69,7 @@ def test_join_weight_equals_brute_force_on_random_graphs():
 
 def test_join_parity_flips_exactly_t():
     for g in random_small_graphs(seed=12, trials=40):
-        t = odd_vertices(g)
+        t = odd_by_degree(g)
         _assert_parity(g, min_weight_join(g, t), t)
 
 
@@ -136,7 +137,7 @@ def test_join_weight_matches_pairing_oracle_on_chain_inflated_graphs():
     for _ in range(300):
         g = _chain_inflated_graph(rng)
         active = [v for v in g.vertices() if g.degree(v) > 0]
-        odd = odd_vertices(g)
+        odd = odd_by_degree(g)
         picked = frozenset(rng.sample(active, 2 * rng.randint(1, min(6, len(active) // 2))))
         for t in (odd, picked) if len(odd) <= 12 else (picked,):
             join = min_weight_join(g, t)
@@ -178,7 +179,7 @@ def test_join_weight_matches_networkx_matching_above_the_old_cap():
     sizes = []
     for n in (30, 45, 60, 90, 120, 160, 200):
         g = random_connected_graph(rng, n, 3 * n // 2, max_weight=rng.choice((1, 5, 20)))
-        t = odd_vertices(g)
+        t = odd_by_degree(g)
         dist = {s: shortest_distances(g, s) for s in t}
         complete = nx.Graph()
         complete.add_weighted_edges_from((a, b, dist[a][b]) for a, b in combinations(sorted(t), 2))

@@ -16,7 +16,7 @@ from kpostman.cycles import (
     greedy_cycle_packing,
     shortest_cycle,
 )
-from kpostman.generators import inflate_chains
+from kpostman.generators import inflate_chains, theta_graph, uniform_inflation
 from kpostman.graph import Edge, GraphError, MultiGraph
 
 from conftest import (
@@ -110,6 +110,58 @@ def test_shortest_cycle_matches_edge_removal_girth_on_larger_graphs():
             assert c is not None
             check_cycle(m, c)
             assert (len(c.edges), c.weight(g)) == want, (g.edges, counts)
+
+
+def _grid(rows: int, cols: int) -> MultiGraph:
+    """Unit-weight rows x cols grid, vertices numbered row by row."""
+    triples = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j + 1
+            if j + 1 < cols:
+                triples.append((v, v + 1, 1))
+            if i + 1 < rows:
+                triples.append((v, v + cols, 1))
+    return MultiGraph.from_edges(rows * cols, triples)
+
+
+# Which of several cycles tied on (hops, weight) comes back is part of the
+# answer: the greedy's cycles decide whether the packing shortcut fires, and
+# with it the method and the walks a solve prints.
+@pytest.mark.parametrize(
+    "g,vertices,edges",
+    [
+        (named_graph("k4"), (1, 3, 2), (2, 4, 1)),
+        (theta_graph(3, 2), (1, 3, 2, 4), (1, 2, 4, 3)),
+        (_grid(3, 3), (2, 1, 4, 5), (1, 2, 6, 4)),
+        (uniform_inflation(named_graph("k4"), 2), (1, 6, 3, 8, 2, 5), (3, 4, 8, 7, 2, 1)),
+    ],
+    ids=["k4", "theta-3x2", "grid-3x3", "k4-inflated"],
+)
+def test_shortest_cycle_tie_breaks(g, vertices, edges):
+    c = shortest_cycle(Multiplicities.uniform(g))
+    assert (c.vertices, c.edges) == (vertices, edges)
+
+
+def test_greedy_tie_breaks():
+    def cycles(g):
+        packing = greedy_cycle_packing(Multiplicities.uniform(g), 10)
+        return [(c.vertices, c.edges) for c in packing.cycles]
+
+    assert cycles(_grid(4, 4)) == [
+        ((2, 1, 5, 6), (1, 2, 8, 4)),
+        ((7, 8, 4, 3), (12, 7, 5, 6)),
+        ((10, 11, 7, 6), (17, 13, 10, 11)),
+        ((14, 10, 9, 13), (18, 15, 16, 22)),
+        ((11, 12, 16, 15), (19, 21, 24, 20)),
+    ]
+    k5 = MultiGraph.from_edges(5, [(a, b, 1) for a in range(1, 6) for b in range(a + 1, 6)])
+    assert cycles(k5) == [
+        ((1, 3, 2), (2, 5, 1)),
+        ((4, 5, 1), (10, 4, 3)),
+        ((2, 4, 3, 5), (6, 8, 9, 7)),
+    ]
+    assert cycles(theta_graph(4, 2)) == [((1, 3, 2, 4), (1, 2, 4, 3)), ((1, 5, 2, 6), (5, 6, 8, 7))]
 
 
 def test_greedy_star_all_two_cycles():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -17,8 +18,8 @@ from kpostman.graph import (
     Solution,
     VerificationError,
     Walk,
+    _chains,
     bypass,
-    chain_decomposition,
     degree_classes,
     is_connected,
     parse_instance,
@@ -182,17 +183,79 @@ def test_is_connected():
     assert is_connected(with_isolated)
 
 
-def test_chain_decomposition_cuts_at_extra_vertices():
+def test_chains_cut_at_extra_vertices():
     ring = cycle_graph(6)
-    assert [(c.vertices, c.ring) for c in chain_decomposition(ring)] == [((1, 2, 3, 4, 5, 6, 1), True)]
-    assert [c.vertices for c in chain_decomposition(ring, cuts=[4])] == [(4, 3, 2, 1, 6, 5, 4)]
-    assert [c.vertices for c in chain_decomposition(ring, cuts=[2, 5])] == [(2, 1, 6, 5), (2, 3, 4, 5)]
+    assert [(c.vertices, c.ring) for c in _chains(ring.adjacency)] == [((1, 2, 3, 4, 5, 6, 1), True)]
+    assert [c.vertices for c in _chains(ring.adjacency, [4])] == [(4, 3, 2, 1, 6, 5, 4)]
+    assert [c.vertices for c in _chains(ring.adjacency, [2, 5])] == [(2, 1, 6, 5), (2, 3, 4, 5)]
     path = MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 2), (3, 4, 3)])
-    assert [(c.vertices, c.weight) for c in chain_decomposition(path)] == [((1, 2, 3, 4), 6)]
-    assert [(c.vertices, c.weight) for c in chain_decomposition(path, cuts=[3])] == [
+    assert [(c.vertices, c.weight) for c in _chains(path.adjacency)] == [((1, 2, 3, 4), 6)]
+    assert [(c.vertices, c.weight) for c in _chains(path.adjacency, [3])] == [
         ((1, 2, 3), 3),
         ((3, 4), 3),
     ]
+
+
+def _chain_soup(rng: random.Random) -> MultiGraph:
+    """Rings (some of two parallel edges), bouquets of loop chains, bundles
+    of parallel chains and random parts, with vertex labels shuffled."""
+    triples: list[tuple[int, int, int]] = []
+    n = 0
+
+    def path(a: int, b: int, internal: int) -> None:
+        nonlocal n
+        verts = [a, *range(n + 1, n + internal + 1), b]
+        n += internal
+        triples.extend((x, y, rng.randint(0, 5)) for x, y in zip(verts, verts[1:]))
+
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("ring", "bouquet", "bundle", "random"))
+        if kind == "ring":
+            n += 1
+            path(n, n, rng.randint(1, 6))
+        elif kind == "bouquet":
+            n += 1
+            center = n
+            for _ in range(rng.randint(1, 3)):
+                path(center, center, rng.randint(2, 4))
+        elif kind == "bundle":
+            n += 2
+            a, b = n - 1, n
+            for _ in range(rng.randint(2, 4)):
+                path(a, b, rng.randint(0, 3))
+        else:
+            size = rng.randint(2, 6)
+            for u in range(n + 2, n + size + 1):
+                triples.append((rng.randint(n + 1, u - 1), u, rng.randint(0, 5)))
+            for _ in range(rng.randint(0, 3)):
+                u, v = rng.sample(range(n + 1, n + size + 1), 2)
+                triples.append((u, v, rng.randint(0, 5)))
+            n += size
+    n += rng.randint(0, 2)  # isolated vertices
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return MultiGraph.from_edges(n, [(label[a - 1], label[b - 1], w) for a, b, w in triples])
+
+
+def test_chains_are_well_formed_and_partition_the_edges():
+    rng = random.Random(21)
+    rings = loops = 0
+    for _ in range(300):
+        g = _chain_soup(rng)
+        cuts = rng.sample(range(1, g.vertex_count + 1), rng.randint(0, g.vertex_count // 3))
+        for chains in (g.chains, _chains(g.adjacency, cuts)):
+            for c in chains:
+                assert c.u == c.vertices[0] and c.v == c.vertices[-1]
+                assert len(c.vertices) == len(c.edges) + 1
+                for a, b, eid in zip(c.vertices, c.vertices[1:], c.edges):
+                    assert {a, b} == set(g.ends[eid])
+                assert c.weight == sum(g.edge(eid).weight for eid in c.edges)
+                if c.ring:
+                    assert c.u == c.v == min(c.vertices)
+                    rings += 1
+                loops += c.u == c.v and not c.ring
+            assert sorted(eid for c in chains for eid in c.edges) == sorted(g.edge_by_id)
+    assert rings > 100 and loops > 100
 
 
 def test_verify_triangle_tour():

@@ -34,7 +34,6 @@ from kpostman.graph import (
     MultiGraph,
     SearchBudgetExceeded,
     Solution,
-    chain_decomposition,
     is_connected,
     verify_solution,
 )
@@ -48,7 +47,14 @@ from kpostman.solve import (
 )
 from kpostman.walks import split_into_k_walks
 
-from conftest import bouquet, chain_union_minimum, even_degrees, random_small_graphs
+from conftest import (
+    bfs_connected,
+    bouquet,
+    chain_union_minimum,
+    even_degrees,
+    odd_by_degree,
+    random_small_graphs,
+)
 
 
 def two_cycle(g, eid):
@@ -224,7 +230,7 @@ def _chain_search_corpus():
             g = MultiGraph.from_edges(n, [(e.u, e.v, e.weight + 1) for e in g.edges])
         k = rng.randint(3, 10)
         out = kernelize(g, k)
-        if isinstance(out, Reduced) and len(chain_decomposition(out.kernel)) <= 14:
+        if isinstance(out, Reduced) and len(out.kernel.chains) <= 14:
             corpus.append((out.kernel, k))
     for t in range(2, 13, 2):
         corpus.append((bouquet([rng.randint(1, 3) for _ in range(t)]), t + rng.randint(1, t)))
@@ -237,7 +243,7 @@ def _chain_search_corpus():
 
 def test_exact_matches_the_chain_union_oracle():
     corpus = _chain_search_corpus()
-    chains = [len(chain_decomposition(g)) for g, _ in corpus]
+    chains = [len(g.chains) for g, _ in corpus]
     assert max(chains) == 14 and sum(g.min_weight() == 0 for g, _ in corpus) >= 20
     for g, k in corpus:
         sol = solve_kcpp_exact(g, k)
@@ -263,7 +269,7 @@ def test_metamorphic_relations_above_the_old_chain_cap(positive, seed, k):
     if positive:
         g = MultiGraph.from_edges(16, [(e.u, e.v, e.weight + 1) for e in g.edges])
     out = kernelize(g, k)
-    assert isinstance(out, Reduced) and 17 <= len(chain_decomposition(out.kernel)) <= 24
+    assert isinstance(out, Reduced) and 17 <= len(out.kernel.chains) <= 24
     cpp, mu = solve_cpp(g).weight, g.min_weight()
     assert (mu > 0) == positive
     res = _solved(g, k)
@@ -281,7 +287,7 @@ def test_bouquet_of_24_triangles():
     # 24 loop chains, so 2^24 even sets: three triangles doubled give the
     # 30 cycles, 72 + 9 = 81, and the search stops after about 300 sets
     g = bouquet([1] * 24)
-    assert len(chain_decomposition(g)) == 24
+    assert len(g.chains) == 24
     res = _solved(g, 30)
     assert (res.weight, res.method) == (81, "kernel")
 
@@ -379,22 +385,35 @@ def _component_soup(rng: random.Random) -> MultiGraph:
     return MultiGraph.from_edges(n, [(label[a - 1], label[b - 1], c) for a, b, c in triples])
 
 
-def test_solve_cpp_connectivity_and_join_agree_with_the_graph_checks():
+def _soup_corpus() -> list[MultiGraph]:
+    """300 seeded component soups."""
     rng = random.Random(20)
+    return [_component_soup(rng) for _ in range(300)]
+
+
+def test_solve_cpp_connectivity_and_join_agree_with_the_graph_checks():
     connected = 0
-    for _ in range(300):
-        g = _component_soup(rng)
-        if not is_connected(g):
+    for g in _soup_corpus():
+        if not bfs_connected(g):
             with pytest.raises(GraphError, match="^graph must be connected$"):
                 solve_cpp(g)
             continue
         connected += 1
         cpp = solve_cpp(g)
         join_weight = sum(g.edge(eid).weight for eid in cpp.join)
-        reference = min_weight_join(g, odd_vertices(g))
+        reference = min_weight_join(g, odd_by_degree(g))
         assert join_weight == sum(g.edge(eid).weight for eid in reference)
         assert cpp.weight == g.total_weight() + join_weight
     assert 50 <= connected <= 250
+
+
+def test_cut_based_checks_match_the_per_vertex_references():
+    # the soups, the empty graph and a graph of isolated vertices only
+    corpus = [*_soup_corpus(), MultiGraph(0, ()), MultiGraph(3, ())]
+    for g in corpus:
+        assert is_connected(g) == bfs_connected(g)
+        assert odd_vertices(g) == odd_by_degree(g)
+    assert 50 <= sum(map(bfs_connected, corpus)) <= 250
 
 
 def test_kernel_path_reads_connectivity_and_parity_off_one_cut(monkeypatch):
@@ -643,7 +662,7 @@ def test_metamorphic_relations_above_oracle_gate():
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(above_gate_graphs(), st.data())
     def check(g, data):
-        assert len(chain_decomposition(g)) <= MAX_SEARCH_CHAINS
+        assert len(g.chains) <= MAX_SEARCH_CHAINS
         cover = solve_cpp(g)
         cpp, mu = cover.weight, g.min_weight()
         # k at or just above a greedy packing of the single-walk cover, where
