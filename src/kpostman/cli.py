@@ -79,7 +79,7 @@ def _cmd_solve(args) -> int:
 def _cmd_cpp(args) -> int:
     inst = parse_instance(_read_input(args.input))
     res = solve_cpp(inst.graph)
-    start = min(v for v in inst.graph.vertices() if inst.graph.degree(v) > 0)
+    start = min(inst.graph.adjacency)
     walk = euler_tour(res.multiplicities, start)
     _write_output(args.output, serialize_solution(Solution((walk,), res.weight)))
     print(f"# weight={res.weight} join_size={len(res.join)}")

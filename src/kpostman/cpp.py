@@ -64,7 +64,7 @@ class Multiplicities:
         return sum(c for c in self.counts.values() if c > 0)
 
     def degree(self, vertex: int) -> int:
-        return sum(self.counts.get(e.id, 0) for e in self.base.adjacency[vertex])
+        return sum(self.counts.get(e.id, 0) for e in self.base.adjacency.get(vertex, ()))
 
     def without(self, removed: Mapping[int, int]) -> "Multiplicities":
         """Subtract edge copies; raises if more copies are removed than exist."""
@@ -190,46 +190,47 @@ def euler_tour(m: Multiplicities, start: int) -> Walk:
     m must span a single component with all degrees even; at each vertex the
     lowest-id available copy is taken, so tours are deterministic.
     """
-    odd, left = _read_counts(m)
-    if 1 in odd:
-        v = odd.index(1)
-        raise GraphError(f"vertex {v} has odd degree {m.degree(v)}")
     g = m.base
-    if start not in g.adjacency or m.degree(start) == 0:
+    left = _read_counts(m)
+    v = _odd_vertex(g, left)
+    if v is not None:
+        raise GraphError(f"vertex {v} has odd degree {m.degree(v)}")
+    if m.degree(start) == 0:
         raise GraphError(f"start vertex {start} not in the traversed component")
-    tour = _tour(g, left, [0] * (g.vertex_count + 1), start)
+    tour = _tour(g, left, dict.fromkeys(g.adjacency, 0), start)
     if any(left.values()):
         raise GraphError("multigraph spans more than one component")
     return Walk(tuple(tour))
 
 
-def _read_counts(m: Multiplicities) -> tuple[bytearray, dict[int, int]]:
-    """One pass over the edges of m's base: the degree parity of every
-    vertex (index v), and the copies per edge id, 0 for edges m leaves
-    out.  Raises on a count that names no edge of the base or is negative."""
-    counts = m.counts
-    odd = bytearray(m.base.vertex_count + 1)
-    known = 0
-    for eid, u, v, _ in m.base.edges:
-        c = counts.get(eid)
-        if c is None:
-            continue
-        known += 1
-        if c < 0:
-            raise GraphError(f"edge {eid} has negative count {c}")
-        if c & 1:
-            odd[u] ^= 1
-            odd[v] ^= 1
-    if known < len(counts):
-        eid = next(eid for eid in counts if eid not in m.base.edge_by_id)
-        raise GraphError(f"no edge with id {eid}")
-    left = dict.fromkeys(m.base.edge_by_id, 0)
-    left.update(counts)
-    return odd, left
+def _read_counts(m: Multiplicities) -> dict[int, int]:
+    """The copies per edge id of m's base, 0 for edges m leaves out.
+    Raises on a negative count of a base edge, the first in base order,
+    and then on a count that names no edge of the base."""
+    by_id = m.base.edge_by_id
+    left = dict.fromkeys(by_id, 0)
+    left.update(m.counts)
+    if len(left) > len(by_id) or min(left.values(), default=0) < 0:
+        for eid, c in left.items():  # base ids in base order, then the others
+            if eid not in by_id:
+                raise GraphError(f"no edge with id {eid}")
+            if c < 0:
+                raise GraphError(f"edge {eid} has negative count {c}")
+    return left
+
+
+def _odd_vertex(g: MultiGraph, left: Mapping[int, int]) -> int | None:
+    """The lowest vertex that meets an odd number of the copies in left
+    (edge id -> copies, every edge of g), or None if there is none."""
+    odd: set[int] = set()
+    for eid, u, v, _ in g.edges:
+        if left[eid] & 1:
+            odd ^= {u, v}
+    return min(odd, default=None)
 
 
 def _tour(
-    g: MultiGraph, left: dict[int, int], cursor: list[int], start: int
+    g: MultiGraph, left: dict[int, int], cursor: dict[int, int], start: int
 ) -> list[tuple[int, int]]:
     """Hierholzer's closed walk from start through every copy still left in
     start's component, as (vertex, edge id) steps; empty if start has none.

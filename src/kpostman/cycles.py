@@ -9,8 +9,8 @@ The greedy packing takes a shortest cycle again and again, in one pass:
 taking a 2-cycle only spends copies, so the 2-cycles are one list sorted
 once and swept in order.  What the sweep leaves is a simple graph, whose
 2-core is peeled once and then again, in place, from the vertices of each
-cycle taken out; shortest_cycle and the greedy share one girth search,
-which runs the chain Dijkstra graph._settle that the CPP join runs too.
+cycle taken out; shortest_cycle is the greedy's first cycle.  The girth
+search runs the chain Dijkstra graph._settle that the CPP join runs too.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _support(m: Multiplicities) -> tuple[list[Edge], dict[int, int]]:
     """The edges with copies in m, in base order, and the copies of every
     base edge.  Raises on a count that names no edge of the base or is
     negative."""
-    _, left = _read_counts(m)
+    left = _read_counts(m)
     return [e for e in m.base.edges if left[e.id]], left
 
 
@@ -121,16 +121,10 @@ def _two_cycles(
 
 
 def shortest_cycle(m: Multiplicities) -> Cycle | None:
-    """Minimum (edge count, weight) cycle of the multigraph, or None if acyclic.
-
-    A 2-cycle wins if there is one.  Otherwise the support is a simple
-    graph, and _girth searches its 2-core.
-    """
-    support, left = _support(m)
-    two = _two_cycles(support, left)
-    if two:
-        return two[0][2]
-    return _girth(_core(support))
+    """Minimum (edge count, weight) cycle of the multigraph, or None if
+    acyclic: the first cycle the greedy packing takes."""
+    cycles = greedy_cycle_packing(m, 1).cycles
+    return cycles[0] if cycles else None
 
 
 def _girth(core: Mapping[int, Collection[Edge]]) -> Cycle | None:

@@ -20,7 +20,11 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Directed multigraph; parallel arcs and directed 2-cycles allowed."""
+    """Directed multigraph; parallel arcs and directed 2-cycles allowed.
+
+    Ends lie in 1..vertex_count, but per-vertex maps such as steps hold
+    only the vertices that have an arc, so no cost grows with
+    vertex_count."""
 
     vertex_count: int
     arcs: tuple[Arc, ...]
@@ -47,8 +51,9 @@ class DiGraph:
 
     @cached_property
     def steps(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """(arc id, head) pairs leaving each vertex, in arc order."""
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.vertex_count + 1)}
+        """(arc id, head) pairs leaving each vertex that has an arc, in arc
+        order; a vertex that only has arcs in leaves none."""
+        out: dict[int, list[tuple[int, int]]] = {v: [] for a in self.arcs for v in (a.tail, a.head)}
         for a in self.arcs:
             out[a.tail].append((a.id, a.head))
         return {v: tuple(s) for v, s in out.items()}
@@ -60,20 +65,20 @@ class DiGraph:
 
     @cached_property
     def indegrees(self) -> dict[int, int]:
-        """Number of arcs entering each vertex."""
-        into = dict.fromkeys(range(1, self.vertex_count + 1), 0)
+        """Number of arcs entering each vertex that has an arc."""
+        into = dict.fromkeys(self.steps, 0)
         for a in self.arcs:
             into[a.head] += 1
         return into
 
     def outdegree(self, v: int) -> int:
-        return len(self.steps[v])
+        return len(self.steps.get(v, ()))
 
     def indegree(self, v: int) -> int:
-        return self.indegrees[v]
+        return self.indegrees.get(v, 0)
 
     def is_balanced(self) -> bool:
-        return all(self.outdegree(v) == self.indegree(v) for v in range(1, self.vertex_count + 1))
+        return all(self.outdegree(v) == self.indegree(v) for v in self.steps)
 
     def total_weight(self) -> int:
         return sum(a.weight for a in self.arcs)
@@ -101,9 +106,7 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
     fresh two-arc paths of unit-weight arcs.  Already balanced inputs are
     returned untouched with no x at all, which keeps a connected input
     connected."""
-    surplus = {
-        v: d.outdegree(v) - d.indegree(v) for v in range(1, d.vertex_count + 1)
-    }
+    surplus = {v: d.outdegree(v) - d.indegree(v) for v in d.steps}
     if all(s == 0 for s in surplus.values()):
         return GadgetResult(d, None, 0, frozenset())
     x = d.vertex_count + 1

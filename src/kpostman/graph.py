@@ -2,11 +2,14 @@
 
 Vertices are 1-based integers, edge ids are 1-based and never reused within
 one graph value.  Graphs are immutable; every operation returns a new value.
+A graph's vertices are the endpoints of its edges, the keys of its
+adjacency: the header's n only bounds their labels.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -46,7 +49,11 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Undirected multigraph; parallel edges allowed, self-loops rejected."""
+    """Undirected multigraph; parallel edges allowed, self-loops rejected.
+
+    Endpoints lie in 1..vertex_count, but per-vertex maps such as adjacency
+    hold only the vertices that have an edge, so no cost grows with
+    vertex_count."""
 
     vertex_count: int
     edges: tuple[Edge, ...]
@@ -82,8 +89,8 @@ class MultiGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[Edge, ...]]:
-        """Incident edges per vertex, ascending edge id."""
-        adj: dict[int, list[Edge]] = {v: [] for v in range(1, self.vertex_count + 1)}
+        """Incident edges per vertex that has an edge, ascending edge id."""
+        adj: dict[int, list[Edge]] = defaultdict(list)
         for e in self.edges:
             adj[e.u].append(e)
             adj[e.v].append(e)
@@ -113,7 +120,7 @@ class MultiGraph:
             raise GraphError(f"no edge with id {edge_id}") from None
 
     def degree(self, vertex: int) -> int:
-        return len(self.adjacency[vertex])
+        return len(self.adjacency.get(vertex, ()))
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
@@ -338,13 +345,13 @@ def _settle(
 
 def degree_classes(g: MultiGraph) -> DegreeClasses:
     v1, v2, v3 = [], [], []
-    for v in g.vertices():
-        d = g.degree(v)
+    for v, es in g.adjacency.items():
+        d = len(es)
         if d == 1:
             v1.append(v)
         elif d == 2:
             v2.append(v)
-        elif d >= 3:
+        else:
             v3.append(v)
     return DegreeClasses(frozenset(v1), frozenset(v2), frozenset(v3))
 
@@ -356,7 +363,7 @@ def bypass(g: MultiGraph, vertex: int) -> BypassResult:
     expansion maps remain stable.  The replaced pair is reported in traversal
     order: first the edge incident to the new edge's u endpoint.
     """
-    inc = g.adjacency[vertex]
+    inc = g.adjacency.get(vertex, ())
     if len(inc) != 2:
         raise GraphError(f"bypass needs degree exactly 2, vertex {vertex} has degree {len(inc)}")
     e1, e2 = inc

@@ -131,7 +131,7 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
         original=g,
         kernel=MultiGraph(g.vertex_count, kept + tuple(merged)),
         expansions=expansions,
-        vertex_to_original={v: v for v in g.vertices()},
+        vertex_to_original={v: v for v in g.adjacency},
     )
 
 
@@ -188,8 +188,7 @@ def packing_shortcut(
         raise GraphError(f"k must be >= 1, got {k}")
     if cpp is None:
         cpp = solve_cpp(g)
-    vertices = sum(1 for es in g.adjacency.values() if es)
-    if k > cycle_rank_bound(len(g.edges) + len(cpp.join), vertices):
+    if k > cycle_rank_bound(len(g.edges) + len(cpp.join), len(g.adjacency)):
         return None
     m = cpp.multiplicities
     cycles: list[Cycle] = [_two_cycle(g.edge(eid)) for eid in sorted(cpp.join)[:k]]
@@ -268,7 +267,7 @@ KernelOutcome = Solved | Reduced
 def _compact(em: ExpansionMap) -> ExpansionMap:
     """Drop isolated vertices and renumber vertices/edges for emission."""
     work = em.kernel
-    live = sorted({x for e in work.edges for x in (e.u, e.v)})
+    live = sorted(work.adjacency)
     old_to_new = {v: i + 1 for i, v in enumerate(live)}
     new_edges = []
     expansions = {}

@@ -132,7 +132,6 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     base = g.total_weight()
     e_min = g.min_weight_edge()
     mu = e_min.weight
-    vertices = sum(1 for es in g.adjacency.values() if es)
     searcher = PackingSearch(g)
 
     def doubled(s: int) -> tuple[int, int]:
@@ -193,7 +192,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         if s == j0:
             continue
         w, n = doubled(s)
-        rank = cycle_rank_bound(len(g.edges) + n, vertices)
+        rank = cycle_rank_bound(len(g.edges) + n, len(g.adjacency))
         if base + w + 2 * mu * max(0, k - rank) >= best[0]:
             continue
         cand = evaluate(s, w)
@@ -259,8 +258,8 @@ def oracle_kcpp(g: MultiGraph, k: int) -> int:
     zero_options = (cap - 1, cap)
 
     def feasible(counts: dict[int, int]) -> bool:
-        for v in g.vertices():
-            if sum(counts[e.id] for e in g.adjacency[v]) % 2 != 0:
+        for es in g.adjacency.values():
+            if sum(counts[e.id] for e in es) % 2 != 0:
                 return False
         got, _ = searcher.run(counts, k)
         return got >= k

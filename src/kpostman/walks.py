@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .cpp import Multiplicities, _read_counts, _tour
+from .cpp import Multiplicities, _odd_vertex, _read_counts, _tour
 from .cycles import CyclePacking, check_packing
-from .graph import GraphError, Solution, Walk
+from .graph import GraphError, Solution, Walk, _find
 
 
 def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
@@ -27,8 +27,8 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     """
     if not packing.cycles:
         raise GraphError("packing must contain at least one cycle")
-    odd, left = _read_counts(m)
-    if 1 in odd:
+    left = _read_counts(m)
+    if _odd_vertex(m.base, left) is not None:
         raise GraphError("multigraph has a vertex of odd degree")
     check_packing(m, packing)
     for eid, c in packing.edge_multiset().items():
@@ -37,23 +37,17 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     # m is connected iff every leftover copy is reached from a packed cycle
     # and the cycles are linked through shared vertices or shared leftover
     # components; `first` maps each vertex reached so far to the first
-    # cycle that reached it, and `link` is a union-find over cycle indices
+    # cycle that reached it, and `root` is a union-find over cycle indices
     first: dict[int, int] = {}
-    link = list(range(len(packing.cycles)))
-
-    def root(i: int) -> int:
-        while link[i] != i:
-            link[i] = i = link[link[i]]
-        return i
-
-    cursor = [0] * len(odd)
+    root: dict[int, int] = {}
+    cursor = dict.fromkeys(m.base.adjacency, 0)
     walks = []
     for ci, cyc in enumerate(packing.cycles):
         tours = {}
         for v in sorted(cyc.vertices):
             j = first.setdefault(v, ci)
             if j != ci:
-                link[root(ci)] = root(j)
+                root[_find(root, ci)] = _find(root, j)
             tour = _tour(m.base, left, cursor, v)
             if tour:
                 tours[v] = tour
@@ -64,7 +58,7 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
                 walk.extend(tours[step[0]])
             walk.append(step)
         walks.append(Walk(tuple(walk)))
-    if any(left.values()) or any(root(i) != root(0) for i in range(len(link))):
+    if any(left.values()) or any(_find(root, i) != _find(root, 0) for i in range(len(walks))):
         raise GraphError("multigraph must be connected")
 
     by_id = m.base.edge_by_id

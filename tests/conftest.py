@@ -109,7 +109,7 @@ def join_enumeration_minimum(g: MultiGraph, t: frozenset[int]) -> int:
             chosen = set(combo)
             odd = set()
             for v in g.vertices():
-                d = sum(1 for e in g.adjacency[v] if e.id in chosen)
+                d = sum(1 for e in g.adjacency.get(v, ()) if e.id in chosen)
                 if d % 2 == 1:
                     odd.add(v)
             if odd == set(t):
@@ -203,7 +203,8 @@ def even_degrees(m) -> bool:
     """Whether every vertex meets an even number of the edge copies of the
     Multiplicities m, counted vertex by vertex."""
     return all(
-        sum(m.counts.get(e.id, 0) for e in m.base.adjacency[v]) % 2 == 0 for v in m.base.vertices()
+        sum(m.counts.get(e.id, 0) for e in m.base.adjacency.get(v, ())) % 2 == 0
+        for v in m.base.vertices()
     )
 
 

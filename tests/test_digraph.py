@@ -55,6 +55,14 @@ def test_midpoints_have_in_and_out_degree_one():
         assert res.d_prime.indegree(mid) == 1
 
 
+def test_vertex_without_arcs_has_degree_zero():
+    # vertex 2 is declared but has no arc; vertex 3 only has an arc in
+    d = DiGraph.from_arcs(3, [(1, 3, 1)])
+    assert d.outdegree(2) == d.indegree(2) == 0
+    assert d.outdegree(3) == 0 and d.indegree(3) == 1
+    assert d.steps[3] == ()
+
+
 def test_gadget_weight_bookkeeping():
     d = DiGraph.from_arcs(3, [(1, 2, 3), (2, 3, 4)])
     res = build_balanced_extension(d)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kpostman.cpp import Multiplicities
 from kpostman.generators import cycle_graph
 from kpostman.graph import (
     GraphError,
@@ -150,6 +151,16 @@ def test_bypass_rejects_parallel_pair_vertex():
 def test_bypass_rejects_wrong_degree():
     with pytest.raises(GraphError):
         bypass(named_graph("star3"), 1)
+
+
+def test_vertex_without_edges_has_degree_zero():
+    # vertex 3 is declared but has no edge, so adjacency has no entry for it
+    g = MultiGraph.from_edges(4, [(1, 2, 1), (2, 4, 1), (4, 1, 1)])
+    assert 3 not in g.adjacency
+    assert g.degree(3) == 0
+    assert Multiplicities.uniform(g, 2).degree(3) == 0
+    with pytest.raises(GraphError, match="^bypass needs degree exactly 2, vertex 3 has degree 0$"):
+        bypass(g, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from kpostman.cpp import (
     solve_cpp,
 )
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
+from kpostman.digraph import parse_directed_instance, verify_packing_equivalence
 from kpostman.generators import (
     cycle_graph,
     inflate_chains,
@@ -35,6 +37,7 @@ from kpostman.graph import (
     SearchBudgetExceeded,
     Solution,
     is_connected,
+    parse_instance,
     verify_solution,
 )
 from kpostman.kernel import Reduced, kernelize, pendant_shortcut
@@ -743,3 +746,32 @@ def test_metamorphic_relations_above_the_old_terminal_cap():
 
     check()
     assert len(set(pendant_fired)) == 2, pendant_fired
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced allocation, in bytes, while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_follows_the_edges_not_the_header_n():
+    # a unit triangle, and three arcs that the gadget must balance through
+    # a new vertex x = n + 1, cost the same whatever n the header declares
+    def calls(n: int) -> list:
+        tri = f"p kcpp {n} 3 1\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
+        arcs = f"p dkcpp {n} 3 1\na 1 2 1\na 2 3 1\na 1 3 1\n"
+        return [
+            lambda: solve_kcpp(parse_instance(tri).graph, 1),
+            lambda: solve_kcpp(parse_instance(tri).graph, 2),
+            lambda: euler_tour(solve_cpp(parse_instance(tri).graph).multiplicities, 1),
+            lambda: kernelize(parse_instance(tri).graph, 2),
+            lambda: verify_packing_equivalence(parse_directed_instance(arcs)[0]),
+        ]
+
+    for i, (small, large) in enumerate(zip(calls(3), calls(10**6))):
+        peaks = _peak_bytes(small), _peak_bytes(large)
+        assert abs(peaks[0] - peaks[1]) < 512 * 1024, (i, peaks)
