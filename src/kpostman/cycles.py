@@ -254,7 +254,7 @@ class SteppedGraph(Protocol):
 RawCycle = tuple[tuple[int, ...], tuple[int, ...]]  # (vertices, slots)
 Packed = tuple[int, tuple[RawCycle, ...]]  # (cycles found, the cycles)
 
-MAX_PACKING_STATES = 1_000_000  # memo entries one PackingSearch may hold
+MAX_PACKING_STATES = 1_000_000  # per searcher: memo entries, listing calls, listed cycles
 
 
 class PackingSearch:
@@ -282,8 +282,9 @@ class PackingSearch:
     so it is the maximum) or only a lower bound (it reached that target).
     A lower bound answers only targets it reaches.  A count too wide for
     the fields rebuilds the layout and drops the memo and the cycle lists.
-    A searcher that would hold more than MAX_PACKING_STATES memo entries
-    raises SearchBudgetExceeded.
+    Past MAX_PACKING_STATES memo entries, depth-first listing calls and
+    listed cycles together, a searcher raises SearchBudgetExceeded, so a
+    wide cover is refused while its cycles are still being listed.
     """
 
     def __init__(self, base: SteppedGraph):
@@ -293,6 +294,7 @@ class PackingSearch:
         self.steps = {v: tuple((slot[eid], w) for eid, w in out) for v, out in base.steps.items()}
         self.memo: dict[int, tuple[int, tuple[RawCycle, ...], bool]] = {}
         self._through: dict[int, list[tuple[int, int, RawCycle]]] = {}
+        self.listed = 0  # depth-first calls and cycles behind the lists in _through
         self._layout(1)
 
     def _layout(self, width: int) -> None:
@@ -306,11 +308,12 @@ class PackingSearch:
         self.values = self.guards - sum(1 << (s * self.stride) for s in range(len(self.ids)))
         self.memo.clear()
         self._through.clear()
+        self.listed = 0
 
     def run(self, counts: Mapping[int, int], target: int) -> tuple[int, tuple[Cycle, ...]]:
         """Up to `target` disjoint cycles within the edge copies in `counts`
         (edge id -> copies; ids left out have none), and how many.  Raises
-        SearchBudgetExceeded past MAX_PACKING_STATES memo entries."""
+        SearchBudgetExceeded past MAX_PACKING_STATES states."""
         for eid, n in counts.items():
             if eid not in self.slot:
                 raise GraphError(f"no edge with id {eid}")
@@ -328,30 +331,39 @@ class PackingSearch:
         )
 
     def _cycles_through(self, i: int) -> list[tuple[int, int, RawCycle]]:
-        """Every simple cycle through one copy of slot i that uses only
-        slots >= i, in depth-first order, as (delta, length, cycle).  Slots
-        with no copies are walked too, so the list spans the base graph:
-        the searcher suits count vectors that cover most of it."""
-        cycles = self._through.get(i)
-        if cycles is not None:
-            return cycles
-        cycles = self._through[i] = []
+        """List, once per layout, each simple cycle through one copy of slot
+        i over slots >= i, depth first, as (delta, length, cycle).  Empty
+        slots are walked too, so the list spans the base graph (the searcher
+        suits counts that cover most of it); each call and cycle is a state."""
+        cycles: list[tuple[int, int, RawCycle]] = []
         u, v = self.ends[i]
-        stride = self.stride
+        steps, stride = self.steps, self.stride
+        room = start = MAX_PACKING_STATES - len(self.memo) - self.listed
 
         def dfs(cur: int, verts: tuple[int, ...], slots: tuple[int, ...]) -> None:
-            for s, nxt in self.steps[cur]:
+            nonlocal room
+            room -= 1
+            if room < 0:
+                raise SearchBudgetExceeded(
+                    f"search budget exceeded: more than {MAX_PACKING_STATES} packing states"
+                )
+            for s, nxt in steps[cur]:
                 if s < i:
                     continue
                 if nxt == u:
+                    room -= 1
                     cyc = (i,) + slots + (s,)
                     delta = sum(1 << (t * stride) for t in cyc)
                     cycles.append((delta, len(cyc), ((u,) + verts, cyc)))
                 elif nxt != v and nxt not in verts:
                     dfs(nxt, verts + (nxt,), slots + (s,))
 
-        dfs(v, (v,), ())
-        del dfs  # see _search
+        try:
+            dfs(v, (v,), ())
+        finally:
+            del dfs  # see _search
+        self.listed += start - room
+        self._through[i] = cycles
         return cycles
 
     def _search(self, state: int, copies: int, target: int) -> Packed:
@@ -360,10 +372,11 @@ class PackingSearch:
         memo, through, cycles_through = self.memo, self._through, self._cycles_through
         guards, values, stride = self.guards, self.values, self.stride
         full = (1 << self.width) - 1
-        limit = MAX_PACKING_STATES
+        limit = MAX_PACKING_STATES - self.listed  # memo entries left after the listing
 
         def search(state: int, copies: int, target: int) -> Packed:
             """At least min(maximum, target) disjoint cycles in state."""
+            nonlocal limit
             if 2 * target > copies:
                 target = copies // 2  # every cycle eats >= 2 copies
             if target <= 0:
@@ -381,7 +394,11 @@ class PackingSearch:
             # slot i lies in at most one cycle
             bound = min(target, best[0] + c)
             if best[0] < bound:
-                for delta, length, cyc in through.get(i) or cycles_through(i):
+                cycles = through.get(i)
+                if cycles is None:
+                    cycles = cycles_through(i)
+                    limit = MAX_PACKING_STATES - self.listed
+                for delta, length, cyc in cycles:
                     rest = state - delta
                     if rest & guards != guards:
                         continue  # a slot has fewer copies left than the cycle uses
@@ -393,7 +410,7 @@ class PackingSearch:
             memo[state] = (best[0], best[1], best[0] < target)
             if len(memo) > limit:
                 raise SearchBudgetExceeded(
-                    f"search budget exceeded: more than {limit} packing states"
+                    f"search budget exceeded: more than {MAX_PACKING_STATES} packing states"
                 )
             return best
 

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .cycles import PackingSearch
-from .graph import GraphError, SearchBudgetExceeded, read_triples, write_triples
+from .graph import GraphError, read_triples, write_triples
 
 
 class Arc(NamedTuple):
@@ -134,33 +134,21 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
     return GadgetResult(d_prime, x, x_out, frozenset(midpoints))
 
 
-MAX_PACKING_ARCS = 16
-
-
 def max_arc_disjoint_cycles(d: DiGraph) -> int:
-    """Exact maximum number of pairwise arc-disjoint directed cycles; raises
-    SearchBudgetExceeded above MAX_PACKING_ARCS arcs."""
-    if len(d.arcs) > MAX_PACKING_ARCS:
-        raise SearchBudgetExceeded(
-            f"search budget exceeded: {len(d.arcs)} arcs > {MAX_PACKING_ARCS}"
-        )
-    return _max_packing(d)
-
-
-def _max_packing(d: DiGraph) -> int:
+    """Exact maximum number of pairwise arc-disjoint directed cycles, by the
+    packing search with one copy per arc; raises SearchBudgetExceeded past
+    its state budget, cycles.MAX_PACKING_STATES."""
     return PackingSearch(d).run({a.id: 1 for a in d.arcs}, len(d.arcs) // 2)[0]
 
 
 def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
     """Check that balancing adds exactly x's outdegree to the packing number.
 
-    The arc cap applies to d; d' adds two arcs per path midpoint and is
-    bounded by the packing search's own state budget,
-    cycles.MAX_PACKING_STATES, past which it raises SearchBudgetExceeded.
-    The report carries d' for the caller to write out."""
+    d and d' are packed alike, each within the packing search's state
+    budget.  The report carries d' for the caller to write out."""
     gadget = build_balanced_extension(d)
     r = max_arc_disjoint_cycles(d)
-    r_prime = _max_packing(gadget.d_prime)
+    r_prime = max_arc_disjoint_cycles(gadget.d_prime)
     holds = r_prime == r + gadget.x_outdegree
     return EquivalenceReport(r, r_prime, gadget.x_outdegree, holds, gadget.d_prime)
 

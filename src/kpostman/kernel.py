@@ -319,7 +319,7 @@ def kernel_report(g: MultiGraph, outcome: KernelOutcome) -> KernelReport:
         max_parallel=max_par,
         max_chain_internal=max_internal,
         blocked_chains=sum(1 for c in chains if len(c.internal) > k),
-        dropped_vertices=g.vertex_count - measured.vertex_count,
+        dropped_vertices=len(g.adjacency) - len(measured.adjacency),
     )
 
 

@@ -48,7 +48,6 @@ from .graph import (
 from .kernel import KernelReport, Reduced, Solved, kernelize, lift_solution
 from .walks import split_into_k_walks
 
-MAX_SEARCH_CHAINS = 24
 # even duplication sets one kernel search may visit: the seeded workloads
 # visit at most 20, random 16-vertex, 24-edge kernels at most about 460
 MAX_SEARCH_SETS = 1000
@@ -114,21 +113,17 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     and, when that falls short of k and the missing cycles cost something,
     from the exhaustive packing search over the simple graph that greedy's
     2-cycles leave.  The winner's packing, padded with 2-cycles on the
-    minimum-weight edge, is split into the k walks.  Raises
-    SearchBudgetExceeded on more than MAX_SEARCH_CHAINS chains or
-    MAX_SEARCH_SETS visited sets.  Connectivity is not checked up front: on
-    a disconnected g the join raises when two odd vertices have no path,
-    and the walk split when the cover has more than one component.
+    minimum-weight edge, is split into the k walks.  No chain count is
+    refused, only work: SearchBudgetExceeded past MAX_SEARCH_SETS visited
+    sets or cycles.MAX_PACKING_STATES.  Connectivity is not checked up
+    front: on a disconnected g the join raises when two odd vertices have
+    no path, and the walk split when the cover has more than one component.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if not g.edges:
         raise GraphError("graph has no edges")
     chains = sorted(g.chains, key=lambda c: c.edges[0])
-    if len(chains) > MAX_SEARCH_CHAINS:
-        raise SearchBudgetExceeded(
-            f"search budget exceeded: {len(chains)} chains > {MAX_SEARCH_CHAINS}"
-        )
     base = g.total_weight()
     e_min = g.min_weight_edge()
     mu = e_min.weight

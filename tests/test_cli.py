@@ -132,10 +132,18 @@ def test_kernelize_solved_emits_solution(tmp_path):
         (
             MultiGraph(12, cycle_graph(10).edges), 2,
             "k=2 fired=none v1=0 v2=4 v3plus=0 bare_cycle=1 h_edges=- max_parallel=- "
-            "max_chain_internal=2 blocked_chains=0 dropped_vertices=8",
+            "max_chain_internal=2 blocked_chains=0 dropped_vertices=6",
+        ),
+        (
+            MultiGraph(1_000_000, named_graph("triangle").edges), 2,
+            "k=2 fired=none v1=0 v2=3 v3plus=0 bare_cycle=1 h_edges=- max_parallel=- "
+            "max_chain_internal=1 blocked_chains=0 dropped_vertices=0",
         ),
     ],
-    ids=["pendant", "packing", "reduced-theta", "reduced-ring", "reduced-ring-isolated"],
+    ids=[
+        "pendant", "packing", "reduced-theta", "reduced-ring", "reduced-ring-isolated",
+        "reduced-triangle-wide-header",
+    ],
 )  # fmt: skip
 def test_kernelize_report_line(graph, k, line, tmp_path, capsys):
     f = tmp_path / "in.kcpp"
@@ -295,7 +303,7 @@ def test_search_refusal_exits_one(tmp_path, capsys, monkeypatch):
 
 def test_packing_state_budget_exits_one(tmp_path, capsys, monkeypatch):
     # d' of the 8-arc out-star needs about 1700 packing states; a budget of
-    # 100 refuses it in the search of d' (the 8 arcs of d pass their cap)
+    # 100 refuses it in the search of d' (the acyclic d needs 14)
     monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 100)
     d = DiGraph.from_arcs(9, [(1, v, 1) for v in range(2, 10)])
     with pytest.raises(SearchBudgetExceeded) as refused:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+import kpostman.cycles
 from kpostman.cpp import Multiplicities, solve_cpp
 from kpostman.cycles import (
     CyclePacking,
@@ -17,7 +19,7 @@ from kpostman.cycles import (
     shortest_cycle,
 )
 from kpostman.generators import inflate_chains, theta_graph, uniform_inflation
-from kpostman.graph import Edge, GraphError, MultiGraph
+from kpostman.graph import Edge, GraphError, MultiGraph, SearchBudgetExceeded
 
 from conftest import (
     all_simple_cycles,
@@ -238,15 +240,15 @@ def test_cycle_search_names_bad_counts(find):
     assert find(Multiplicities(tri, {1: 1, 2: 1, 3: 0})) in (None, CyclePacking(()))
 
 
-def _max_packing(m: Multiplicities) -> tuple[int, tuple]:
+def _exact_packing(m: Multiplicities) -> tuple[int, tuple]:
     return PackingSearch(m.base).run(m.counts, m.copies() // 2)
 
 
 def test_exact_known_values():
     tri = named_graph("triangle")
-    assert _max_packing(Multiplicities.uniform(tri))[0] == 1
-    assert _max_packing(Multiplicities(tri, {1: 3, 2: 1, 3: 1}))[0] == 2
-    assert _max_packing(Multiplicities.uniform(named_graph("k4")))[0] == 1
+    assert _exact_packing(Multiplicities.uniform(tri))[0] == 1
+    assert _exact_packing(Multiplicities(tri, {1: 3, 2: 1, 3: 1}))[0] == 2
+    assert _exact_packing(Multiplicities.uniform(named_graph("k4")))[0] == 1
 
 
 def test_exact_matches_independent_enumeration():
@@ -254,7 +256,7 @@ def test_exact_matches_independent_enumeration():
     for g in random_small_graphs(seed=32, trials=60, max_n=4, max_m=5):
         counts = {e.id: rng.randint(1, 2) for e in g.edges}
         m = Multiplicities(g, counts)
-        nu, witness = _max_packing(m)
+        nu, witness = _exact_packing(m)
         check_packing(m, CyclePacking(witness))
         assert len(witness) == nu
         expected = max_disjoint_from_list(all_simple_cycles(g, counts), counts)
@@ -267,7 +269,7 @@ def test_greedy_never_beats_exact_and_certifies():
         counts = {e.id: rng.randint(1, 2) for e in g.edges}
         m = Multiplicities(g, counts)
         greedy = greedy_cycle_packing(m, 4)
-        nu, _ = _max_packing(m)
+        nu, _ = _exact_packing(m)
         assert len(greedy) <= nu
         if len(greedy) == 4:
             assert nu >= 4
@@ -285,7 +287,7 @@ def test_greedy_two_cycles_lie_in_a_maximum_packing():
         pairs = [c for c in greedy.cycles if len(c) == 2]
         rest = m.without(CyclePacking(tuple(pairs)).edge_multiset())
         assert shortest_cycle(rest) is None or len(shortest_cycle(rest)) >= 3
-        assert len(pairs) + _max_packing(rest)[0] == _max_packing(m)[0]
+        assert len(pairs) + _exact_packing(rest)[0] == _exact_packing(m)[0]
 
 
 def test_cycle_rank_bounds_every_packing():
@@ -331,7 +333,7 @@ def test_stop_at_caps_the_answer():
     nu, witness = PackingSearch(g).run(m.counts, 2)
     assert nu == 2 and len(witness) == 2
     check_packing(m, CyclePacking(witness))
-    assert _max_packing(m)[0] == 3
+    assert _exact_packing(m)[0] == 3
 
 
 def test_reused_searcher_matches_enumeration_as_counts_widen():
@@ -380,9 +382,24 @@ def test_packing_search_names_bad_counts():
     assert searcher.run({1: 1, 2: 1, 3: 1}, 1)[0] == 1
 
 
+def test_packing_budget_counts_the_cycle_listing(monkeypatch):
+    # a 10-vertex ring with 4 parallel edges per step has 4^9 + 4 cycles
+    # through its first edge; listing them alone passes a budget of 10000,
+    # long before the memo holds a hundred entries
+    monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 10_000)
+    g = MultiGraph.from_edges(10, [(v, v % 10 + 1, 1) for v in range(1, 11) for _ in range(4)])
+    searcher = PackingSearch(g)
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded) as refused:
+        searcher.run(dict.fromkeys(g.edge_by_id, 1), 20)
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == "search budget exceeded: more than 10000 packing states"
+    assert len(searcher.memo) < 100
+
+
 def test_empty_packing_for_tree():
     g = MultiGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)])
-    assert _max_packing(Multiplicities.uniform(g))[0] == 0
+    assert _exact_packing(Multiplicities.uniform(g))[0] == 0
     assert len(greedy_cycle_packing(Multiplicities.uniform(g), 2)) == 0
 
 

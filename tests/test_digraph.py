@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
-import kpostman.digraph
+import kpostman.cycles
 from kpostman.cycles import PackingSearch
 from kpostman.digraph import (
     DiGraph,
@@ -88,15 +89,26 @@ def test_packing_triangle_and_reverse():
     assert max_arc_disjoint_cycles(d) == 3
 
 
-def test_packing_size_gate():
+def test_packing_past_16_arcs_matches_independent_cycle_enumeration():
     d = random_digraph(random.Random(0), 5, 17)
-    with pytest.raises(SearchBudgetExceeded, match="17 arcs > 16"):
+    ones = {a.id: 1 for a in d.arcs}
+    assert max_arc_disjoint_cycles(d) == max_disjoint_from_list(all_directed_cycles(d), ones) == 3
+
+
+def test_packing_budget_counts_the_cycle_listing(monkeypatch):
+    # a directed 10-ring with 4 parallel arcs per step has 4^9 cycles
+    # through its first arc; listing them alone passes a budget of 10000
+    monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 10_000)
+    d = DiGraph.from_arcs(10, [(v, v % 10 + 1, 1) for v in range(1, 11) for _ in range(4)])
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded) as refused:
         max_arc_disjoint_cycles(d)
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == "search budget exceeded: more than 10000 packing states"
 
 
-def test_packing_matches_independent_cycle_enumeration(monkeypatch):
+def test_packing_matches_independent_cycle_enumeration():
     # the gadget of an 8-arc digraph has up to 8 + 2 * 16 arcs
-    monkeypatch.setattr(kpostman.digraph, "MAX_PACKING_ARCS", 40)
     rng = random.Random(29)
     for _ in range(150):
         d = random_digraph(rng, rng.randint(2, 5), rng.randint(1, 8))

@@ -31,7 +31,7 @@ from kpostman.kernel import (
     parallel_edge_shortcut,
     pendant_shortcut,
 )
-from kpostman.solve import MAX_SEARCH_CHAINS, oracle_kcpp, solve_kcpp, solve_kcpp_exact
+from kpostman.solve import oracle_kcpp, solve_kcpp, solve_kcpp_exact
 
 from conftest import random_small_graphs
 
@@ -117,8 +117,8 @@ def test_packing_falls_back_to_core_chain_cycles():
 def test_core_chain_cycles_answer_above_the_chain_cap():
     # 4 copies of a square a-b-d-c sharing a = 1, each side once as an edge
     # and once as a 4-edge chain: greedy on the cover finds 2 cycles per
-    # copy, the core's chains as edges pair up into 4, and the 32 chains
-    # are more than the exact search takes
+    # copy, the core's chains as edges pair up into 4, and the shortcut
+    # answers without the exact search, on more than 24 chains (32)
     triples = []
     n = 1
     for _ in range(4):
@@ -130,7 +130,7 @@ def test_core_chain_cycles_answer_above_the_chain_cap():
             n += 3
             triples.extend((p, q, 1) for p, q in zip(path, path[1:]))
     g = MultiGraph.from_edges(n, triples)
-    assert len(g.edges) == 80 and len(find_chains(g)) > MAX_SEARCH_CHAINS
+    assert len(g.edges) == 80 and len(find_chains(g)) > 24
     res = solve_kcpp(g, 12)
     assert res.method == "packing" and res.weight == 80 == solve_cpp(g).weight
 

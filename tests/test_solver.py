@@ -42,7 +42,6 @@ from kpostman.graph import (
 )
 from kpostman.kernel import Reduced, kernelize, pendant_shortcut
 from kpostman.solve import (
-    MAX_SEARCH_CHAINS,
     MAX_SEARCH_SETS,
     oracle_kcpp,
     solve_kcpp,
@@ -295,13 +294,16 @@ def test_bouquet_of_24_triangles():
     assert (res.weight, res.method) == (81, "kernel")
 
 
-def test_refuses_more_chains_than_the_cap():
-    g = bouquet([1] * (MAX_SEARCH_CHAINS + 1))
-    with pytest.raises(SearchBudgetExceeded, match=f"{MAX_SEARCH_CHAINS + 1} chains > {MAX_SEARCH_CHAINS}$"):
-        solve_kcpp_exact(g, 40)
-    assert isinstance(kernelize(g, 40), Reduced)
-    with pytest.raises(SearchBudgetExceeded, match="chains"):
-        solve_kcpp(g, 40)
+def test_bouquet_of_25_triangles():
+    # 25 loop chains: each doubled triangle adds 3 weight and 2 cycles, each
+    # pair on e_min 2 weight and 1 cycle, so k = 30 takes two triangles and
+    # a pair, 75 + 8 = 83, and k = 31 three triangles, 75 + 9 = 84
+    g = bouquet([1] * 25)
+    assert len(g.chains) == 25
+    assert isinstance(kernelize(g, 30), Reduced)
+    for k, weight in ((30, 83), (31, 84)):
+        res = _solved(g, k)
+        assert (res.weight, res.method) == (weight, "kernel")
 
 
 def test_refuses_past_the_set_budget():
@@ -640,8 +642,7 @@ def test_long_cycle_solved_through_one_pass_reduction():
 def above_gate_graphs(draw):
     """A simple connected graph on 5-7 vertices with 9-14 edges of weight
     1-4, one of them subdivided into a chain of 2-6 segments.  Above the
-    oracle's edge gate, with at most 14 chains: inside the search's chain
-    cap."""
+    oracle's edge gate, with at most 14 chains."""
     n = draw(st.integers(5, 7))
     tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
     rest = [p for p in combinations(range(1, n + 1), 2) if p not in tree]
@@ -665,7 +666,7 @@ def test_metamorphic_relations_above_oracle_gate():
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(above_gate_graphs(), st.data())
     def check(g, data):
-        assert len(g.chains) <= MAX_SEARCH_CHAINS
+        assert len(g.chains) <= 24  # small kernels: the search answers them in milliseconds
         cover = solve_cpp(g)
         cpp, mu = cover.weight, g.min_weight()
         # k at or just above a greedy packing of the single-walk cover, where
