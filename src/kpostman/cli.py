@@ -97,10 +97,12 @@ def _cmd_kernelize(args) -> int:
         return 0
     assert isinstance(outcome, Reduced)
     em = outcome.expansion
-    body = serialize_instance(Instance(em.kernel, outcome.k, inst.p))
+    kernel = em.kernel
+    body = serialize_instance(Instance(kernel, outcome.k, inst.p))
+    # the kernel file numbers its edges by position, and so does the sidecar
     sidecar_lines = [
-        "x " + " ".join(str(t) for t in (kid, *em.expansions[kid]))
-        for kid in sorted(em.expansions)
+        "x " + " ".join(map(str, (pos, *em.expansions[e.id])))
+        for pos, e in enumerate(kernel.edges, start=1)
     ]
     sidecar = "\n".join(sidecar_lines) + "\n"
     if args.output is None or args.output == "-":
@@ -109,7 +111,7 @@ def _cmd_kernelize(args) -> int:
     else:
         _write_output(args.output, body)
         _write_output(args.output + ".exp", sidecar)
-    print(f"# reduced=1 kernel_vertices={em.kernel.vertex_count} kernel_edges={len(em.kernel.edges)}")
+    print(f"# reduced=1 kernel_vertices={len(kernel.adjacency)} kernel_edges={len(kernel.edges)}")
     return 0
 
 

@@ -15,7 +15,8 @@ perfect matching over those distances (Edmonds' blossom algorithm, as in
 Edmonds-Johnson 1973), and the join is the symmetric difference of the
 chains on the paired paths.  _join_chains returns it as chain indices, so
 solve_cpp and the kernel search read it off their own chain cut;
-min_weight_join, whose terminals need not be anchors, cuts at them too.
+min_weight_join, whose terminals need not be anchors, runs it over one
+single-edge chain per edge.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._matching import min_weight_perfect_matching
-from .graph import Chain, GraphError, MultiGraph, Walk, _chains, _connected, _settle
+from .graph import Chain, GraphError, MultiGraph, Walk, _connected, _settle
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +113,10 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
             raise GraphError(f"vertex {v} out of range 1..{g.vertex_count}")
     if len(terminals) % 2 != 0:
         raise GraphError(f"odd-vertex set has odd size {len(terminals)}")
-    chains = _chains(g.adjacency, terminals)
+    chains = [Chain((u, v), (eid,), w, False, u, v) for eid, u, v, w in g.edges]
     if not _connected(chains):
         raise GraphError("graph must be connected")
-    return frozenset(eid for i in _join_chains(chains, terminals) for eid in chains[i].edges)
+    return frozenset(g.edges[i].id for i in _join_chains(chains, terminals))
 
 
 def _join_chains(chains: Sequence[Chain], terminals: list[int]) -> set[int]:
@@ -188,7 +189,8 @@ def euler_tour(m: Multiplicities, start: int) -> Walk:
     """Closed walk using each edge copy of m exactly once, from start.
 
     m must span a single component with all degrees even; at each vertex the
-    lowest-id available copy is taken, so tours are deterministic.
+    first available copy in the order of the base graph's edges is taken,
+    so tours are deterministic.
     """
     g = m.base
     left = _read_counts(m)
@@ -237,8 +239,8 @@ def _tour(
 
     Spends the copies in `left`.  `cursor[v]` indexes the first edge of
     g.adjacency[v] that may have a copy left; counts only fall, so the edge
-    it lands on is the lowest-id available copy, and no spent edge is read
-    twice across the tours that share `cursor`.
+    it lands on is the first available copy in adjacency order, and no
+    spent edge is read twice across the tours that share `cursor`.
     """
     adjacency = g.adjacency
     verts = [start]

@@ -89,7 +89,7 @@ class MultiGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[Edge, ...]]:
-        """Incident edges per vertex that has an edge, ascending edge id."""
+        """Incident edges per vertex that has an edge, in the order of edges."""
         adj: dict[int, list[Edge]] = defaultdict(list)
         for e in self.edges:
             adj[e.u].append(e)
@@ -241,14 +241,13 @@ def _peel(adj: dict[int, dict[Edge, None]], vertices: Iterable[int]) -> None:
                 stack.append(w)
 
 
-def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> list[Chain]:
+def _chains(adj: Mapping[int, Collection[Edge]]) -> list[Chain]:
     """Cut the graph given by its incidence map (the incident edges of each
     vertex, in base edge order) into chains at its anchors, the vertices of
-    degree other than 2 and the vertices in cuts, plus one ring per
-    component without an anchor; a vertex without edges is skipped.  Linear
-    in the size of the graph.  MultiGraph.chains caches the cut without
-    cuts, so every reader of one graph shares it."""
-    cut = set(cuts)
+    degree other than 2, plus one ring per component without an anchor; a
+    vertex without edges is skipped.  Linear in the size of the graph.
+    MultiGraph.chains caches the cut, so every reader of one graph shares
+    it."""
     used: set[int] = set()
     chains: list[Chain] = []
 
@@ -256,7 +255,7 @@ def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> li
         eid, x, y, weight = start
         verts, ids = [a], [eid]
         cur = x + y - a  # the other end
-        while cur != a and cur not in cut:
+        while cur != a:
             es = adj[cur]
             if len(es) != 2:
                 break
@@ -275,7 +274,7 @@ def _chains(adj: Mapping[int, Collection[Edge]], cuts: Iterable[int] = ()) -> li
     for a in sorted(adj):
         es = adj[a]
         degrees += len(es)
-        if len(es) == 2 and a not in cut:
+        if len(es) == 2:
             twos.append(a)
             continue
         for start in es:

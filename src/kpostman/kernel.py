@@ -49,37 +49,31 @@ def _parallel_groups(chains: list[Chain]) -> dict[tuple[int, int], list[Chain]]:
 class ExpansionMap:
     """How each kernel edge expands into a degree-2 chain of original edges.
 
-    Each expansion list is oriented from the kernel edge's u endpoint; the
-    lists partition the original edge set.  vertex_to_original translates
-    kernel vertex indices after isolated-vertex compaction.
+    The kernel uses the original's vertex labels.  Each expansion list is
+    oriented from the kernel edge's u endpoint; the lists partition the
+    original edge set.
     """
 
     original: MultiGraph
     kernel: MultiGraph
     expansions: dict[int, tuple[int, ...]]
-    vertex_to_original: dict[int, int]
 
     def validate(self) -> None:
         seen: list[int] = []
         for ke in self.kernel.edges:
-            ids = self.expansions[ke.id]
+            ids = self.expansions.get(ke.id)
+            if ids is None:
+                raise GraphError(f"no expansion recorded for kernel edge {ke.id}")
             seen.extend(ids)
-            verts = _chain_vertices(self.original, ids, self.vertex_to_original[ke.u])
-            if verts[-1] != self.vertex_to_original[ke.v]:
+            end = ke.u  # walk the expansion; other() raises if it breaks
+            for eid in ids:
+                end = self.original.edge(eid).other(end)
+            if end != ke.v:
                 raise GraphError(f"expansion of kernel edge {ke.id} does not reach its v endpoint")
             if sum(self.original.edge(i).weight for i in ids) != ke.weight:
                 raise GraphError(f"expansion of kernel edge {ke.id} has wrong total weight")
         if sorted(seen) != sorted(self.original.edge_by_id):
             raise GraphError("expansions do not partition the original edge set")
-
-
-def _chain_vertices(g: MultiGraph, ids: tuple[int, ...], start: int) -> list[int]:
-    verts = [start]
-    cur = start
-    for eid in ids:
-        cur = g.edge(eid).other(cur)
-        verts.append(cur)
-    return verts
 
 
 def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
@@ -90,8 +84,12 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
     The minimum-weight edge g.min_weight_edge() always stays a segment of
     its own, so the minimum edge weight is unchanged.  When it lies strictly
     inside a chain and k = 1, that chain keeps 2 internal vertices.
-    Bypassed vertices stay as isolated indices.  The rule works chain by
-    chain and does not check connectivity; kernelize has checked g.
+    The kernel keeps g's vertex labels and header n; a bypassed vertex has
+    no edge in it.  The kernel's edges are those of g that no segment
+    merged, in the order of g.edges and with their ids, then the merged
+    segments in chain order, with ids from g.max_edge_id() + 1 on.  The
+    rule works chain by chain and does not check connectivity; kernelize
+    has checked g.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
@@ -131,7 +129,6 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
         original=g,
         kernel=MultiGraph(g.vertex_count, kept + tuple(merged)),
         expansions=expansions,
-        vertex_to_original={v: v for v in g.adjacency},
     )
 
 
@@ -264,32 +261,17 @@ class Reduced:
 KernelOutcome = Solved | Reduced
 
 
-def _compact(em: ExpansionMap) -> ExpansionMap:
-    """Drop isolated vertices and renumber vertices/edges for emission."""
-    work = em.kernel
-    live = sorted(work.adjacency)
-    old_to_new = {v: i + 1 for i, v in enumerate(live)}
-    new_edges = []
-    expansions = {}
-    for new_id, e in enumerate(sorted(work.edges, key=lambda e: e.id), start=1):
-        new_edges.append(Edge(new_id, old_to_new[e.u], old_to_new[e.v], e.weight))
-        expansions[new_id] = em.expansions[e.id]
-    kernel = MultiGraph(len(live), tuple(new_edges))
-    vmap = {old_to_new[v]: em.vertex_to_original[v] for v in live}
-    return ExpansionMap(em.original, kernel, expansions, vmap)
-
-
 def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
     """Run the pipeline: the packing shortcut, at the single-walk optimum;
-    if it does not fire, return the chain-reduced instance with an
-    expansion map for the exact search."""
+    if it does not fire, return the chain-reduced instance
+    (apply_reduction_rule) with its expansion map for the exact search."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     cpp = solve_cpp(g)  # raises for a graph without edges or not connected
     sol = packing_shortcut(g, k, cpp=cpp)
     if sol is not None:
         return Solved(sol, cpp.weight)
-    return Reduced(_compact(apply_reduction_rule(g, k)), k, cpp.weight)
+    return Reduced(apply_reduction_rule(g, k), k, cpp.weight)
 
 
 def kernel_report(g: MultiGraph, outcome: KernelOutcome) -> KernelReport:
@@ -328,7 +310,6 @@ def lift_solution(em: ExpansionMap, s: Solution) -> Solution:
     verify_solution(em.kernel, len(s.walks), s)
     kernel_edges = em.kernel.edge_by_id
     original_edges = em.original.edge_by_id
-    to_original = em.vertex_to_original
     walks = []
     total = 0
     for walk in s.walks:
@@ -339,14 +320,13 @@ def lift_solution(em: ExpansionMap, s: Solution) -> Solution:
             if ids is None:
                 raise GraphError(f"no expansion recorded for kernel edge {eid}")
             oriented = ids if v == kernel_edges[eid].u else ids[::-1]
-            cur = to_original[v]
+            cur = v
             for oid in oriented:
                 steps.append((cur, oid))
                 _, a, b, w = original_edges[oid]
                 cur = a + b - cur  # the other end
                 total += w
-            nxt = walk.steps[(i + 1) % r][0]
-            if cur != to_original[nxt]:
+            if cur != walk.steps[(i + 1) % r][0]:
                 raise GraphError(f"expansion of edge {eid} does not reconnect the walk")
         walks.append(Walk(tuple(steps)))
     if total != s.total_weight:

@@ -32,6 +32,7 @@ from kpostman.graph import (
     serialize_instance,
     verify_solution,
 )
+from kpostman.kernel import ExpansionMap
 
 from conftest import bouquet
 
@@ -95,6 +96,29 @@ def test_kernelize_reduced_emits_instance_and_sidecar(tmp_path, capsys):
     assert kern.graph.vertex_count == 3 and len(kern.graph.edges) == 3
     sidecar = (tmp_path / "kernel.kcpp.exp").read_text().strip().splitlines()
     assert sidecar == ["x 1 1", "x 2 2", "x 3 3"]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [theta_graph(4, 8), uniform_inflation(named_graph("bowtie"), 20)],
+    ids=["theta", "inflated-bowtie"],
+)
+def test_kernelize_file_and_sidecar_validate_against_the_input(graph, tmp_path, capsys):
+    f = tmp_path / "in.kcpp"
+    f.write_text(serialize_instance(Instance(graph, 3)))
+    out = tmp_path / "kernel.kcpp"
+    assert main(["kernelize", str(f), "-o", str(out)]) == 0
+    source = parse_instance(f.read_text()).graph
+    kern = parse_instance(out.read_text()).graph
+    assert kern.vertex_count == source.vertex_count
+    expansions = {}
+    for line in (tmp_path / "kernel.kcpp.exp").read_text().splitlines():
+        tag, kid, *ids = line.split()
+        assert tag == "x"
+        expansions[int(kid)] = tuple(map(int, ids))
+    ExpansionMap(source, kern, expansions).validate()
+    counts = f"kernel_vertices={len(kern.adjacency)} kernel_edges={len(kern.edges)}"
+    assert capsys.readouterr().out.splitlines()[-1] == f"# reduced=1 {counts}"
 
 
 def test_kernelize_solved_emits_solution(tmp_path):

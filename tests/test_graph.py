@@ -197,14 +197,8 @@ def test_is_connected():
 def test_chains_cut_at_extra_vertices():
     ring = cycle_graph(6)
     assert [(c.vertices, c.ring) for c in _chains(ring.adjacency)] == [((1, 2, 3, 4, 5, 6, 1), True)]
-    assert [c.vertices for c in _chains(ring.adjacency, [4])] == [(4, 3, 2, 1, 6, 5, 4)]
-    assert [c.vertices for c in _chains(ring.adjacency, [2, 5])] == [(2, 1, 6, 5), (2, 3, 4, 5)]
     path = MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 2), (3, 4, 3)])
     assert [(c.vertices, c.weight) for c in _chains(path.adjacency)] == [((1, 2, 3, 4), 6)]
-    assert [(c.vertices, c.weight) for c in _chains(path.adjacency, [3])] == [
-        ((1, 2, 3), 3),
-        ((3, 4), 3),
-    ]
 
 
 def _chain_soup(rng: random.Random) -> MultiGraph:
@@ -253,19 +247,17 @@ def test_chains_are_well_formed_and_partition_the_edges():
     rings = loops = 0
     for _ in range(300):
         g = _chain_soup(rng)
-        cuts = rng.sample(range(1, g.vertex_count + 1), rng.randint(0, g.vertex_count // 3))
-        for chains in (g.chains, _chains(g.adjacency, cuts)):
-            for c in chains:
-                assert c.u == c.vertices[0] and c.v == c.vertices[-1]
-                assert len(c.vertices) == len(c.edges) + 1
-                for a, b, eid in zip(c.vertices, c.vertices[1:], c.edges):
-                    assert {a, b} == set(g.ends[eid])
-                assert c.weight == sum(g.edge(eid).weight for eid in c.edges)
-                if c.ring:
-                    assert c.u == c.v == min(c.vertices)
-                    rings += 1
-                loops += c.u == c.v and not c.ring
-            assert sorted(eid for c in chains for eid in c.edges) == sorted(g.edge_by_id)
+        for c in g.chains:
+            assert c.u == c.vertices[0] and c.v == c.vertices[-1]
+            assert len(c.vertices) == len(c.edges) + 1
+            for a, b, eid in zip(c.vertices, c.vertices[1:], c.edges):
+                assert {a, b} == set(g.ends[eid])
+            assert c.weight == sum(g.edge(eid).weight for eid in c.edges)
+            if c.ring:
+                assert c.u == c.v == min(c.vertices)
+                rings += 1
+            loops += c.u == c.v and not c.ring
+        assert sorted(eid for c in g.chains for eid in c.edges) == sorted(g.edge_by_id)
     assert rings > 100 and loops > 100
 
 

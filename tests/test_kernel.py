@@ -18,8 +18,9 @@ from kpostman.generators import (
     theta_graph,
     uniform_inflation,
 )
-from kpostman.graph import GraphError, MultiGraph, verify_solution
+from kpostman.graph import Edge, GraphError, MultiGraph, verify_solution
 from kpostman.kernel import (
+    ExpansionMap,
     Reduced,
     Solved,
     apply_reduction_rule,
@@ -178,6 +179,15 @@ def test_reduction_triangle_unchanged():
     em = apply_reduction_rule(g, 1)
     assert em.kernel.edges == g.edges
     em.validate()
+
+
+def test_validate_names_a_kernel_edge_without_expansion():
+    g = MultiGraph.from_edges(4, [(1, 2, 2), (2, 3, 3), (3, 4, 2), (4, 1, 2)])
+    em = apply_reduction_rule(g, 1)
+    expansions = dict(em.expansions)
+    del expansions[1]
+    with pytest.raises(GraphError, match="^no expansion recorded for kernel edge 1$"):
+        ExpansionMap(g, em.kernel, expansions).validate()
 
 
 def test_reduction_bare_cycle_keeps_zero_minimum():
@@ -357,7 +367,8 @@ def test_kernelize_reduced_structural_bounds():
         if isinstance(out, Reduced):
             reduced_seen += 1
             kern = out.kernel
-            assert all(kern.degree(v) > 0 for v in kern.vertices())
+            assert set(kern.adjacency) <= set(g.adjacency)
+            assert all(e == g.edge(e.id) for e in kern.edges if e.id in g.edge_by_id)
             chains = find_chains(kern)
             assert all(len(c.internal) <= k for c in chains)
             if not chains:  # bare cycle
@@ -392,7 +403,9 @@ def test_lift_expands_merged_chain():
     g = MultiGraph.from_edges(4, [(1, 2, 2), (2, 3, 3), (3, 4, 2), (4, 1, 2)])
     em = apply_reduction_rule(g, 1)
     work = em.kernel
-    assert len(work.edges) < len(g.edges)
+    # kept edges in g's order with their ids, then merged ones past g's ids
+    assert work.edges == (g.edge(1), g.edge(2), Edge(5, 3, 1, 4))
+    assert em.expansions == {1: (1,), 2: (2,), 5: (3, 4)}
     sol = solve_kcpp_exact(work, 1)
     lifted = lift_solution(em, sol)
     verify_solution(g, 1, lifted)

@@ -435,9 +435,9 @@ def test_kernel_path_reads_connectivity_and_parity_off_one_cut(monkeypatch):
     cut = graph_module._chains
     cut_maps = []
 
-    def counted(adj, cuts=()):
+    def counted(adj):
         cut_maps.append(adj)
-        return cut(adj, cuts)
+        return cut(adj)
 
     monkeypatch.setattr(graph_module, "_chains", counted)
     res = solve_kcpp(g, 3)
