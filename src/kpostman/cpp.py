@@ -7,25 +7,33 @@ graph's cached cut into degree-2 chains at its anchors (vertices of degree
 other than 2): connectivity (graph._connected, a union-find over the chain
 ends), the odd vertices (every odd vertex is an anchor, at which an odd
 number of chains end) and the join; is_connected and odd_vertices read the
-same cut.  The join is computed exactly on the anchor graph: the chain
-Dijkstra graph._settle, which the girth search shares, runs from each
-terminal over whole chains keyed on (weight, hops), with paths that tie on
-both taken in heap order, the terminals are paired by a minimum-weight
-perfect matching over those distances (Edmonds' blossom algorithm, as in
-Edmonds-Johnson 1973), and the join is the symmetric difference of the
-chains on the paired paths.  _join_chains returns it as chain indices, so
-solve_cpp and the kernel search read it off their own chain cut;
-min_weight_join, whose terminals need not be anchors, runs it over one
-single-edge chain per edge.
+same cut.  The join is computed exactly on the anchor graph by
+graph._join_chains: the chain Dijkstra graph._settle, which the girth
+search shares, runs from each terminal over whole chains keyed on
+(weight, hops), with paths that tie on both taken in heap order, the
+terminals are paired by a minimum-weight perfect matching over those
+distances (Edmonds' blossom algorithm, as in Edmonds-Johnson 1973), and the
+join is the symmetric difference of the chains on the paired paths.  Each
+graph caches that join as chain indices (MultiGraph.chain_join) beside its
+cut, so solve_cpp and the kernel search on the same graph share one join;
+min_weight_join, whose terminals need not be anchors, runs _join_chains
+over one single-edge chain per edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from ._matching import min_weight_perfect_matching
-from .graph import Chain, GraphError, MultiGraph, Walk, _connected, _settle
+from .graph import (
+    Chain,
+    GraphError,
+    MultiGraph,
+    Walk,
+    _connected,
+    _join_chains,
+    _odd_anchors,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +96,6 @@ def odd_vertices(g: MultiGraph) -> frozenset[int]:
     return frozenset(_odd_anchors(g.chains))
 
 
-def _odd_anchors(chains: Iterable[Chain]) -> list[int]:
-    """The odd vertices, ascending, of a graph cut into chains at (at
-    least) its anchors: every odd vertex is an anchor, and it is odd iff an
-    odd number of open chains end at it (a loop chain ends there twice, a
-    ring nowhere)."""
-    odd: set[int] = set()
-    for c in chains:
-        if c.u != c.v:
-            odd ^= {c.u, c.v}
-    return sorted(odd)
-
-
 def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
     """Minimum-weight edge set whose odd-degree vertices are exactly t.
 
@@ -119,55 +115,12 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
     return frozenset(g.edges[i].id for i in _join_chains(chains, terminals))
 
 
-def _join_chains(chains: Sequence[Chain], terminals: list[int]) -> set[int]:
-    """Indices into chains of a minimum join over the sorted, distinct
-    terminals, which must all be anchors of the cut.
-
-    A shortest path between anchors enters a chain only to traverse all of
-    it, so the search runs over whole chains; loop chains and rings never
-    lie on a shortest path and are skipped.  The join is the symmetric
-    difference of the chains on the matched paths.  Raises if two
-    terminals have no path between them.
-    """
-    if not terminals:
-        return set()
-    incident: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in terminals}
-    for ci, c in enumerate(chains):
-        if c.u != c.v:
-            incident.setdefault(c.u, []).append((ci, c.v, c.weight, len(c.edges)))
-            incident.setdefault(c.v, []).append((ci, c.u, c.weight, len(c.edges)))
-    n = len(terminals)
-    dist = [[0] * n for _ in range(n)]
-    trees: list[dict[int, tuple[int, int] | None]] = []
-    for i, s in enumerate(terminals[:-1]):
-        left = {t: j for j, t in enumerate(terminals[i + 1 :], start=i + 1)}
-        tree: dict[int, tuple[int, int] | None] = {}
-        for x, (w, _), via in _settle(incident, s):
-            tree[x] = via
-            j = left.pop(x, None)
-            if j is not None:
-                dist[i][j] = dist[j][i] = w
-                if not left:
-                    break
-        if left:
-            raise GraphError(f"no path between odd vertices {s} and {min(left)}")
-        trees.append(tree)
-    join: set[int] = set()
-    for i, j in enumerate(min_weight_perfect_matching(dist)):
-        if i < j:
-            tree, y = trees[i], terminals[j]
-            while (via := tree[y]) is not None:
-                ci, y = via
-                join ^= {ci}
-    return join
-
-
 def solve_cpp(g: MultiGraph) -> CppSolution:
     """Optimal single-walk cover: duplicate a minimum join over odd vertices.
 
     Returns the join, the covering counts (1 outside the join, 2 on it) and
-    the optimal weight total(g) + weight(join).  Connectivity, the odd
-    vertices and the join all come from g's cached chain cut.
+    the optimal weight total(g) + weight(join).  Connectivity comes from
+    g's cached chain cut and the join from g's cached chain_join over it.
     """
     if not g.edges:
         raise GraphError("graph has no edges")
@@ -177,7 +130,7 @@ def solve_cpp(g: MultiGraph) -> CppSolution:
     counts = dict.fromkeys(g.edge_by_id, 1)
     weight = g.total_weight()
     join: list[int] = []
-    for i in _join_chains(chains, _odd_anchors(chains)):
+    for i in g.chain_join:
         c = chains[i]
         counts.update(dict.fromkeys(c.edges, 2))
         weight += c.weight

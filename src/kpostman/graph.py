@@ -12,7 +12,9 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+from ._matching import min_weight_perfect_matching
 
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
@@ -107,6 +109,14 @@ class MultiGraph:
         graph; connectivity, the odd vertices, the CPP join and the
         reduction all read it."""
         return tuple(_chains(self.adjacency))
+
+    @cached_property
+    def chain_join(self) -> frozenset[int]:
+        """Indices into chains of a minimum join over the odd anchors (see
+        _join_chains), made once per graph; solve_cpp and the kernel search
+        both read it.  Raises if two odd vertices have no path."""
+        chains = self.chains
+        return frozenset(_join_chains(chains, _odd_anchors(chains)))
 
     @cached_property
     def ends(self) -> dict[int, tuple[int, int]]:
@@ -340,6 +350,61 @@ def _settle(
                 dist[y] = cand
                 via[y] = (ci, x)
                 heapq.heappush(heap, (*cand, y))
+
+
+def _odd_anchors(chains: Iterable[Chain]) -> list[int]:
+    """The odd vertices, ascending, of a graph cut into chains at (at
+    least) its anchors: every odd vertex is an anchor, and it is odd iff an
+    odd number of open chains end at it (a loop chain ends there twice, a
+    ring nowhere)."""
+    odd: set[int] = set()
+    for c in chains:
+        if c.u != c.v:
+            odd ^= {c.u, c.v}
+    return sorted(odd)
+
+
+def _join_chains(chains: Sequence[Chain], terminals: list[int]) -> set[int]:
+    """Indices into chains of a minimum join over the sorted, distinct
+    terminals, which must all be anchors of the cut.
+
+    A shortest path between anchors enters a chain only to traverse all of
+    it, so the search runs over whole chains; loop chains and rings never
+    lie on a shortest path and are skipped.  The join is the symmetric
+    difference of the chains on the matched paths.  Raises if two
+    terminals have no path between them.
+    """
+    if not terminals:
+        return set()
+    incident: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in terminals}
+    for ci, c in enumerate(chains):
+        if c.u != c.v:
+            incident.setdefault(c.u, []).append((ci, c.v, c.weight, len(c.edges)))
+            incident.setdefault(c.v, []).append((ci, c.u, c.weight, len(c.edges)))
+    n = len(terminals)
+    dist = [[0] * n for _ in range(n)]
+    trees: list[dict[int, tuple[int, int] | None]] = []
+    for i, s in enumerate(terminals[:-1]):
+        left = {t: j for j, t in enumerate(terminals[i + 1 :], start=i + 1)}
+        tree: dict[int, tuple[int, int] | None] = {}
+        for x, (w, _), via in _settle(incident, s):
+            tree[x] = via
+            j = left.pop(x, None)
+            if j is not None:
+                dist[i][j] = dist[j][i] = w
+                if not left:
+                    break
+        if left:
+            raise GraphError(f"no path between odd vertices {s} and {min(left)}")
+        trees.append(tree)
+    join: set[int] = set()
+    for i, j in enumerate(min_weight_perfect_matching(dist)):
+        if i < j:
+            tree, y = trees[i], terminals[j]
+            while (via := tree[y]) is not None:
+                ci, y = via
+                join ^= {ci}
+    return join
 
 
 def degree_classes(g: MultiGraph) -> DegreeClasses:

@@ -49,7 +49,8 @@ def _parallel_groups(chains: list[Chain]) -> dict[tuple[int, int], list[Chain]]:
 class ExpansionMap:
     """How each kernel edge expands into a degree-2 chain of original edges.
 
-    The kernel uses the original's vertex labels.  Each expansion list is
+    The kernel uses the original's vertex labels, and is the original
+    itself when the reduction shortened nothing.  Each expansion list is
     oriented from the kernel edge's u endpoint; the lists partition the
     original edge set.
     """
@@ -87,9 +88,11 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
     The kernel keeps g's vertex labels and header n; a bypassed vertex has
     no edge in it.  The kernel's edges are those of g that no segment
     merged, in the order of g.edges and with their ids, then the merged
-    segments in chain order, with ids from g.max_edge_id() + 1 on.  The
-    rule works chain by chain and does not check connectivity; kernelize
-    has checked g.
+    segments in chain order, with ids from g.max_edge_id() + 1 on.  When
+    no chain is that long, g is its own kernel (kernel is g, every edge
+    expanding to itself), so the search reads the adjacency, chain cut and
+    CPP join that g has already cached.  The rule works chain by chain and
+    does not check connectivity; kernelize has checked g.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
@@ -124,6 +127,8 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
             next_id += 1
             for eid in ids[lo:hi]:
                 del expansions[eid]
+    if not merged:
+        return ExpansionMap(g, g, expansions)
     kept = tuple(e for e in g.edges if e.id in expansions)
     return ExpansionMap(
         original=g,

@@ -16,9 +16,11 @@ and it contains F, so w(F) bounds its weight from below.  The CPP join,
 the lightest even set, is evaluated first as the incumbent; then the
 subsets F are drawn lazily from a heap in increasing w(F) until no later
 set can beat the incumbent.  Every odd vertex is an anchor, so the CPP
-join is whole chains, and the search takes it as chain indices from the
-cut it has already made.  A set is skipped without a packing when its
-weight plus the pairs its cycle rank forces already reaches the incumbent.
+join is whole chains, and the search reads it as chain indices off the
+graph's cached join (MultiGraph.chain_join), which solve_cpp has already
+filled when the kernel is the input itself.  A set is skipped without a
+packing when its weight plus the pairs its cycle rank forces already
+reaches the incumbent.
 The oracle enumerates raw multiplicity vectors instead and knows nothing
 of either restriction.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .cpp import Multiplicities, _join_chains, _odd_anchors
+from .cpp import Multiplicities
 from .cycles import (
     Cycle,
     CyclePacking,
@@ -48,8 +50,10 @@ from .graph import (
 from .kernel import KernelReport, Reduced, Solved, kernelize, lift_solution
 from .walks import split_into_k_walks
 
-# even duplication sets one kernel search may visit: the seeded workloads
-# visit at most 20, random 16-vertex, 24-edge kernels at most about 460
+# even duplication sets one kernel search may visit.  Of the seeded
+# perfbench workloads, search seed 1 visits at most 19 in one kernel solve
+# and seed 7 at most 512 (one solve; the next most is 15), chains at most 1
+# in both seeds; random 16-vertex, 24-edge kernels visit at most about 460
 MAX_SEARCH_SETS = 1000
 ORACLE_MAX_EDGES = 8
 ORACLE_MAX_K = 3
@@ -159,8 +163,10 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
                 cycles = pairs + list(found)
         return base + w + 2 * mu * (k - len(cycles)), counts, cycles
 
-    # every odd vertex of g is an anchor, so the CPP join is whole chains
-    j0 = sum(1 << i for i in _join_chains(chains, _odd_anchors(chains)))
+    # every odd vertex of g is an anchor, so the CPP join is whole chains:
+    # g's cached one, its indices into g.chains mapped onto first-edge order
+    position = {c.edges[0]: i for i, c in enumerate(chains)}
+    j0 = sum(1 << position[g.chains[i].edges[0]] for i in g.chain_join)
     w0 = doubled(j0)[0]
     best = evaluate(j0, w0)
 

@@ -177,8 +177,11 @@ def test_reduction_dumbbell_chain_shrinks():
 def test_reduction_triangle_unchanged():
     g = named_graph("triangle")
     em = apply_reduction_rule(g, 1)
-    assert em.kernel.edges == g.edges
+    assert em.kernel is g
     em.validate()
+    # lifting through the identity expansion hands the walks back as they are
+    s = solve_kcpp_exact(em.kernel, 2)
+    assert lift_solution(em, s) == s
 
 
 def test_validate_names_a_kernel_edge_without_expansion():

@@ -38,6 +38,7 @@ from kpostman.graph import (
     Solution,
     is_connected,
     parse_instance,
+    serialize_solution,
     verify_solution,
 )
 from kpostman.kernel import Reduced, kernelize, pendant_shortcut
@@ -444,6 +445,45 @@ def test_kernel_path_reads_connectivity_and_parity_off_one_cut(monkeypatch):
     assert res.method == "kernel" and res.weight == 42
     verify_solution(g, 3, res.solution)
     assert sum(adj is g.adjacency for adj in cut_maps) == 1
+
+
+def test_unchanged_kernel_is_cut_and_joined_once(monkeypatch):
+    # no chain of g is longer than k, so g is its own kernel and the search
+    # reads the cut and the CPP join that solve_cpp cached on it
+    g = random_connected_graph(random.Random(1), 16, 24, 4)
+    cut, join = graph_module._chains, graph_module._join_chains
+    cut_maps, joined = [], []
+
+    def counted_cut(adj):
+        cut_maps.append(adj)
+        return cut(adj)
+
+    def counted_join(chains, terminals):
+        joined.append(chains)
+        return join(chains, terminals)
+
+    monkeypatch.setattr(graph_module, "_chains", counted_cut)
+    monkeypatch.setattr(graph_module, "_join_chains", counted_join)
+    outcome = kernelize(g, 14)
+    assert isinstance(outcome, Reduced) and outcome.kernel is g
+    res = solve_kcpp(g, 14)
+    assert res.method == "kernel"
+    verify_solution(g, 14, res.solution)
+    assert sum(adj is g.adjacency for adj in cut_maps) == 1
+    assert len(joined) == 1 and joined[0] is g.chains
+
+
+def test_cached_join_gives_the_fresh_graph_answer():
+    # tie-prone weights: the search on a graph whose join solve_cpp cached
+    # must agree, text and all, with the search on a fresh copy
+    rng = random.Random(25)
+    for g in random_small_graphs(25, 300, max_n=8, max_m=12, max_w=2):
+        k = rng.randint(1, 5)
+        solve_cpp(g)
+        warm = solve_kcpp_exact(g, k)
+        cold = solve_kcpp_exact(MultiGraph(g.vertex_count, g.edges), k)
+        assert warm.total_weight == cold.total_weight
+        assert serialize_solution(warm) == serialize_solution(cold)
 
 
 def test_exact_rejects_disconnected():
