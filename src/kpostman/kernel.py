@@ -36,10 +36,9 @@ def find_chains(g: MultiGraph) -> list[Chain]:
 
 
 def _parallel_groups(chains: list[Chain]) -> dict[tuple[int, int], list[Chain]]:
-    """Open chains grouped by their anchor pair, each group ordered by its
-    first edge id."""
+    """Open chains grouped by their anchor pair, each group in cut order."""
     groups: dict[tuple[int, int], list[Chain]] = {}
-    for c in sorted(chains, key=lambda c: c.edges[0]):
+    for c in chains:
         if c.u != c.v:
             groups.setdefault((c.u, c.v), []).append(c)
     return groups
@@ -208,9 +207,10 @@ def packing_shortcut(
 
 def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
     """k disjoint cycles obtained by pairing up 2k parallel chains of
-    find_chains, from the lowest anchor pair that has that many.  kernelize
-    does not call this rule: the reduction keeps every anchor, so the
-    packing shortcut on the input has already found k cycles."""
+    find_chains in cut order, from the lowest anchor pair that has that
+    many.  kernelize does not call this rule: the reduction keeps every
+    anchor, so the packing shortcut on the input has already found k
+    cycles."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     groups = _parallel_groups(chains)

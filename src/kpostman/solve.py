@@ -71,7 +71,7 @@ class KcppResult:
     report: KernelReport | None
 
 
-def _cycle_space(chains: list[Chain]) -> tuple[int, list[tuple[int, int]]]:
+def _cycle_space(chains: tuple[Chain, ...]) -> tuple[int, list[tuple[int, int]]]:
     """H's even sets as chain bitmasks: the T-join of a minimum spanning
     forest of H, and the (weight, fundamental cycle) of each cotree chain,
     lightest first.  Loop chains and rings are always cotree."""
@@ -127,7 +127,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         raise GraphError(f"k must be >= 1, got {k}")
     if not g.edges:
         raise GraphError("graph has no edges")
-    chains = sorted(g.chains, key=lambda c: c.edges[0])
+    chains = g.chains
     base = g.total_weight()
     e_min = g.min_weight_edge()
     mu = e_min.weight
@@ -164,9 +164,8 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         return base + w + 2 * mu * (k - len(cycles)), counts, cycles
 
     # every odd vertex of g is an anchor, so the CPP join is whole chains:
-    # g's cached one, its indices into g.chains mapped onto first-edge order
-    position = {c.edges[0]: i for i, c in enumerate(chains)}
-    j0 = sum(1 << position[g.chains[i].edges[0]] for i in g.chain_join)
+    # g's cached one, as indices into g.chains
+    j0 = sum(1 << i for i in g.chain_join)
     w0 = doubled(j0)[0]
     best = evaluate(j0, w0)
 

@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 
 import kpostman.kernel as kernel
-from kpostman.cpp import solve_cpp
-from kpostman.cycles import cycle_rank_bound
+from kpostman.cpp import Multiplicities, solve_cpp
+from kpostman.cycles import check_packing, cycle_rank_bound
 from kpostman.generators import (
     NAMED_BASES,
     cycle_graph,
@@ -312,11 +312,17 @@ def test_find_chains_rejects_bare_cycle():
 def test_parallel_shortcut_thresholds():
     th4 = theta_graph(4, 2)
     pack = parallel_edge_shortcut(find_chains(th4), 2)
-    assert pack is not None and len(pack) == 2
+    assert pack is not None and [c.edges for c in pack.cycles] == [(1, 2, 4, 3), (5, 6, 8, 7)]
     th3 = theta_graph(3, 2)
     assert parallel_edge_shortcut(find_chains(th3), 2) is None
     pack1 = parallel_edge_shortcut(find_chains(th3), 1)
     assert pack1 is not None and len(pack1) == 1
+    # edges out of id order: the cut, and so the pairing, runs backwards
+    rev = MultiGraph(th4.vertex_count, th4.edges[::-1])
+    for k in (1, 2):
+        pack = parallel_edge_shortcut(find_chains(rev), k)
+        assert pack is not None and len(pack) == k
+        check_packing(Multiplicities.uniform(rev), pack)
 
 
 def test_kernelize_star_solved_by_packing_shortcut():
