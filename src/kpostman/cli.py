@@ -12,7 +12,7 @@ import random
 import sys
 
 from .cpp import Multiplicities, euler_tour, solve_cpp
-from .cycles import greedy_cycle_packing
+from .cycles import greedy_cycle_packing, packing_upper_bound
 from .digraph import (
     parse_directed_instance,
     serialize_directed_instance,
@@ -126,7 +126,14 @@ def _cmd_pack_cycles(args) -> int:
     )
     total = sum(w.weight(inst.graph) for w in walks)
     _write_output(args.output, serialize_solution(Solution(walks, total)))
-    print(f"# cycles={len(packing)} requested={inst.k}")
+    # some maximum packing holds greedy's 2-cycles, so the bound on the
+    # rest, plus them, bounds the maximum; it equals len(packing) when
+    # greedy's packing is proven maximum
+    pairs = [c for c in packing.cycles if len(c) == 2]
+    paired = {eid for c in pairs for eid in c.edges}
+    rest = (e for e in inst.graph.edges if e.id not in paired)
+    bound = len(pairs) + packing_upper_bound(rest, len(packing) - len(pairs))
+    print(f"# cycles={len(packing)} requested={inst.k} upper_bound={bound}")
     return 0
 
 

@@ -23,6 +23,13 @@ packing when its weight plus the pairs its cycle rank forces already
 reaches the incumbent.
 The oracle enumerates raw multiplicity vectors instead and knows nothing
 of either restriction.
+
+A set that is packed gets a greedy packing first.  Greedy's 2-cycles lie
+in some maximum packing, so when greedy falls short of k only the simple
+rest is in question, and cycles.packing_upper_bound bounds it from above.
+The exhaustive packing search runs only when the bound leaves room above
+greedy's count of simple cycles, and it is asked for no more cycles than
+the bound, so it stops once it reaches it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .cycles import (
     PackingSearch,
     cycle_rank_bound,
     greedy_cycle_packing,
+    packing_upper_bound,
 )
 from .graph import (
     Chain,
@@ -115,8 +123,11 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     The sets are visited in cycle-space order after the CPP join (see the
     module docstring).  A set's cycle count comes from a greedy packing,
     and, when that falls short of k and the missing cycles cost something,
-    from the exhaustive packing search over the simple graph that greedy's
-    2-cycles leave.  The winner's packing, padded with 2-cycles on the
+    from the simple graph that greedy's 2-cycles leave: the exhaustive
+    packing search runs on it only when cycles.packing_upper_bound of it
+    exceeds greedy's count of simple cycles (otherwise greedy's packing is
+    proven maximum), and it is asked for at most that bound of cycles.
+    The winner's packing, padded with 2-cycles on the
     minimum-weight edge, is split into the k walks.  No chain count is
     refused, only work: SearchBudgetExceeded past MAX_SEARCH_SETS visited
     sets or cycles.MAX_PACKING_STATES.  Connectivity is not checked up
@@ -144,7 +155,10 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
 
     def evaluate(s: int, w: int) -> tuple[int, dict[int, int], list[Cycle]]:
         """(cost, counts, at most k disjoint cycles) of the chains in s
-        doubled, the cycles it lacks paid as pairs on e_min."""
+        doubled, the cycles it lacks paid as pairs on e_min.  The cycles
+        are greedy's, or, where the packing bound on the simple rest leaves
+        room above greedy's count, greedy's 2-cycles and the exhaustive
+        search's packing of that rest, searched up to the bound."""
         counts = dict.fromkeys(g.edge_by_id, 1)
         for i, c in enumerate(chains):
             if s >> i & 1:
@@ -158,9 +172,13 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
             for c in pairs:
                 for eid in c.edges:
                     rest[eid] -= 1
-            got, found = searcher.run(rest, k - len(pairs))
-            if len(pairs) + got > len(cycles):
-                cycles = pairs + list(found)
+            bound = packing_upper_bound(
+                (e for e in g.edges if rest[e.id]), len(cycles) - len(pairs)
+            )
+            if len(pairs) + bound > len(cycles):
+                got, found = searcher.run(rest, min(k - len(pairs), bound))
+                if len(pairs) + got > len(cycles):
+                    cycles = pairs + list(found)
         return base + w + 2 * mu * (k - len(cycles)), counts, cycles
 
     # every odd vertex of g is an anchor, so the CPP join is whole chains:

@@ -176,7 +176,7 @@ def test_kernelize_report_line(graph, k, line, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == f"# {line}"
 
 
-def test_pack_cycles(tmp_path):
+def test_pack_cycles(tmp_path, capsys):
     f = tmp_path / "bowtie.kcpp"
     f.write_text(BOWTIE)
     out = tmp_path / "pack.txt"
@@ -184,6 +184,26 @@ def test_pack_cycles(tmp_path):
     packed = parse_solution(out.read_text())
     assert len(packed.walks) == 2
     assert packed.total_weight == 6
+    assert capsys.readouterr().out.splitlines() == ["# cycles=2 requested=2 upper_bound=2"]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a 2-cycle, then nothing on the path that is left
+        ("p kcpp 3 4 3\ne 1 2 1\ne 1 2 2\ne 2 3 1\ne 3 1 1\n", "cycles=1 requested=3 upper_bound=1"),
+        # cycle rank 3, but the lengths prove greedy's 2 cycles maximum
+        (serialize_instance(Instance(theta_graph(4, 2), 3)), "cycles=2 requested=3 upper_bound=2"),
+        # one triangle, and the bound is K4's fractional packing of 2
+        (serialize_instance(Instance(named_graph("k4"), 2)), "cycles=1 requested=2 upper_bound=2"),
+    ],
+    ids=["pair", "theta", "k4"],
+)
+def test_pack_cycles_reports_an_upper_bound(text, line, tmp_path, capsys):
+    f = tmp_path / "in.kcpp"
+    f.write_text(text)
+    assert main(["pack-cycles", str(f), "-o", str(tmp_path / "pack.txt")]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"# {line}"]
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from kpostman.cycles import (
     check_packing,
     cycle_rank_bound,
     greedy_cycle_packing,
+    packing_upper_bound,
     shortest_cycle,
 )
 from kpostman.generators import inflate_chains, theta_graph, uniform_inflation
@@ -23,6 +24,7 @@ from kpostman.graph import Edge, GraphError, MultiGraph, SearchBudgetExceeded
 
 from conftest import (
     all_simple_cycles,
+    bouquet,
     even_degrees,
     max_disjoint_from_list,
     min_cycle_key,
@@ -307,6 +309,101 @@ def test_cycle_rank_bounds_every_packing():
         assert nu <= bound, (g.edges, counts)
         tight += nu == bound
     assert tight > 0
+
+
+def _component_ranks(edges: list[Edge]) -> int:
+    """Sum over the components of the graph on edges of m - n + 1, the
+    components found by a plain search from every vertex."""
+    adj: dict[int, list[int]] = {}
+    for e in edges:
+        adj.setdefault(e.u, []).append(e.v)
+        adj.setdefault(e.v, []).append(e.u)
+    seen: set[int] = set()
+    components = 0
+    for v in adj:
+        if v not in seen:
+            components += 1
+            stack = [v]
+            seen.add(v)
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return len(edges) - len(adj) + components
+
+
+def _disjoint_union(parts: list[MultiGraph]) -> MultiGraph:
+    triples, n = [], 0
+    for g in parts:
+        triples += [(e.u + n, e.v + n, e.weight) for e in g.edges]
+        n += g.vertex_count
+    return MultiGraph.from_edges(n, triples)
+
+
+def _simple(g: MultiGraph) -> MultiGraph:
+    """g without the second and later edges between one pair of vertices."""
+    pairs = {frozenset((e.u, e.v)): (e.u, e.v, e.weight) for e in g.edges[::-1]}
+    return MultiGraph.from_edges(g.vertex_count, list(pairs.values())[::-1])
+
+
+def _bound_cases():
+    """(graph, counts of one copy or none per edge, floor) for the simple
+    graphs the kernel search bounds: the rest of greedy's 2-cycle sweep over
+    covers with one or two copies per edge, with greedy's count as floor;
+    and disjoint unions of simple graphs, two triangles among them."""
+    rng = random.Random(94)
+    for g in random_small_graphs(seed=38, trials=80, max_n=6, max_m=9):
+        counts = {e.id: rng.randint(1, 2) for e in g.edges}
+        greedy = greedy_cycle_packing(Multiplicities(g, counts), sum(counts.values()))
+        pairs = [c for c in greedy.cycles if len(c) == 2]
+        for c in pairs:
+            for eid in c.edges:
+                counts[eid] -= 1
+        yield g, counts, len(greedy) - len(pairs)
+    triangle = named_graph("triangle")
+    yield _disjoint_union([triangle, triangle]), dict.fromkeys(range(1, 7), 1), 0
+    for _ in range(40):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            n = rng.randint(3, 5)
+            parts.append(_simple(random_connected_graph(rng, n, rng.randint(n, 8))))
+        g = _disjoint_union(parts)
+        yield g, {e.id: rng.randint(0, 1) if rng.random() < 0.2 else 1 for e in g.edges}, 0
+
+
+def test_packing_upper_bound_lies_between_the_maximum_and_the_cycle_ranks():
+    # the kernel search skips the exhaustive packing search when greedy
+    # meets this bound, so it may never fall below the maximum; summing the
+    # ranks per component matters: two disjoint triangles have rank 1 as
+    # one graph on 6 vertices, but hold 2 cycles
+    strict = tight = 0
+    for g, counts, floor in _bound_cases():
+        edges = [e for e in g.edges if counts[e.id]]
+        assert all(n <= 1 for n in counts.values()) and len({frozenset((e.u, e.v)) for e in edges}) == len(edges)
+        nu = PackingSearch(g).run(counts, len(edges))[0]
+        assert nu == max_disjoint_from_list(all_simple_cycles(g, counts), counts)
+        bound = packing_upper_bound(edges, 0)
+        assert nu <= bound <= _component_ranks(edges), (g.edges, counts)
+        # greedy's count never exceeds the maximum, so stopping at it
+        # changes no bound
+        assert packing_upper_bound(edges, floor) == bound
+        strict += bound < _component_ranks(edges)
+        tight += bound == nu
+    assert strict >= 5 and tight >= 100
+
+
+@pytest.mark.parametrize("paths", range(2, 9))
+def test_packing_upper_bound_is_exact_on_bouquets_and_thetas(paths):
+    # both have fractional packings within one half of the maximum; the
+    # thetas' paths have unequal lengths, so no chain count alone decides
+    rng = random.Random(paths)
+    theta = theta_graph(paths, 1)
+    uneven = inflate_chains(theta, {e.id: [1] * rng.randint(1, 4) for e in theta.edges})
+    bowtie = named_graph("bowtie")  # two triangles on one vertex
+    for g in (theta_graph(paths, 2), uneven, bouquet([1] * paths), _disjoint_union([bowtie] * paths)):
+        nu = PackingSearch(g).run(dict.fromkeys(g.edge_by_id, 1), len(g.edges))[0]
+        assert packing_upper_bound(g.edges, 0) == nu
 
 
 def test_removing_packing_preserves_even_degrees():

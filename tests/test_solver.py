@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kpostman.solve
 from kpostman import graph as graph_module
 from kpostman.cpp import (
     Multiplicities,
@@ -255,6 +256,54 @@ def test_exact_matches_the_chain_union_oracle():
         for h in (g, MultiGraph(g.vertex_count, g.edges[::-1])):
             sol = solve_kcpp_exact(h, k)
             assert verify_solution(h, k, sol) == sol.total_weight == best
+
+
+def _counted_searches(monkeypatch) -> tuple[list[int], list[bool]]:
+    """Record greedy's simple-cycle count for each set whose packing greedy
+    leaves short (the floor the kernel search gives packing_upper_bound),
+    and, per PackingSearch.run that follows, whether it found more."""
+    floors: list[int] = []
+    improved: list[bool] = []
+    bound, run = kpostman.solve.packing_upper_bound, PackingSearch.run
+
+    def recorded_bound(edges, floor):
+        floors.append(floor)
+        return bound(edges, floor)
+
+    def counted_run(self, counts, target):
+        got, found = run(self, counts, target)
+        improved.append(got > floors[-1])
+        return got, found
+
+    monkeypatch.setattr(kpostman.solve, "packing_upper_bound", recorded_bound)
+    monkeypatch.setattr(PackingSearch, "run", counted_run)
+    return floors, improved
+
+
+def test_bound_keeps_the_search_where_it_beats_greedy(monkeypatch):
+    # a search-style instance (a random base, its edges subdivided into
+    # weighted chains): on one even set greedy packs 2 simple cycles and
+    # the search 3, which the optimum needs; greedy's packings alone would
+    # cost 56
+    g = MultiGraph.from_edges(14, [
+        (1, 7, 2), (7, 8, 5), (8, 9, 4), (9, 4, 5), (1, 10, 4), (10, 2, 1), (4, 11, 2),
+        (11, 12, 5), (12, 13, 1), (13, 6, 3), (4, 5, 1), (1, 3, 2), (2, 5, 1), (6, 14, 3),
+        (14, 5, 2), (6, 4, 2), (5, 6, 3),
+    ])  # fmt: skip
+    _, improved = _counted_searches(monkeypatch)
+    sol = solve_kcpp_exact(g, 7)
+    assert True in improved
+    assert verify_solution(g, 7, sol) == sol.total_weight == chain_union_minimum(g, 7) == 54
+
+
+def test_bound_leaves_the_search_only_where_it_beats_greedy(monkeypatch):
+    # without the bound every set that greedy leaves short ran the search
+    # (over 400 here); with it, only the sets where the search finds more
+    floors, improved = _counted_searches(monkeypatch)
+    for g, k in _chain_search_corpus():
+        solve_kcpp_exact(g, k)
+    assert len(floors) > 400
+    assert 0 < len(improved) <= 10 and all(improved)
 
 
 # (weights 1-4, seed, k) of random_connected_graph(n=16, m=24) whose kernels
