@@ -79,28 +79,30 @@ class CyclePacking:
 
 def check_cycle(m: Multiplicities, c: Cycle) -> None:
     """Raise unless c is a valid simple cycle within m's remaining copies."""
-    r = len(c.edges)
-    if r < 2 or len(c.vertices) != r:
-        raise GraphError(f"cycle must have >= 2 edges and matching vertex count, got {c}")
-    if len(set(c.vertices)) != r:
-        raise GraphError(f"cycle repeats a vertex: {c.vertices}")
-    for i, eid in enumerate(c.edges):
-        e = m.base.edge(eid)
-        a, b = c.vertices[i], c.vertices[(i + 1) % r]
-        if {a, b} != {e.u, e.v}:
-            raise GraphError(f"edge {eid} does not join {a} and {b}")
-    for eid, uses in c.edge_multiset().items():
-        if uses > m.count(eid):
-            raise GraphError(f"cycle uses edge {eid} {uses} times, only {m.count(eid)} copies")
+    check_packing(m, CyclePacking((c,)))
 
 
-def check_packing(m: Multiplicities, packing: CyclePacking) -> None:
-    """Raise unless the cycles are pairwise disjoint edge copies within m."""
+def check_packing(m: Multiplicities, packing: CyclePacking) -> dict[int, int]:
+    """Raise unless the cycles are pairwise disjoint edge copies within m, and
+    return the copies of each base edge they leave: one pass checks each
+    cycle and takes its copies out, so an overdrawn copy raises when drawn."""
+    left = _read_counts(m)
+    by_id = m.base.edge_by_id
     for c in packing.cycles:
-        check_cycle(m, c)
-    for eid, uses in packing.edge_multiset().items():
-        if uses > m.count(eid):
-            raise GraphError(f"packing uses edge {eid} {uses} times, only {m.count(eid)} copies")
+        vs, es = c.vertices, c.edges
+        r = len(es)
+        if r < 2 or len(vs) != r or len(set(vs)) != r:
+            raise GraphError(f"cycle must have >= 2 edges and as many distinct vertices, got {c}")
+        for a, b, eid in zip(vs, vs[1:] + vs[:1], es):
+            e = by_id.get(eid)
+            if e is None:
+                raise GraphError(f"no edge with id {eid}")
+            if not (a == e.u and b == e.v or a == e.v and b == e.u):
+                raise GraphError(f"edge {eid} does not join {a} and {b}")
+            if not left[eid]:
+                raise GraphError(f"cycles use edge {eid} more often than it has copies")
+            left[eid] -= 1
+    return left
 
 
 def _support(m: Multiplicities) -> tuple[list[Edge], dict[int, int]]:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cache
 
 from .cpp import Multiplicities
 from .cycles import (
@@ -142,7 +143,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     base = g.total_weight()
     e_min = g.min_weight_edge()
     mu = e_min.weight
-    searcher = PackingSearch(g)
+    searcher = cache(lambda: PackingSearch(g))  # built for the first set searched
 
     def doubled(s: int) -> tuple[int, int]:
         """Weight and edge count of the chains in s."""
@@ -176,7 +177,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
                 (e for e in g.edges if rest[e.id]), len(cycles) - len(pairs)
             )
             if len(pairs) + bound > len(cycles):
-                got, found = searcher.run(rest, min(k - len(pairs), bound))
+                got, found = searcher().run(rest, min(k - len(pairs), bound))
                 if len(pairs) + got > len(cycles):
                     cycles = pairs + list(found)
         return base + w + 2 * mu * (k - len(cycles)), counts, cycles

@@ -5,13 +5,16 @@ connected component of the leftover goes, as one Euler tour, to the first
 packed cycle (in packing order) that touches it.  The tour starts at the
 lowest vertex that cycle shares with the component and is inserted just
 before that vertex's first occurrence in the cycle.
+
+check_packing checks the packing and spends its copies in one pass.  Tours
+start only while copies are left, so a cycle that gets none is its own walk.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .cpp import Multiplicities, _odd_vertex, _read_counts, _tour
+from .cpp import Multiplicities, _odd_vertex, _tour
 from .cycles import CyclePacking, check_packing
 from .graph import GraphError, Solution, Walk, _find
 
@@ -27,12 +30,14 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     """
     if not packing.cycles:
         raise GraphError("packing must contain at least one cycle")
-    left = _read_counts(m)
+    left = check_packing(m, packing)
+    # a packed cycle meets each of its vertices twice, so the copies left
+    # have m's parities
     if _odd_vertex(m.base, left) is not None:
         raise GraphError("multigraph has a vertex of odd degree")
-    check_packing(m, packing)
-    for eid, c in packing.edge_multiset().items():
-        left[eid] -= c
+    # tours start only while copies are left, and need no cursor otherwise
+    rest = sum(left.values())
+    cursor = dict.fromkeys(m.base.adjacency, 0) if rest else {}
 
     # m is connected iff every leftover copy is reached from a packed cycle
     # and the cycles are linked through shared vertices or shared leftover
@@ -40,7 +45,6 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     # cycle that reached it, and `root` is a union-find over cycle indices
     first: dict[int, int] = {}
     root: dict[int, int] = {}
-    cursor = dict.fromkeys(m.base.adjacency, 0)
     walks = []
     for ci, cyc in enumerate(packing.cycles):
         tours = {}
@@ -48,17 +52,22 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
             j = first.setdefault(v, ci)
             if j != ci:
                 root[_find(root, ci)] = _find(root, j)
-            tour = _tour(m.base, left, cursor, v)
-            if tour:
-                tours[v] = tour
-                first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
-        walk: list[tuple[int, int]] = []
-        for step in zip(cyc.vertices, cyc.edges):
-            if step[0] in tours:
-                walk.extend(tours[step[0]])
-            walk.append(step)
-        walks.append(Walk(tuple(walk)))
-    if any(left.values()) or any(_find(root, i) != _find(root, 0) for i in range(len(walks))):
+            if rest:
+                tour = _tour(m.base, left, cursor, v)
+                if tour:
+                    rest -= len(tour)
+                    tours[v] = tour
+                    first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
+        steps = zip(cyc.vertices, cyc.edges)
+        if tours:
+            walk: list[tuple[int, int]] = []
+            for step in steps:
+                walk.extend(tours.get(step[0], ()))
+                walk.append(step)
+            steps = walk
+        walks.append(Walk(tuple(steps)))
+    # every union made a non-root, and no non-root becomes a root again
+    if rest or sum(x != r for x, r in root.items()) < len(walks) - 1:
         raise GraphError("multigraph must be connected")
 
     by_id = m.base.edge_by_id

@@ -4,7 +4,12 @@ The oracles here enumerate raw search spaces and never call the code paths
 they are used to check.  The one exception is reference_greedy_packing: it
 is the greedy packing as a plain loop over the public shortest_cycle (itself
 checked against enumeration), so it checks the one-pass bookkeeping of
-greedy_cycle_packing, not its girth search.  The record readers
+greedy_cycle_packing, not its girth search.  reference_split is the earlier
+walk split, with its packing checks, kept as it was: it tours from every
+vertex of every packed cycle, so it checks the one-pass check-and-spend
+and the skipped tours of split_into_k_walks, not the library's Hierholzer
+tour, which both share.
+The record readers
 reference_read_triples and reference_parse_solution are the library's
 earlier readers, kept as they were, and so are bfs_connected and
 odd_by_degree, the per-vertex connectivity and parity checks that the
@@ -18,19 +23,22 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterator
 
 from hypothesis import strategies as st
 
-from kpostman.cpp import Multiplicities
+from kpostman.cpp import Multiplicities, _odd_vertex, _read_counts, _tour
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, shortest_cycle
 from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
 from kpostman.graph import (
+    GraphError,
     MultiGraph,
     ParseError,
     Solution,
     Walk,
+    _find,
     ascii_text,
 )
 
@@ -51,6 +59,7 @@ __all__ = [
     "min_cycle_key",
     "max_disjoint_from_list",
     "reference_greedy_packing",
+    "reference_split",
     "reference_read_triples",
     "reference_parse_solution",
     "random_small_graphs",
@@ -342,6 +351,73 @@ def reference_greedy_packing(m: Multiplicities, k: int) -> CyclePacking:
         cycles.append(c)
         m = m.without(c.edge_multiset())
     return CyclePacking(tuple(cycles))
+
+
+def _reference_check_cycle(m: Multiplicities, c: Cycle) -> None:
+    r = len(c.edges)
+    if r < 2 or len(c.vertices) != r:
+        raise GraphError(f"cycle must have >= 2 edges and matching vertex count, got {c}")
+    if len(set(c.vertices)) != r:
+        raise GraphError(f"cycle repeats a vertex: {c.vertices}")
+    for i, eid in enumerate(c.edges):
+        e = m.base.edge(eid)
+        a, b = c.vertices[i], c.vertices[(i + 1) % r]
+        if {a, b} != {e.u, e.v}:
+            raise GraphError(f"edge {eid} does not join {a} and {b}")
+    for eid, uses in c.edge_multiset().items():
+        if uses > m.count(eid):
+            raise GraphError(f"cycle uses edge {eid} {uses} times, only {m.count(eid)} copies")
+
+
+def _reference_check_packing(m: Multiplicities, packing: CyclePacking) -> None:
+    for c in packing.cycles:
+        _reference_check_cycle(m, c)
+    for eid, uses in packing.edge_multiset().items():
+        if uses > m.count(eid):
+            raise GraphError(f"packing uses edge {eid} {uses} times, only {m.count(eid)} copies")
+
+
+def reference_split(m: Multiplicities, packing: CyclePacking) -> Solution:
+    """The earlier split_into_k_walks, kept as the reference: every check
+    first (counts, parity, each cycle, the whole packing), the packing
+    subtracted as one multiset, then a tour from every vertex of every
+    packed cycle, in packing order and each cycle's vertices ascending."""
+    if not packing.cycles:
+        raise GraphError("packing must contain at least one cycle")
+    left = _read_counts(m)
+    if _odd_vertex(m.base, left) is not None:
+        raise GraphError("multigraph has a vertex of odd degree")
+    _reference_check_packing(m, packing)
+    for eid, c in packing.edge_multiset().items():
+        left[eid] -= c
+
+    first: dict[int, int] = {}
+    root: dict[int, int] = {}
+    cursor = dict.fromkeys(m.base.adjacency, 0)
+    walks = []
+    for ci, cyc in enumerate(packing.cycles):
+        tours = {}
+        for v in sorted(cyc.vertices):
+            j = first.setdefault(v, ci)
+            if j != ci:
+                root[_find(root, ci)] = _find(root, j)
+            tour = _tour(m.base, left, cursor, v)
+            if tour:
+                tours[v] = tour
+                first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
+        walk: list[tuple[int, int]] = []
+        for step in zip(cyc.vertices, cyc.edges):
+            if step[0] in tours:
+                walk.extend(tours[step[0]])
+            walk.append(step)
+        walks.append(Walk(tuple(walk)))
+    if any(left.values()) or any(_find(root, i) != _find(root, 0) for i in range(len(walks))):
+        raise GraphError("multigraph must be connected")
+
+    by_id = m.base.edge_by_id
+    total = sum(by_id[eid].weight for w in walks for _, eid in w.steps)
+    assert total == m.weight()
+    return Solution(tuple(walks), total)
 
 
 def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kpostman.solve
+import kpostman.walks
 from kpostman import graph as graph_module
 from kpostman.cpp import (
     Multiplicities,
@@ -22,7 +23,14 @@ from kpostman.cpp import (
     odd_vertices,
     solve_cpp,
 )
-from kpostman.cycles import Cycle, CyclePacking, PackingSearch, greedy_cycle_packing
+from kpostman.cycles import (
+    Cycle,
+    CyclePacking,
+    PackingSearch,
+    check_cycle,
+    check_packing,
+    greedy_cycle_packing,
+)
 from kpostman.digraph import parse_directed_instance, verify_packing_equivalence
 from kpostman.generators import (
     cycle_graph,
@@ -37,6 +45,7 @@ from kpostman.graph import (
     MultiGraph,
     SearchBudgetExceeded,
     Solution,
+    Walk,
     is_connected,
     parse_instance,
     serialize_solution,
@@ -58,6 +67,7 @@ from conftest import (
     even_degrees,
     odd_by_degree,
     random_small_graphs,
+    reference_split,
 )
 
 
@@ -110,13 +120,27 @@ def test_split_rejects_odd_degrees():
         split_into_k_walks(m, CyclePacking((two_cycle(g, 1),)))
 
 
+@pytest.fixture
+def tour_starts(monkeypatch):
+    """The start vertex of every walks._tour call, in call order."""
+    starts = []
+    tour = kpostman.walks._tour
+
+    def counted(g, left, cursor, start):
+        starts.append(start)
+        return tour(g, left, cursor, start)
+
+    monkeypatch.setattr(kpostman.walks, "_tour", counted)
+    return starts
+
+
 def split_steps(g, counts, cycles):
     sol = split_into_k_walks(Multiplicities(g, counts), CyclePacking(tuple(cycles)))
     verify_solution(g, len(cycles), sol)
     return [list(w.steps) for w in sol.walks]
 
 
-def test_split_pins_two_components_in_one_cycle():
+def test_split_pins_two_components_in_one_cycle(tour_starts):
     # triangle 1-2-3 packed; a leftover triangle 3-4-5 and a doubled 1-6
     g = MultiGraph.from_edges(
         6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1), (1, 6, 1)]
@@ -125,9 +149,10 @@ def test_split_pins_two_components_in_one_cycle():
     assert split_steps(g, counts, [Cycle((1, 2, 3), (1, 2, 3))]) == [
         [(1, 7), (6, 7), (1, 1), (2, 2), (3, 4), (4, 5), (5, 6), (3, 3)]
     ]
+    assert tour_starts == [1, 2, 3]  # from vertex 2 too, as copies are left then
 
 
-def test_split_pins_component_touching_two_cycles_goes_to_the_first():
+def test_split_pins_component_touching_two_cycles_goes_to_the_first(tour_starts):
     # triangles 1-2-3 and 4-5-6 joined by a doubled 3-4
     g = MultiGraph.from_edges(
         6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (3, 4, 1)]
@@ -142,15 +167,18 @@ def test_split_pins_component_touching_two_cycles_goes_to_the_first():
         [(4, 7), (3, 7), (4, 4), (5, 5), (6, 6)],
         [(1, 1), (2, 2), (3, 3)],
     ]
+    # the later cycle starts no tour in either split: nothing is left by then
+    assert tour_starts == [1, 2, 3, 4]
 
 
-def test_split_pins_lowest_shared_vertex_not_first_in_cycle():
+def test_split_pins_lowest_shared_vertex_not_first_in_cycle(tour_starts):
     # square 1-2-3-4 packed from vertex 3; a doubled diagonal 1-3 is left over
     g = MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 1)])
     counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2}
     assert split_steps(g, counts, [Cycle((3, 4, 1, 2), (3, 4, 1, 2))]) == [
         [(3, 3), (4, 4), (1, 5), (3, 5), (1, 1), (2, 2)]
     ]
+    assert tour_starts == [1]
 
 
 @pytest.mark.parametrize(
@@ -196,6 +224,141 @@ def test_tours_and_splits_above_the_oracle_gate():
             it = iter(walk.steps)
             assert all(step in it for step in zip(cyc.vertices, cyc.edges))
     assert min(sizes) >= 200 and max(sizes) <= 5000
+
+
+def star(leaves: int) -> MultiGraph:
+    return MultiGraph.from_edges(leaves + 1, [(1, i, 1) for i in range(2, leaves + 2)])
+
+
+def two_cycles(g) -> CyclePacking:
+    """A 2-cycle on every edge of g: all copies of g doubled."""
+    return CyclePacking(tuple(two_cycle(g, e.id) for e in g.edges))
+
+
+def split_cases():
+    """Covers and packings for the split: greedy packings of the large
+    covers and of random small ones with extra pairs, the same cycles
+    rotated and reordered, random counts that may leave odd or split
+    covers, and all-2-cycle packings at large k, whole and partial."""
+    rng = random.Random(28)
+    for i, (g, m) in enumerate(large_even_covers()):
+        for k in (1, i % 4 + 2, 40):
+            yield m, greedy_cycle_packing(m, k)
+    for g in random_small_graphs(seed=28, trials=200, max_n=8, max_m=14, max_w=3):
+        counts = dict(solve_cpp(g).multiplicities.counts)
+        for e in rng.sample(g.edges, rng.randint(0, len(g.edges))):
+            counts[e.id] += 2
+        m = Multiplicities(g, counts)
+        cycles = list(greedy_cycle_packing(m, m.copies()).cycles)
+        for k in {1, rng.randint(1, len(cycles)), len(cycles)}:
+            yield m, CyclePacking(tuple(cycles[:k]))
+        turned = []
+        for c in cycles:
+            r = rng.randrange(len(c))
+            turned.append(Cycle(c.vertices[r:] + c.vertices[:r], c.edges[r:] + c.edges[:r]))
+        rng.shuffle(turned)
+        yield m, CyclePacking(tuple(turned[: rng.randint(1, len(turned))]))
+        for options in ((0, 1, 2, 3), (0, 2)):
+            m = Multiplicities(g, {e.id: rng.choice(options) for e in g.edges})
+            packing = greedy_cycle_packing(m, rng.randint(1, 4))
+            if packing.cycles:
+                yield m, packing
+    for g in (star(3), star(400), named_graph("k4")):
+        yield Multiplicities.uniform(g, 2), two_cycles(g)
+    for n, edges in ((20, 40), (300, 700)):
+        g = random_connected_graph(rng, n, edges, max_weight=4)
+        yield Multiplicities.uniform(g, 2), two_cycles(g)
+        yield Multiplicities.uniform(g, 2), CyclePacking(two_cycles(g).cycles[::3])
+
+
+def split_outcome(split, m, packing):
+    try:
+        return split(m, packing)
+    except GraphError as exc:
+        return str(exc)
+
+
+def test_split_matches_the_reference_split():
+    seen = Counter()
+    for m, packing in split_cases():
+        got = split_outcome(split_into_k_walks, m, packing)
+        assert got == split_outcome(reference_split, m, packing), (m.base.edges, m.counts, packing)
+        if isinstance(got, str):
+            seen[got] += 1
+        else:
+            bare = tuple(Walk(tuple(zip(c.vertices, c.edges))) for c in packing.cycles)
+            seen["toured" if got.walks != bare else "bare"] += 1
+    assert len(seen) == 4, seen  # both refusals, and splits with and without tours
+
+
+@pytest.mark.parametrize(
+    "copies,cycles",
+    [
+        (2, [Cycle((1,), (1,))]),
+        (2, [Cycle((1, 2, 3), (1, 2))]),
+        (2, [Cycle((1, 2, 3, 2), (1, 2, 2, 1))]),
+        (2, [Cycle((1, 2, 3), (1, 3, 2))]),
+        (2, [Cycle((1, 2, 3), (3, 1, 2))]),
+        (2, [Cycle((1, 2, 3), (2, 3, 1))]),
+        (2, [Cycle((1, 2), (1, 9))]),
+        (1, [Cycle((1, 2), (1, 1))]),
+        (2, [Cycle((1, 2), (1, 1)), Cycle((2, 1), (1, 1))]),
+        (1, [Cycle((1, 2, 3), (1, 2, 3)), Cycle((3, 2, 1), (2, 1, 3))]),
+    ],
+    ids=[
+        "one-edge",
+        "vertex-count",
+        "repeated-vertex",
+        "edge-not-joining",
+        "edges-meeting-the-first-end",
+        "edges-meeting-the-second-end",
+        "unknown-edge",
+        "overdrawn-in-one-cycle",
+        "overdrawn-by-two-2-cycles",
+        "overdrawn-by-two-triangles",
+    ],
+)
+def test_malformed_packings_are_refused(copies, cycles):
+    # the doubled or plain triangle: even and connected, so only the
+    # packing is at fault
+    m = Multiplicities.uniform(named_graph("triangle"), copies)
+    if len(cycles) > 1:
+        for c in cycles:
+            check_packing(m, CyclePacking((c,)))  # each fits m alone
+    else:
+        with pytest.raises(GraphError):
+            check_cycle(m, cycles[0])
+    for check in (check_packing, split_into_k_walks, reference_split):
+        with pytest.raises(GraphError):
+            check(m, CyclePacking(tuple(cycles)))
+
+
+@pytest.mark.parametrize(
+    "name,cover,cycles",
+    [
+        ("path2", {1: 2, 2: 1}, [(1, 2), (1, 1)]),
+        ("triangle", {1: 2, 2: 1, 3: 2}, [(1, 2), (1, 1)]),
+        ("k4", {1: 2, 2: 0, 3: 0, 4: 0, 5: 0, 6: 2}, [(1, 2), (1, 1)]),
+        ("k4", {1: 2, 2: 0, 3: 0, 4: 0, 5: 0, 6: 2}, [(1, 2), (1, 1), (3, 4), (6, 6)]),
+        ("k4", {1: 4, 2: 0, 3: 0, 4: 0, 5: 0, 6: 2}, [(1, 2), (1, 1), (1, 2), (1, 1)]),
+    ],
+    ids=["odd-path", "odd-triangle", "split-leftover", "split-cycles", "split-doubled"],
+)
+def test_split_refuses_odd_and_split_covers(name, cover, cycles):
+    g = named_graph(name)
+    m = Multiplicities(g, cover)
+    packing = CyclePacking(tuple(Cycle(vs, es) for vs, es in zip(cycles[::2], cycles[1::2])))
+    check_packing(m, packing)
+    for split in (split_into_k_walks, reference_split):
+        with pytest.raises(GraphError, match="odd degree|must be connected"):
+            split(m, packing)
+
+
+@pytest.mark.parametrize("g", [star(3), named_graph("triangle"), named_graph("k4"), star(400)])
+def test_split_tours_nothing_when_the_packing_spends_every_copy(g, tour_starts):
+    sol = split_into_k_walks(Multiplicities.uniform(g, 2), two_cycles(g))
+    verify_solution(g, len(g.edges), sol)
+    assert tour_starts == []
 
 
 @pytest.mark.parametrize(
