@@ -31,20 +31,6 @@ def min_weight_perfect_matching(cost: list[list[int]]) -> list[int]:
     c = [[4 * w for w in row] for row in cost]
     y = [0] * nodes  # doubled dual of a vertex, or of a blossom
     mate = [-1] * nodes  # the vertex matched to the node's base
-    top = list(range(n)) + [-1] * (n // 2)  # outermost blossom, -1 if the id is unused
-    up = [-1] * nodes  # the blossom directly containing the node
-    kids: list[list[int]] = [[] for _ in range(nodes)]  # blossom cycle, base first
-    # end[x][z]: the end in x of the least-slack edge between nodes x and z;
-    # both ends of a blossom shift their duals together, so it stays least
-    end = [[x] * nodes for x in range(nodes)]
-    label = [FREE] * nodes
-    parent = [-1] * nodes  # inner node: the outer vertex it was reached from
-    best = [-1] * nodes  # outer vertex with the least-slack edge into the node
-    seen = [0] * nodes
-    spare = list(range(nodes - 1, n - 1, -1))
-    queue: list[int] = []
-    stamp = 0
-
     # greedy start from feasible duals (each half its cheapest edge): raise
     # each dual until an edge is tight, and match across it
     for u in range(n):
@@ -58,6 +44,23 @@ def min_weight_perfect_matching(cost: list[list[int]]) -> list[int]:
             if v != u and mate[v] < 0 and cu[v] == y[u] + y[v]:
                 mate[u], mate[v] = v, u
                 break
+    if -1 not in mate[:n]:
+        # feasible duals and every matched edge tight: already optimal
+        return mate[:n]
+
+    top = list(range(n)) + [-1] * (n // 2)  # outermost blossom, -1 if the id is unused
+    up = [-1] * nodes  # the blossom directly containing the node
+    kids: list[list[int]] = [[] for _ in range(nodes)]  # blossom cycle, base first
+    # end[x][z]: the end in x of the least-slack edge between nodes x and z;
+    # both ends of a blossom shift their duals together, so it stays least
+    end = [[x] * nodes for x in range(nodes)]
+    label = [FREE] * nodes
+    parent = [-1] * nodes  # inner node: the outer vertex it was reached from
+    best = [-1] * nodes  # outer vertex with the least-slack edge into the node
+    seen = [0] * nodes
+    spare = list(range(nodes - 1, n - 1, -1))
+    queue: list[int] = []
+    stamp = 0
 
     def gap(u: int, x: int) -> int:
         """Slack of the least-slack edge from vertex u into node x."""

@@ -18,6 +18,15 @@ graph caches that join as chain indices (MultiGraph.chain_join) beside its
 cut, so solve_cpp and the kernel search on the same graph share one join;
 min_weight_join, whose terminals need not be anchors, runs _join_chains
 over one single-edge chain per edge.
+
+Euler tours (euler_tour, and the walk split's tours of the leftover) run
+Hierholzer's algorithm over runs of the same cut: a run is a stretch of
+one chain with the same count c on every edge and no tour start strictly
+inside it, and counts as c parallel edges between its two ends.  A step
+crosses a whole run; at a run end the tour takes the first run with
+copies left, in the order of the run's end edge in the graph's adjacency.
+Only run ends can be odd, so the odd-degree check reads the parity off
+the runs.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .graph import (
     Chain,
+    Edge,
     GraphError,
     MultiGraph,
     Walk,
@@ -141,19 +151,21 @@ def solve_cpp(g: MultiGraph) -> CppSolution:
 def euler_tour(m: Multiplicities, start: int) -> Walk:
     """Closed walk using each edge copy of m exactly once, from start.
 
-    m must span a single component with all degrees even; at each vertex the
-    first available copy in the order of the base graph's edges is taken,
-    so tours are deterministic.
+    m must span a single component with all degrees even.  The walk is
+    _tour's over the runs of m (see _runs) with start as the only tour
+    start, so it is deterministic: at each run end it takes the first run
+    with copies left, in the order of the run's end edge in the base
+    graph's adjacency, and crosses that run whole.
     """
     g = m.base
     left = _read_counts(m)
-    v = _odd_vertex(g, left)
-    if v is not None:
-        raise GraphError(f"vertex {v} has odd degree {m.degree(v)}")
+    runs = _runs(g, left, (start,))
+    if runs.odd is not None:
+        raise GraphError(f"vertex {runs.odd} has odd degree {m.degree(runs.odd)}")
     if m.degree(start) == 0:
         raise GraphError(f"start vertex {start} not in the traversed component")
-    tour = _tour(g, left, dict.fromkeys(g.adjacency, 0), start)
-    if any(left.values()):
+    tour = _tour(runs, start)
+    if len(tour) < sum(left.values()):
         raise GraphError("multigraph spans more than one component")
     return Walk(tuple(tour))
 
@@ -174,52 +186,110 @@ def _read_counts(m: Multiplicities) -> dict[int, int]:
     return left
 
 
-def _odd_vertex(g: MultiGraph, left: Mapping[int, int]) -> int | None:
-    """The lowest vertex that meets an odd number of the copies in left
-    (edge id -> copies, every edge of g), or None if there is none."""
+class _Runs(NamedTuple):
+    """The copies left of a multigraph, cut into runs for _tour.
+
+    A run is a stretch of one chain of the base's chain cut on which every
+    edge has the same count c >= 1 and which has no tour start strictly
+    inside it; it counts as c parallel edges between its two ends, and a
+    tour crosses it whole.  Every vertex a tour stands on is a run end.
+    """
+
+    adjacency: Mapping[int, tuple[Edge, ...]]  # the base's
+    pieces: list[tuple[tuple[int, ...], tuple[int, ...]]]  # (vertices, edges) per run
+    copies: list[int]  # per run, spent by the tours
+    ends: dict[int, int]  # run index per end edge of a run
+    cursor: dict[int, int]  # per run end: see _tour
+    odd: int | None  # the lowest vertex of odd degree
+
+
+def _runs(g: MultiGraph, left: Mapping[int, int], starts: Iterable[int]) -> _Runs:
+    """Cut the copies in left (edge id -> copies, every edge of g) into
+    runs, at every change of count along a chain and at every start inside
+    one.  A chain with one count and no start inside is one run, found by
+    C-level passes over its edges; only the others are walked edge by
+    edge.  Only run ends can be odd, so the parity is read off the runs: a
+    vertex is odd iff an odd number of runs with an odd count end at it
+    (a run closed on one vertex ends there twice)."""
+    adjacency = g.adjacency
+    cuts = {s for s in starts if len(adjacency.get(s, ())) == 2}
+    pieces: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    copies: list[int] = []
+    for c in g.chains:
+        vs, es = c.vertices, c.edges
+        counts = list(map(left.__getitem__, es))
+        n = counts[0]
+        if counts.count(n) == len(counts) and cuts.isdisjoint(vs):
+            if n:
+                pieces.append((vs, es))
+                copies.append(n)
+            continue
+        i = 0
+        for j in range(1, len(es) + 1):
+            if j == len(es) or counts[j] != n or vs[j] in cuts:
+                if n:
+                    pieces.append((vs[i : j + 1], es[i:j]))
+                    copies.append(n)
+                if j < len(es):
+                    i, n = j, counts[j]
+    ends: dict[int, int] = {}
     odd: set[int] = set()
-    for eid, u, v, _ in g.edges:
-        if left[eid] & 1:
-            odd ^= {u, v}
-    return min(odd, default=None)
+    for r, (vs, es) in enumerate(pieces):
+        ends[es[0]] = ends[es[-1]] = r
+        if copies[r] & 1 and vs[0] != vs[-1]:
+            odd ^= {vs[0], vs[-1]}
+    return _Runs(adjacency, pieces, copies, ends, {}, min(odd, default=None))
 
 
-def _tour(
-    g: MultiGraph, left: dict[int, int], cursor: dict[int, int], start: int
-) -> list[tuple[int, int]]:
+def _tour(runs: _Runs, start: int) -> list[tuple[int, int]]:
     """Hierholzer's closed walk from start through every copy still left in
     start's component, as (vertex, edge id) steps; empty if start has none.
 
-    Spends the copies in `left`.  `cursor[v]` indexes the first edge of
-    g.adjacency[v] that may have a copy left; counts only fall, so the edge
-    it lands on is the first available copy in adjacency order, and no
-    spent edge is read twice across the tours that share `cursor`.
+    Steps from run end to run end, each step crossing one run whole, and
+    spends the runs' copies.  At a run end v it takes the first run with
+    copies left, in the order of the run's end edge in adjacency[v];
+    `cursor[v]` indexes the first entry of adjacency[v] whose run may have
+    copies left, so no spent run is read twice across the tours that share
+    `runs`.  Each crossing is expanded into its edge steps at the end.
     """
-    adjacency = g.adjacency
-    verts = [start]
-    vias = [0]
-    out_v: list[int] = []
-    out_e: list[int] = []
+    adjacency, pieces, copies, ends, cursor, _ = runs
+    stack = [start]
+    vias = [0]  # per stacked vertex: the run crossed to reach it, ~r if backwards
+    out: list[int] = []
     v = start
     while True:
-        out = adjacency[v]
-        i = cursor[v]
-        n = len(out)
-        while i < n and not left[out[i][0]]:
+        out_edges = adjacency[v]
+        n = len(out_edges)
+        i = cursor.get(v, 0)
+        while i < n:
+            eid = out_edges[i][0]
+            r = ends.get(eid)
+            if r is not None and copies[r]:
+                break
             i += 1
         cursor[v] = i
         if i < n:
-            eid, a, b, _ = out[i]
-            left[eid] -= 1
-            v = a + b - v  # the other end
-            verts.append(v)
-            vias.append(eid)
+            copies[r] -= 1
+            vs, es = pieces[r]
+            if v == vs[0]:  # a run closed on v is crossed forwards
+                v = vs[-1]
+                vias.append(r)
+            else:
+                v = vs[0]
+                vias.append(~r)
+            stack.append(v)
             continue
-        out_v.append(verts.pop())
-        out_e.append(vias.pop())
-        if not verts:
+        out.append(vias.pop())
+        stack.pop()
+        if not stack:
             break
-        v = verts[-1]
-    out_v.reverse()
-    out_e.reverse()
-    return list(zip(out_v, out_e[1:]))
+        v = stack[-1]
+    tour: list[tuple[int, int]] = []
+    for r in out[-2::-1]:  # the circuit is the pop order reversed, less start's entry
+        if r >= 0:
+            vs, es = pieces[r]
+            tour.extend(zip(vs, es))
+        else:
+            vs, es = pieces[~r]
+            tour.extend(zip(reversed(vs), reversed(es)))
+    return tour

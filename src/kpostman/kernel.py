@@ -311,8 +311,12 @@ def kernel_report(g: MultiGraph, outcome: KernelOutcome) -> KernelReport:
 
 
 def lift_solution(em: ExpansionMap, s: Solution) -> Solution:
-    """Replace every kernel-edge traversal by its oriented original chain."""
+    """Replace every kernel-edge traversal by its oriented original chain.
+    A kernel that is the input itself expands every edge to itself, so its
+    solution is returned as it is, once verified."""
     verify_solution(em.kernel, len(s.walks), s)
+    if em.kernel is em.original:
+        return s
     kernel_edges = em.kernel.edge_by_id
     original_edges = em.original.edge_by_id
     walks = []

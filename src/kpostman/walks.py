@@ -8,13 +8,18 @@ before that vertex's first occurrence in the cycle.
 
 check_packing checks the packing and spends its copies in one pass.  Tours
 start only while copies are left, so a cycle that gets none is its own walk.
+The tours are cpp._tour's over the runs of the leftover (cpp._runs), cut
+at every packed cycle's vertices: at a run end a tour takes the first run
+with copies left, in the order of the run's end edge in the graph's
+adjacency, and crosses it whole, so a doubled chain is crossed end to end
+and back, not edge by edge.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .cpp import Multiplicities, _odd_vertex, _tour
+from .cpp import Multiplicities, _runs, _tour
 from .cycles import CyclePacking, check_packing
 from .graph import GraphError, Solution, Walk, _find
 
@@ -31,13 +36,15 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     if not packing.cycles:
         raise GraphError("packing must contain at least one cycle")
     left = check_packing(m, packing)
-    # a packed cycle meets each of its vertices twice, so the copies left
-    # have m's parities
-    if _odd_vertex(m.base, left) is not None:
-        raise GraphError("multigraph has a vertex of odd degree")
-    # tours start only while copies are left, and need no cursor otherwise
+    # tours start only while copies are left, and need no runs otherwise;
+    # with none left, every degree is even
     rest = sum(left.values())
-    cursor = dict.fromkeys(m.base.adjacency, 0) if rest else {}
+    if rest:
+        runs = _runs(m.base, left, set().union(*(c.vertices for c in packing.cycles)))
+        # a packed cycle meets each of its vertices twice, so the copies
+        # left have m's parities
+        if runs.odd is not None:
+            raise GraphError("multigraph has a vertex of odd degree")
 
     # m is connected iff every leftover copy is reached from a packed cycle
     # and the cycles are linked through shared vertices or shared leftover
@@ -53,7 +60,7 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
             if j != ci:
                 root[_find(root, ci)] = _find(root, j)
             if rest:
-                tour = _tour(m.base, left, cursor, v)
+                tour = _tour(runs, v)
                 if tour:
                     rest -= len(tour)
                     tours[v] = tour

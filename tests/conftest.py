@@ -8,7 +8,9 @@ greedy_cycle_packing, not its girth search.  reference_split is the earlier
 walk split, with its packing checks, kept as it was: it tours from every
 vertex of every packed cycle, so it checks the one-pass check-and-spend
 and the skipped tours of split_into_k_walks, not the library's Hierholzer
-tour, which both share.
+tour over runs, which both share by default.  With per_edge=True it tours
+with edge_tour instead, the library's earlier Hierholzer tour that steps
+one edge copy at a time, kept as it was, which checks the run tour.
 The record readers
 reference_read_triples and reference_parse_solution are the library's
 earlier readers, kept as they were, and so are bfs_connected and
@@ -28,7 +30,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from kpostman.cpp import Multiplicities, _odd_vertex, _read_counts, _tour
+from kpostman.cpp import Multiplicities, _read_counts, _runs, _tour
 from kpostman.cycles import Cycle, CyclePacking, PackingSearch, shortest_cycle
 from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
@@ -54,12 +56,14 @@ __all__ = [
     "bouquet",
     "shortest_distances",
     "even_degrees",
+    "closed_walk",
     "all_simple_cycles",
     "all_directed_cycles",
     "min_cycle_key",
     "max_disjoint_from_list",
     "reference_greedy_packing",
     "reference_split",
+    "edge_tour",
     "reference_read_triples",
     "reference_parse_solution",
     "random_small_graphs",
@@ -214,6 +218,17 @@ def even_degrees(m) -> bool:
     return all(
         sum(m.counts.get(e.id, 0) for e in m.base.adjacency.get(v, ())) % 2 == 0
         for v in m.base.vertices()
+    )
+
+
+def closed_walk(g: MultiGraph, steps) -> bool:
+    """Whether the (vertex, edge id) steps form a closed walk of g: each
+    step's edge joins its vertex to the next step's, the last step's to
+    the first step's."""
+    ends = g.ends
+    return all(
+        sorted((v, nxt)) == sorted(ends[eid])
+        for (v, eid), (nxt, _) in zip(steps, [*steps[1:], *steps[:1]])
     )
 
 
@@ -377,23 +392,69 @@ def _reference_check_packing(m: Multiplicities, packing: CyclePacking) -> None:
             raise GraphError(f"packing uses edge {eid} {uses} times, only {m.count(eid)} copies")
 
 
-def reference_split(m: Multiplicities, packing: CyclePacking) -> Solution:
+def edge_tour(
+    g: MultiGraph, left: dict[int, int], cursor: dict[int, int], start: int
+) -> list[tuple[int, int]]:
+    """The library's earlier Hierholzer tour, one edge copy per step: the
+    closed walk from start through every copy still left in start's
+    component, as (vertex, edge id) steps; empty if start has none.
+
+    Spends the copies in `left`.  `cursor[v]` indexes the first edge of
+    g.adjacency[v] that may have a copy left; counts only fall, so the edge
+    it lands on is the first available copy in adjacency order, and no
+    spent edge is read twice across the tours that share `cursor`.
+    """
+    adjacency = g.adjacency
+    verts = [start]
+    vias = [0]
+    out_v: list[int] = []
+    out_e: list[int] = []
+    v = start
+    while True:
+        out = adjacency[v]
+        i = cursor[v]
+        n = len(out)
+        while i < n and not left[out[i][0]]:
+            i += 1
+        cursor[v] = i
+        if i < n:
+            eid, a, b, _ = out[i]
+            left[eid] -= 1
+            v = a + b - v  # the other end
+            verts.append(v)
+            vias.append(eid)
+            continue
+        out_v.append(verts.pop())
+        out_e.append(vias.pop())
+        if not verts:
+            break
+        v = verts[-1]
+    out_v.reverse()
+    out_e.reverse()
+    return list(zip(out_v, out_e[1:]))
+
+
+def reference_split(m: Multiplicities, packing: CyclePacking, per_edge: bool = False) -> Solution:
     """The earlier split_into_k_walks, kept as the reference: every check
-    first (counts, parity, each cycle, the whole packing), the packing
-    subtracted as one multiset, then a tour from every vertex of every
-    packed cycle, in packing order and each cycle's vertices ascending."""
+    first (counts, parity counted vertex by vertex, each cycle, the whole
+    packing), the packing subtracted as one multiset, then a tour from
+    every vertex of every packed cycle, in packing order and each cycle's
+    vertices ascending.  The tours are the library's _tour over the runs
+    cut at every packed cycle's vertex, or edge_tour with per_edge."""
     if not packing.cycles:
         raise GraphError("packing must contain at least one cycle")
     left = _read_counts(m)
-    if _odd_vertex(m.base, left) is not None:
+    g = m.base
+    if any(sum(left[e.id] for e in es) % 2 for es in g.adjacency.values()):
         raise GraphError("multigraph has a vertex of odd degree")
     _reference_check_packing(m, packing)
     for eid, c in packing.edge_multiset().items():
         left[eid] -= c
 
+    cursor = dict.fromkeys(g.adjacency, 0)
+    runs = _runs(g, left, {v for c in packing.cycles for v in c.vertices})
     first: dict[int, int] = {}
     root: dict[int, int] = {}
-    cursor = dict.fromkeys(m.base.adjacency, 0)
     walks = []
     for ci, cyc in enumerate(packing.cycles):
         tours = {}
@@ -401,7 +462,7 @@ def reference_split(m: Multiplicities, packing: CyclePacking) -> Solution:
             j = first.setdefault(v, ci)
             if j != ci:
                 root[_find(root, ci)] = _find(root, j)
-            tour = _tour(m.base, left, cursor, v)
+            tour = edge_tour(g, left, cursor, v) if per_edge else _tour(runs, v)
             if tour:
                 tours[v] = tour
                 first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
@@ -411,7 +472,10 @@ def reference_split(m: Multiplicities, packing: CyclePacking) -> Solution:
                 walk.extend(tours[step[0]])
             walk.append(step)
         walks.append(Walk(tuple(walk)))
-    if any(left.values()) or any(_find(root, i) != _find(root, 0) for i in range(len(walks))):
+    spent = Counter(eid for w in walks for _, eid in w.steps)
+    if spent != +Counter(m.counts) or any(
+        _find(root, i) != _find(root, 0) for i in range(len(walks))
+    ):
         raise GraphError("multigraph must be connected")
 
     by_id = m.base.edge_by_id

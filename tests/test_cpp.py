@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
 
+from kpostman._matching import min_weight_perfect_matching
 from kpostman.cpp import (
     Multiplicities,
+    _read_counts,
     euler_tour,
     min_weight_join,
     odd_vertices,
@@ -18,7 +22,10 @@ from kpostman.generators import cycle_graph, inflate_chains
 from kpostman.graph import GraphError, MultiGraph, Solution, verify_solution
 
 from conftest import (
+    bouquet,
+    closed_walk,
     cpp_enumeration_minimum,
+    edge_tour,
     even_degrees,
     join_enumeration_minimum,
     join_pairing_minimum,
@@ -191,6 +198,29 @@ def test_join_weight_matches_networkx_matching_above_the_old_cap():
     assert min(sizes) > 16 and max(sizes) >= 90, sizes
 
 
+def test_matching_is_a_minimum_perfect_matching_on_seeded_costs():
+    # random costs from wide and narrow ranges (many ties) and all-equal
+    # costs, against the minimum over all pairings by a DP over subsets
+    rng = random.Random(29)
+    for n in range(2, 13, 2):
+        for high in (0, 1, 3, 1000):
+            for _ in range(8):
+                cost = [[0] * n for _ in range(n)]
+                for i, j in combinations(range(n), 2):
+                    cost[i][j] = cost[j][i] = rng.randint(0, high) + 7 * (high == 0)
+
+                @cache
+                def pairing(rest: frozenset[int]) -> int:
+                    if not rest:
+                        return 0
+                    a = min(rest)
+                    return min(cost[a][b] + pairing(rest - {a, b}) for b in rest - {a})
+
+                mate = min_weight_perfect_matching(cost)
+                assert all(mate[i] != i and mate[mate[i]] == i for i in range(n)), mate
+                assert sum(cost[i][mate[i]] for i in range(n)) == 2 * pairing(frozenset(range(n)))
+
+
 def test_join_names_terminals_without_a_path():
     # connected apart from the isolated terminals 4 and 5
     g = MultiGraph.from_edges(5, [(1, 2, 1), (2, 3, 1)])
@@ -302,6 +332,81 @@ def test_euler_tour_names_out_of_range_start():
 def test_euler_tour_names_bad_count(name, counts, match):
     with pytest.raises(GraphError, match=match):
         euler_tour(Multiplicities(named_graph(name), counts), 1)
+
+
+THETA_WITH_DOUBLED_CHAIN = [(1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 6), (6, 2)]
+DOUBLED_TRIANGLE_LOOP = [(e.u, e.v) for e in bouquet([1, 1]).edges]
+
+
+@pytest.mark.parametrize(
+    "edges,counts,start,steps,per_edge",
+    [
+        (
+            THETA_WITH_DOUBLED_CHAIN,
+            {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2},
+            5,
+            [(5, 5), (1, 1), (3, 2), (2, 4), (4, 3), (1, 5), (5, 6), (6, 7), (2, 7), (6, 6)],
+            None,
+        ),
+        (
+            [(1, 3), (3, 4), (4, 5), (5, 2), (1, 6), (6, 2), (1, 7), (7, 2)],
+            {1: 2, 2: 2, 3: 0, 4: 2, 5: 1, 6: 1, 7: 1, 8: 1},
+            1,
+            [(1, 1), (3, 2), (4, 2), (3, 1), (1, 5), (6, 6), (2, 4), (5, 4), (2, 8), (7, 7)],
+            None,
+        ),
+        (
+            [(v, v % 6 + 1) for v in range(1, 7)],
+            dict.fromkeys(range(1, 7), 2),
+            3,
+            [(3, 2), (2, 1), (1, 1), (2, 2), (3, 3), (4, 4)]
+            + [(5, 5), (6, 6), (1, 6), (6, 5), (5, 4), (4, 3)],
+            None,
+        ),
+        (
+            DOUBLED_TRIANGLE_LOOP,
+            {1: 2, 2: 2, 3: 2, 4: 1, 5: 1, 6: 1},
+            1,
+            [(1, 1), (2, 2), (3, 3), (1, 1), (2, 2), (3, 3), (1, 4), (4, 5), (5, 6)],
+            [(1, 1), (2, 1), (1, 3), (3, 2), (2, 2), (3, 3), (1, 4), (4, 5), (5, 6)],
+        ),
+        (
+            [(1, 2), (2, 3), (3, 4), (1, 5), (4, 1), (3, 5)],
+            {1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1},
+            1,
+            [(1, 1), (2, 2), (3, 2), (2, 1), (1, 4), (5, 6), (3, 3), (4, 5)],
+            [(1, 1), (2, 1), (1, 4), (5, 6), (3, 2), (2, 2), (3, 3), (4, 5)],
+        ),
+    ],
+    ids=["start-inside-a-chain", "counts-2-2-0-2", "ring", "loop-chain", "doubled-chain"],
+)
+def test_euler_tour_crosses_runs_whole(edges, counts, start, steps, per_edge):
+    # per_edge is the per-copy tour where it differs: it turns back inside
+    # a doubled chain where the run tour crosses the chain whole
+    g = MultiGraph.from_edges(max(map(max, edges)), [(u, v, 1) for u, v in edges])
+    m = Multiplicities(g, counts)
+    walk = euler_tour(m, start)
+    assert list(walk.steps) == steps
+    assert closed_walk(g, steps)
+    assert Counter(walk.edge_ids()) == +Counter(counts)
+    reference = edge_tour(g, _read_counts(m), dict.fromkeys(g.adjacency, 0), start)
+    assert reference == (per_edge or steps)
+
+
+@pytest.mark.parametrize(
+    "edges,counts,match",
+    [
+        ([(1, 2)], {1: 1}, "vertex 1 has odd degree 1"),
+        ([(1, 2), (2, 3)], {1: 2, 2: 1}, "vertex 2 has odd degree 3"),
+        ([(v, v % 4 + 1) for v in range(1, 5)], {1: 1, 2: 2, 3: 1, 4: 1}, "vertex 2 has odd degree 3"),
+        (THETA_WITH_DOUBLED_CHAIN, {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 2}, "vertex 5 has odd degree 3"),
+    ],
+    ids=["anchor", "path-interior", "ring-interior", "chain-interior"],
+)
+def test_euler_tour_names_the_lowest_odd_vertex(edges, counts, match):
+    g = MultiGraph.from_edges(max(map(max, edges)), [(u, v, 1) for u, v in edges])
+    with pytest.raises(GraphError, match=match):
+        euler_tour(Multiplicities(g, counts), 1)
 
 
 def test_euler_tour_long_cycle_runs_without_recursion():

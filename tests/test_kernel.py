@@ -18,7 +18,14 @@ from kpostman.generators import (
     theta_graph,
     uniform_inflation,
 )
-from kpostman.graph import Edge, GraphError, MultiGraph, verify_solution
+from kpostman.graph import (
+    Edge,
+    GraphError,
+    MultiGraph,
+    Solution,
+    VerificationError,
+    verify_solution,
+)
 from kpostman.kernel import (
     ExpansionMap,
     Reduced,
@@ -405,7 +412,10 @@ def test_lift_identity_expansion():
     g = named_graph("triangle")
     em = apply_reduction_rule(g, 2)
     sol = solve_kcpp_exact(em.kernel, 2)
-    assert lift_solution(em, sol) == sol
+    assert em.kernel is g
+    assert lift_solution(em, sol) is sol  # verified, then handed back unrebuilt
+    with pytest.raises(VerificationError):
+        lift_solution(em, Solution(sol.walks, sol.total_weight + 1))
 
 
 def test_lift_expands_merged_chain():

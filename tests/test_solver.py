@@ -7,12 +7,15 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kpostman.kernel
 import kpostman.solve
 import kpostman.walks
 from kpostman import graph as graph_module
@@ -64,6 +67,7 @@ from conftest import (
     bfs_connected,
     bouquet,
     chain_union_minimum,
+    closed_walk,
     even_degrees,
     odd_by_degree,
     random_small_graphs,
@@ -126,9 +130,9 @@ def tour_starts(monkeypatch):
     starts = []
     tour = kpostman.walks._tour
 
-    def counted(g, left, cursor, start):
+    def counted(runs, start):
         starts.append(start)
-        return tour(g, left, cursor, start)
+        return tour(runs, start)
 
     monkeypatch.setattr(kpostman.walks, "_tour", counted)
     return starts
@@ -179,6 +183,19 @@ def test_split_pins_lowest_shared_vertex_not_first_in_cycle(tour_starts):
         [(3, 3), (4, 4), (1, 5), (3, 5), (1, 1), (2, 2)]
     ]
     assert tour_starts == [1]
+
+
+def test_split_pins_runs_cut_at_packed_vertices_inside_a_chain(tour_starts):
+    # anchors 1 and 2 joined by the doubled chain 1-3-4-5-2 and two plain
+    # chains; a 2-cycle packed on the chain's third edge leaves it 2, 2, 0, 2
+    g = MultiGraph.from_edges(
+        7, [(1, 3, 1), (3, 4, 1), (4, 5, 1), (5, 2, 1), (1, 6, 1), (6, 2, 1), (1, 7, 1), (7, 2, 1)]
+    )
+    counts = {1: 2, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1, 7: 1, 8: 1}
+    assert split_steps(g, counts, [Cycle((4, 5), (3, 3))]) == [
+        [(4, 2), (3, 1), (1, 5), (6, 6), (2, 4), (5, 4), (2, 8), (7, 7), (1, 1), (3, 2), (4, 3), (5, 3)]
+    ]
+    assert tour_starts == [4]
 
 
 @pytest.mark.parametrize(
@@ -352,6 +369,68 @@ def test_split_refuses_odd_and_split_covers(name, cover, cycles):
     for split in (split_into_k_walks, reference_split):
         with pytest.raises(GraphError, match="odd degree|must be connected"):
             split(m, packing)
+
+
+@pytest.fixture
+def tours(monkeypatch):
+    """Every tour walks._tour returns, in call order."""
+    out = []
+    tour = kpostman.walks._tour
+
+    def recorded(runs, start):
+        out.append(tour(runs, start))
+        return out[-1]
+
+    monkeypatch.setattr(kpostman.walks, "_tour", recorded)
+    return out
+
+
+def seeded_splits():
+    """(cover, packing) of every split that solve_kcpp makes on the seeded
+    chains, joins and search benchmark loads of the default seed."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import DEFAULT_SEED, generate
+    finally:
+        sys.path.pop(0)
+    calls = []
+
+    def recorded(m, packing):
+        calls.append((m, packing))
+        return split_into_k_walks(m, packing)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kpostman.kernel, "split_into_k_walks", recorded)
+        mp.setattr(kpostman.solve, "split_into_k_walks", recorded)
+        for workload in ("chains", "joins", "search"):
+            for spec in generate(workload, DEFAULT_SEED):
+                solve_kcpp(MultiGraph.from_edges(spec.n, spec.triples), spec.k)
+    return calls
+
+
+def test_run_tours_match_the_per_edge_tours(tours):
+    # every run tour is a closed walk, the tours of one split spend each
+    # leftover copy once, and each walk has the start vertex and the edge
+    # multiset of the split that tours edge copy by edge copy
+    seen = Counter()
+    for m, packing in [*split_cases(), *seeded_splits()]:
+        tours.clear()
+        got = split_outcome(split_into_k_walks, m, packing)
+        want = split_outcome(partial(reference_split, per_edge=True), m, packing)
+        if isinstance(got, str):
+            assert got == want
+            seen["refused"] += 1
+            continue
+        assert [(w.steps[0][0], Counter(w.edge_ids())) for w in got.walks] == [
+            (w.steps[0][0], Counter(w.edge_ids())) for w in want.walks
+        ], (m.base.edges, m.counts, packing)
+        for tour in tours:
+            assert closed_walk(m.base, tour)
+        spent = sum((Counter(eid for _, eid in t) for t in tours), Counter())
+        assert spent == +Counter(check_packing(m, packing))
+        seen["toured" if tours else "bare"] += 1
+        seen["reordered"] += got.walks != want.walks
+    assert min(seen.values()) > 0, seen  # refusals, splits with and without tours, new orders
 
 
 @pytest.mark.parametrize("g", [star(3), named_graph("triangle"), named_graph("k4"), star(400)])
