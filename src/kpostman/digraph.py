@@ -1,5 +1,10 @@
 """Directed multigraphs, the balancing-vertex gadget, and arc-disjoint
-cycle packing through the shared packing search."""
+cycle packing through the shared packing search.
+
+The packing search runs on the digraph with its chains contracted: each
+maximal directed path through inner vertices (one arc in, one arc out,
+such as the gadget's midpoints) becomes one arc, the directed form of the
+undirected chain reduction."""
 
 from __future__ import annotations
 
@@ -134,18 +139,66 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
     return GadgetResult(d_prime, x, x_out, frozenset(midpoints))
 
 
+class _Contracted(NamedTuple):
+    """A digraph with its chains contracted, as PackingSearch reads it."""
+
+    ends: dict[int, tuple[int, int]]
+    steps: dict[int, tuple[tuple[int, int], ...]]
+
+
 def max_arc_disjoint_cycles(d: DiGraph) -> int:
-    """Exact maximum number of pairwise arc-disjoint directed cycles, by the
-    packing search with one copy per arc; raises SearchBudgetExceeded past
-    its state budget, cycles.MAX_PACKING_STATES."""
-    return PackingSearch(d).run({a.id: 1 for a in d.arcs}, len(d.arcs) // 2)[0]
+    """Exact maximum number of pairwise arc-disjoint directed cycles.
+
+    An inner vertex has exactly one arc in and one arc out, so a directed
+    cycle through either of its arcs passes the vertex and uses both.  A
+    cycle therefore takes all or none of the arcs of each maximal path
+    through inner vertices, and contracting every such path into one arc
+    (keeping the id of its first arc) maps the directed cycles of d one to
+    one onto those of the contracted digraph, arc-disjoint packings onto
+    arc-disjoint packings.  A path that closes on its own tail, and a cycle
+    of inner vertices only, is a cycle that no other cycle meets: each
+    counts once, outside the search.  The rest is the packing search with
+    one copy per contracted arc; it raises SearchBudgetExceeded past its
+    state budget, cycles.MAX_PACKING_STATES, counted on the contracted
+    digraph.  A digraph without inner vertices is searched as it is."""
+    steps, into = d.steps, d.indegrees
+    inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
+    if not inner:
+        return PackingSearch(d).run({a.id: 1 for a in d.arcs}, len(d.arcs) // 2)[0]
+    cycles = 0
+    ends: dict[int, tuple[int, int]] = {}
+    contracted: dict[int, tuple[tuple[int, int], ...]] = {}
+    # the outer vertices are listed first, since the walks empty `inner`
+    for v in [v for v in steps if v not in inner]:
+        out = []
+        for aid, head in steps[v]:
+            while head in inner:
+                inner.remove(head)
+                head = steps[head][0][1]
+            if head == v:
+                cycles += 1
+            else:
+                ends[aid] = (v, head)
+                out.append((aid, head))
+        contracted[v] = tuple(out)
+    # no path from an outer vertex reached what is left: cycles of inner vertices
+    while inner:
+        cycles += 1
+        v = head = inner.pop()
+        while (head := steps[head][0][1]) != v:
+            inner.remove(head)
+    searcher = PackingSearch(_Contracted(ends, contracted))
+    return cycles + searcher.run(dict.fromkeys(ends, 1), len(ends) // 2)[0]
 
 
 def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
     """Check that balancing adds exactly x's outdegree to the packing number.
 
-    d and d' are packed alike, each within the packing search's state
-    budget.  The report carries d' for the caller to write out."""
+    d and d' are packed alike by max_arc_disjoint_cycles, each within the
+    packing search's state budget.  Every midpoint of d' is an inner
+    vertex, so the search of d' runs with each two-arc path through x
+    contracted to one arc.  The report carries the uncontracted d' for the
+    caller to write out."""
     gadget = build_balanced_extension(d)
     r = max_arc_disjoint_cycles(d)
     r_prime = max_arc_disjoint_cycles(gadget.d_prime)

@@ -346,8 +346,9 @@ def test_search_refusal_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_packing_state_budget_exits_one(tmp_path, capsys, monkeypatch):
-    # d' of the 8-arc out-star needs about 1700 packing states; a budget of
-    # 100 refuses it in the search of d' (the acyclic d needs 14)
+    # d' of the 8-arc out-star needs 122 packing states with its midpoints
+    # contracted; a budget of 100 refuses it in the search of d' (the
+    # acyclic d needs 14)
     monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 100)
     d = DiGraph.from_arcs(9, [(1, v, 1) for v in range(2, 10)])
     with pytest.raises(SearchBudgetExceeded) as refused:

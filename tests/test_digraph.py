@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -128,11 +130,46 @@ def test_packing_matches_independent_cycle_enumeration():
                     assert arc[aid].head == c.vertices[(i + 1) % len(c.edges)]
 
 
-@pytest.mark.parametrize("n", range(8, 13))
-def test_equivalence_on_out_stars(n):
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4)],
+        [(1, 2), (2, 3), (3, 1), (1, 4), (4, 1), (4, 5), (5, 4)],
+        [(1, 2), (2, 1), (1, 3), (3, 4), (4, 1), (3, 1), (4, 3)],
+        [(1, 2), (2, 3), (1, 4), (4, 3), (3, 1), (3, 5), (5, 1)],
+        [(1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)],
+    ],
+    ids=["inner-cycles", "chains-close-on-tail", "two-cycle-via-inner", "parallel-chains", "no-inner"],
+)
+def test_contracted_packing_matches_cycle_enumeration(arcs):
+    d = DiGraph.from_arcs(max(map(max, arcs)), [(t, h, 1) for t, h in arcs])
+    ones = {a.id: 1 for a in d.arcs}
+    want = max_disjoint_from_list(all_directed_cycles(d), ones)
+    assert max_arc_disjoint_cycles(d) == want == PackingSearch(d).run(ones, len(d.arcs) // 2)[0]
+
+
+def test_contracted_packing_matches_uncontracted_search_on_gadget_load():
+    # the benchmark's gadget load: d and d' of each spec, d' with every
+    # midpoint an inner vertex
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import DEFAULT_SEED, generate
+    finally:
+        sys.path.pop(0)
+    for spec in generate("gadget", DEFAULT_SEED):
+        d = DiGraph.from_arcs(spec.n, spec.triples)
+        for graph in (d, build_balanced_extension(d).d_prime):
+            ones = {a.id: 1 for a in graph.arcs}
+            want = PackingSearch(graph).run(ones, len(graph.arcs) // 2)[0]
+            assert max_arc_disjoint_cycles(graph) == want, graph.arcs
+
+
+@pytest.mark.parametrize("n", [*range(8, 13), 16, 32, 64])
+def test_equivalence_on_out_stars(n, monkeypatch):
     # d' of an out-star has 3n arcs and n arc-disjoint 5-cycles through x;
-    # every arc has one copy, so each search node stops at the first take
-    # branch that beats its drop branch
+    # the leaves are inner vertices too, so contracted it is n parallel arcs
+    # x -> 1 and n back, and the 64-arc star needs 6366 states
+    monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 10_000)
     d = DiGraph.from_arcs(n + 1, [(1, v, 1) for v in range(2, n + 2)])
     rep = verify_packing_equivalence(d)
     assert (rep.r, rep.r_prime, rep.x_outdegree, rep.holds) == (0, n, n, True)
