@@ -140,7 +140,9 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
 
 
 class _Contracted(NamedTuple):
-    """A digraph with its chains contracted, as PackingSearch reads it."""
+    """A digraph with its chains contracted, as PackingSearch reads it.
+    Built by hand, not as a DiGraph: the arc checks and cached maps of a
+    DiGraph cost a gadget check about a tenth of its time."""
 
     ends: dict[int, tuple[int, int]]
     steps: dict[int, tuple[tuple[int, int], ...]]
@@ -160,11 +162,9 @@ def max_arc_disjoint_cycles(d: DiGraph) -> int:
     counts once, outside the search.  The rest is the packing search with
     one copy per contracted arc; it raises SearchBudgetExceeded past its
     state budget, cycles.MAX_PACKING_STATES, counted on the contracted
-    digraph.  A digraph without inner vertices is searched as it is."""
+    digraph.  A digraph without inner vertices contracts to itself."""
     steps, into = d.steps, d.indegrees
     inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
-    if not inner:
-        return PackingSearch(d).run({a.id: 1 for a in d.arcs}, len(d.arcs) // 2)[0]
     cycles = 0
     ends: dict[int, tuple[int, int]] = {}
     contracted: dict[int, tuple[tuple[int, int], ...]] = {}

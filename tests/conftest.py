@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from collections import Counter
 from functools import cache
 from itertools import combinations, product
 from operator import itemgetter
+from pathlib import Path
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -67,6 +69,7 @@ __all__ = [
     "reference_read_triples",
     "reference_parse_solution",
     "random_small_graphs",
+    "seeded_load",
     "record_texts",
 ]
 
@@ -482,6 +485,17 @@ def reference_split(m: Multiplicities, packing: CyclePacking, per_edge: bool = F
     total = sum(by_id[eid].weight for w in walks for _, eid in w.steps)
     assert total == m.weight()
     return Solution(tuple(walks), total)
+
+
+def seeded_load(workload: str):
+    """The specs of a benchmark workload at its default seed, from
+    perfbench/workloads.py."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import DEFAULT_SEED, generate
+    finally:
+        sys.path.pop(0)
+    return generate(workload, DEFAULT_SEED)
 
 
 def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import random
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,7 @@ from kpostman.digraph import (
 from kpostman.generators import random_digraph
 from kpostman.graph import GraphError, ParseError, SearchBudgetExceeded
 
-from conftest import all_directed_cycles, max_disjoint_from_list, record_texts
+from conftest import all_directed_cycles, max_disjoint_from_list, record_texts, seeded_load
 
 
 def test_single_arc_gadget():
@@ -151,12 +149,7 @@ def test_contracted_packing_matches_cycle_enumeration(arcs):
 def test_contracted_packing_matches_uncontracted_search_on_gadget_load():
     # the benchmark's gadget load: d and d' of each spec, d' with every
     # midpoint an inner vertex
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        from workloads import DEFAULT_SEED, generate
-    finally:
-        sys.path.pop(0)
-    for spec in generate("gadget", DEFAULT_SEED):
+    for spec in seeded_load("gadget"):
         d = DiGraph.from_arcs(spec.n, spec.triples)
         for graph in (d, build_balanced_extension(d).d_prime):
             ones = {a.id: 1 for a in graph.arcs}

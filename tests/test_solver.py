@@ -9,7 +9,6 @@ import tracemalloc
 from collections import Counter
 from functools import partial
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -72,6 +71,7 @@ from conftest import (
     odd_by_degree,
     random_small_graphs,
     reference_split,
+    seeded_load,
 )
 
 
@@ -388,11 +388,6 @@ def tours(monkeypatch):
 def seeded_splits():
     """(cover, packing) of every split that solve_kcpp makes on the seeded
     chains, joins and search benchmark loads of the default seed."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        from workloads import DEFAULT_SEED, generate
-    finally:
-        sys.path.pop(0)
     calls = []
 
     def recorded(m, packing):
@@ -403,7 +398,7 @@ def seeded_splits():
         mp.setattr(kpostman.kernel, "split_into_k_walks", recorded)
         mp.setattr(kpostman.solve, "split_into_k_walks", recorded)
         for workload in ("chains", "joins", "search"):
-            for spec in generate(workload, DEFAULT_SEED):
+            for spec in seeded_load(workload):
                 solve_kcpp(MultiGraph.from_edges(spec.n, spec.triples), spec.k)
     return calls
 
