@@ -388,7 +388,7 @@ class PackingSearch:
     def run(self, counts: Mapping[int, int], target: int) -> tuple[int, tuple[Cycle, ...]]:
         """Up to `target` disjoint cycles within the edge copies in `counts`
         (edge id -> copies; ids left out have none), and how many.  Raises
-        SearchBudgetExceeded past MAX_PACKING_STATES states."""
+        SearchBudgetExceeded past MAX_PACKING_STATES states or the recursion limit."""
         for eid, n in counts.items():
             if eid not in self.slot:
                 raise GraphError(f"no edge with id {eid}")
@@ -400,7 +400,12 @@ class PackingSearch:
         state = self.guards
         for eid, n in counts.items():
             state += n << (self.slot[eid] * self.stride)
-        found = self._search(state, sum(counts.values()), target)[1][: max(target, 0)]
+        try:
+            found = self._search(state, sum(counts.values()), target)[1][: max(target, 0)]
+        except RecursionError:  # memo, lists and `listed` change only on completion
+            raise SearchBudgetExceeded(
+                "search budget exceeded: packing search deeper than the recursion limit"
+            ) from None
         return len(found), tuple(
             Cycle(verts, tuple(self.ids[s] for s in slots)) for verts, slots in found
         )

@@ -136,10 +136,6 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
     )
 
 
-def _two_cycle(e: Edge) -> Cycle:
-    return Cycle((e.u, e.v), (e.id, e.id))
-
-
 def pendant_shortcut(
     g: MultiGraph, k: int, cpp: CppSolution | None = None
 ) -> Solution | None:
@@ -158,7 +154,7 @@ def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
     one edge, mapped back to cycles of g.  Loop chains and rings are cycles
     as they are; the greedy runs on the open chains."""
     chains = _chains(_core(g.edges))
-    out = [Cycle(c.vertices[:-1], c.edges) for c in chains if c.u == c.v]
+    out = [_chain_cycle(c.u, [c]) for c in chains if c.u == c.v]
     open_chains = [c for c in chains if c.u != c.v]
     if len(out) >= k or not open_chains:
         return out
@@ -174,35 +170,32 @@ def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
 def packing_shortcut(
     g: MultiGraph, k: int, cpp: CppSolution | None = None
 ) -> Solution | None:
-    """Try to certify k disjoint cycles in the optimal cover's multigraph:
-    a 2-cycle on each of the first k duplicated join edges, then greedy on
-    what remains, then greedy on the degree-stripped core of g.  Fires at
-    the single-walk optimum whenever k cycles are found.
+    """Try to certify k disjoint cycles in the optimal cover's multigraph,
+    in one list: a 2-cycle on each of the first k join edges, then greedy
+    on the edges outside the join, one copy each, or if that is short,
+    greedy on the degree-stripped core of g.  Fires at the single-walk
+    optimum whenever k cycles are found.
 
-    Returns None before any cycle work when k exceeds the cover's
-    cycle_rank_bound (copies |E(g)| + |join| on the vertices of g that
-    have an edge).  The guard is exact: the join 2-cycles, the greedy
-    cycles of the residual and the stripped-core cycles of g are all
-    edge-disjoint cycles of the cover, which is connected, so above that
-    bound none of the steps can find k of them."""
+    Both guards are exact.  No cycle work runs when k exceeds the cover's
+    cycle_rank_bound (copies |E(g)| + |join| on the vertices of g with an
+    edge), since every list is edge-disjoint cycles of the connected
+    cover; the stripped core runs only within g's own cycle_rank_bound,
+    since its cycles are edge-disjoint cycles of the connected g."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if cpp is None:
         cpp = solve_cpp(g)
     if k > cycle_rank_bound(len(g.edges) + len(cpp.join), len(g.adjacency)):
         return None
-    m = cpp.multiplicities
-    cycles: list[Cycle] = [_two_cycle(g.edge(eid)) for eid in sorted(cpp.join)[:k]]
-    if len(cycles) == k:
-        return split_into_k_walks(m, CyclePacking(tuple(cycles)))
-    residual = m.without(CyclePacking(tuple(cycles)).edge_multiset())
-    cycles.extend(greedy_cycle_packing(residual, k - len(cycles)).cycles)
-    if len(cycles) >= k:
-        return split_into_k_walks(m, CyclePacking(tuple(cycles[:k])))
-    core_cycles = _stripped_core_cycles(g, k)
-    if len(core_cycles) >= k:
-        return split_into_k_walks(m, CyclePacking(tuple(core_cycles[:k])))
-    return None
+    cycles = [Cycle((e.u, e.v), (e.id, e.id)) for e in map(g.edge, sorted(cpp.join)[:k])]
+    if len(cycles) < k:
+        rest = Multiplicities(g, {e.id: 1 for e in g.edges if e.id not in cpp.join})
+        cycles += greedy_cycle_packing(rest, k - len(cycles)).cycles
+    if len(cycles) < k and k <= cycle_rank_bound(len(g.edges), len(g.adjacency)):
+        cycles = _stripped_core_cycles(g, k)
+    if len(cycles) < k:
+        return None
+    return split_into_k_walks(cpp.multiplicities, CyclePacking(tuple(cycles[:k])))
 
 
 def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:

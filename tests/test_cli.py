@@ -361,6 +361,24 @@ def test_packing_state_budget_exits_one(tmp_path, capsys, monkeypatch):
     assert err == "error: search budget exceeded: more than 100 packing states\n"
 
 
+def test_packing_search_too_deep_exits_one():
+    # the 500-vertex double ring, arcs v -> v+1 and v -> v+2: every vertex
+    # has in- and out-degree 2, so nothing contracts, and the search of its
+    # 1000 arcs recurses deeper than the interpreter allows
+    n = 500
+    d = DiGraph.from_arcs(n, [(v, (v + s - 1) % n + 1, 1) for v in range(1, n + 1) for s in (1, 2)])
+    env = {**os.environ, "PYTHONPATH": str(Path(kpostman.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kpostman", "gadget", "-"],
+        input=serialize_directed_instance(d, 1),
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: search budget exceeded: packing search deeper than the recursion limit\n"
+
+
 def test_usage_error_exits_one():
     assert main(["no-such-command"]) == 1
 

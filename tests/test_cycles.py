@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import pytest
@@ -492,6 +493,22 @@ def test_packing_budget_counts_the_cycle_listing(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert str(refused.value) == "search budget exceeded: more than 10000 packing states"
     assert len(searcher.memo) < 100
+
+
+def test_packing_search_deeper_than_the_recursion_limit_is_refused():
+    # the search drops one live slot per level, so a bouquet with more
+    # edges than the recursion limit goes too deep: a typed refusal, not a
+    # RecursionError, and the same searcher then answers 10 of its
+    # triangles, which need only a shallow search
+    g = bouquet([1] * (sys.getrecursionlimit() // 2))
+    searcher = PackingSearch(g)
+    with pytest.raises(SearchBudgetExceeded) as refused:
+        searcher.run(dict.fromkeys(g.edge_by_id, 1), len(g.edges) // 3)
+    assert str(refused.value) == "search budget exceeded: packing search deeper than the recursion limit"
+    counts = dict.fromkeys(range(1, 31), 1)  # edges 3i+1..3i+3 are triangle i
+    nu, witness = searcher.run(counts, 10)
+    check_packing(Multiplicities(g, counts), CyclePacking(witness))
+    assert nu == len(witness) == 10
 
 
 def test_empty_packing_for_tree():

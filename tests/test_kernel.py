@@ -9,7 +9,7 @@ import pytest
 
 import kpostman.kernel as kernel
 from kpostman.cpp import Multiplicities, solve_cpp
-from kpostman.cycles import check_packing, cycle_rank_bound
+from kpostman.cycles import PackingSearch, check_packing, cycle_rank_bound
 from kpostman.generators import (
     NAMED_BASES,
     cycle_graph,
@@ -107,7 +107,22 @@ def test_packing_bowtie():
     assert oracle_kcpp(g, 2) == 6
 
 
-def test_packing_falls_back_to_core_chain_cycles():
+def count_core_cycles(monkeypatch) -> list[bool]:
+    """Patch the shortcut's stripped-core step to record, call by call,
+    whether it found k cycles."""
+    fired: list[bool] = []
+    real = kernel._stripped_core_cycles
+
+    def counted(g, k):
+        cycles = real(g, k)
+        fired.append(len(cycles) >= k)
+        return cycles
+
+    monkeypatch.setattr(kernel, "_stripped_core_cycles", counted)
+    return fired
+
+
+def test_packing_falls_back_to_core_chain_cycles(monkeypatch):
     # greedy on the cover finds fewer than 4 cycles; the triangle closed on
     # vertex 1 plus 3 cycles over the 2-core's chains, each counted as one
     # edge, make 4
@@ -117,12 +132,13 @@ def test_packing_falls_back_to_core_chain_cycles():
         (13, 2, 0), (3, 1, 1), (2, 14, 1), (14, 15, 2), (15, 16, 0), (16, 1, 0), (4, 5, 0),
         (1, 17, 1), (17, 18, 1), (18, 1, 1),
     ])  # fmt: skip
+    fired = count_core_cycles(monkeypatch)
     sol = packing_shortcut(g, 4)
-    assert sol is not None
+    assert sol is not None and fired == [True]
     assert verify_solution(g, 4, sol) == solve_cpp(g).weight
 
 
-def test_core_chain_cycles_answer_above_the_chain_cap():
+def test_core_chain_cycles_answer_above_the_chain_cap(monkeypatch):
     # 4 copies of a square a-b-d-c sharing a = 1, each side once as an edge
     # and once as a 4-edge chain: greedy on the cover finds 2 cycles per
     # copy, the core's chains as edges pair up into 4, and the shortcut
@@ -139,8 +155,27 @@ def test_core_chain_cycles_answer_above_the_chain_cap():
             triples.extend((p, q, 1) for p, q in zip(path, path[1:]))
     g = MultiGraph.from_edges(n, triples)
     assert len(g.edges) == 80 and len(find_chains(g)) > 24
+    fired = count_core_cycles(monkeypatch)
     res = solve_kcpp(g, 12)
     assert res.method == "packing" and res.weight == 80 == solve_cpp(g).weight
+    assert fired == [True]
+
+
+def test_core_chain_cycles_run_only_within_the_cycle_rank_of_g(monkeypatch):
+    fired = count_core_cycles(monkeypatch)
+    # K4 (cycle rank 3) at k = 4: its cover, with a perfect matching
+    # doubled, holds 3 disjoint cycles, the matching's 2-cycles and the
+    # 4-cycle outside it; the core's cycles are cycles of K4, so never 4
+    k4 = named_graph("k4")
+    cpp = solve_cpp(k4)
+    assert cycle_rank_bound(len(k4.edges) + len(cpp.join), 4) == 4 > 3 == cycle_rank_bound(6, 4)
+    assert PackingSearch(k4).run(cpp.multiplicities.counts, 4)[0] == 3
+    assert packing_shortcut(k4, 4, cpp) is None and fired == []
+    # K5 at k = 4 (within its bound of 5): no join, and greedy on g and on
+    # its core find 3, the most disjoint cycles K5 holds
+    k5 = MultiGraph.from_edges(5, [(u, v, 1) for u in range(1, 6) for v in range(u + 1, 6)])
+    assert PackingSearch(k5).run(dict.fromkeys(k5.edge_by_id, 1), 4)[0] == 3
+    assert packing_shortcut(k5, 4) is None and fired == [False]
 
 
 def test_packing_shortcut_declines_above_the_cycle_rank(monkeypatch):
