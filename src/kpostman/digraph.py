@@ -4,7 +4,8 @@ cycle packing through the shared packing search.
 The packing search runs on the digraph with its chains contracted: each
 maximal directed path through inner vertices (one arc in, one arc out,
 such as the gadget's midpoints) becomes one arc, the directed form of the
-undirected chain reduction."""
+undirected chain reduction.  Contracted arcs with the same tail and head
+share one slot of the search, with a copy per arc."""
 
 from __future__ import annotations
 
@@ -140,9 +141,11 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
 
 
 class _Contracted(NamedTuple):
-    """A digraph with its chains contracted, as PackingSearch reads it.
-    Built by hand, not as a DiGraph: the arc checks and cached maps of a
-    DiGraph cost a gadget check about a tenth of its time."""
+    """A digraph with its chains contracted and its parallel arcs folded,
+    as PackingSearch reads it: one arc per (tail, head) pair, the count of
+    its copies going to the search.  Built by hand, not as a DiGraph: the
+    arc checks and cached maps of a DiGraph cost a gadget check about a
+    tenth of its time."""
 
     ends: dict[int, tuple[int, int]]
     steps: dict[int, tuple[tuple[int, int], ...]]
@@ -159,25 +162,35 @@ def max_arc_disjoint_cycles(d: DiGraph) -> int:
     one onto those of the contracted digraph, arc-disjoint packings onto
     arc-disjoint packings.  A path that closes on its own tail, and a cycle
     of inner vertices only, is a cycle that no other cycle meets: each
-    counts once, outside the search.  The rest is the packing search with
-    one copy per contracted arc; it raises SearchBudgetExceeded past its
-    state budget, cycles.MAX_PACKING_STATES, counted on the contracted
-    digraph.  A digraph without inner vertices contracts to itself."""
+    counts once, outside the search.  The rest is the packing search, with
+    the contracted arcs from one tail to one head folded into one slot (the
+    first arc's id) that holds a copy per arc.  A simple cycle leaves each
+    vertex once, so it uses at most one arc of such a group, and the
+    arc-disjoint packings are exactly the packings within these copies.
+    The search raises SearchBudgetExceeded past its state budget,
+    cycles.MAX_PACKING_STATES, counted on the folded digraph.  A digraph
+    without inner vertices or parallel arcs is searched as it is."""
     steps, into = d.steps, d.indegrees
     inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
     cycles = 0
     ends: dict[int, tuple[int, int]] = {}
+    counts: dict[int, int] = {}
     contracted: dict[int, tuple[tuple[int, int], ...]] = {}
     # the outer vertices are listed first, since the walks empty `inner`
     for v in [v for v in steps if v not in inner]:
         out = []
+        slot: dict[int, int] = {}  # head -> id of the first contracted arc to reach it
         for aid, head in steps[v]:
             while head in inner:
                 inner.remove(head)
                 head = steps[head][0][1]
             if head == v:
                 cycles += 1
+            elif head in slot:
+                counts[slot[head]] += 1
             else:
+                slot[head] = aid
+                counts[aid] = 1
                 ends[aid] = (v, head)
                 out.append((aid, head))
         contracted[v] = tuple(out)
@@ -188,7 +201,7 @@ def max_arc_disjoint_cycles(d: DiGraph) -> int:
         while (head := steps[head][0][1]) != v:
             inner.remove(head)
     searcher = PackingSearch(_Contracted(ends, contracted))
-    return cycles + searcher.run(dict.fromkeys(ends, 1), len(ends) // 2)[0]
+    return cycles + searcher.run(counts, sum(counts.values()) // 2)[0]
 
 
 def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
@@ -197,8 +210,9 @@ def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
     d and d' are packed alike by max_arc_disjoint_cycles, each within the
     packing search's state budget.  Every midpoint of d' is an inner
     vertex, so the search of d' runs with each two-arc path through x
-    contracted to one arc.  The report carries the uncontracted d' for the
-    caller to write out."""
+    contracted to one arc, and the paths between x and one vertex v, one
+    per unit of v's imbalance, folded into one slot.  The report carries
+    the uncontracted d' for the caller to write out."""
     gadget = build_balanced_extension(d)
     r = max_arc_disjoint_cycles(d)
     r_prime = max_arc_disjoint_cycles(gadget.d_prime)

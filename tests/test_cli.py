@@ -346,11 +346,13 @@ def test_search_refusal_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_packing_state_budget_exits_one(tmp_path, capsys, monkeypatch):
-    # d' of the 8-arc out-star needs 122 packing states with its midpoints
-    # contracted; a budget of 100 refuses it in the search of d' (the
-    # acyclic d needs 14)
+    # a ring of 3 layers of 3 vertices, every arc from one layer to the
+    # next: balanced, so d' is d, with no inner vertex and no parallel arcs;
+    # its search needs 5649 packing states, and a budget of 100 refuses it
     monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 100)
-    d = DiGraph.from_arcs(9, [(1, v, 1) for v in range(2, 10)])
+    d = DiGraph.from_arcs(
+        9, [(3 * i + a, 3 * ((i + 1) % 3) + b, 1) for i in range(3) for a in (1, 2, 3) for b in (1, 2, 3)]
+    )
     with pytest.raises(SearchBudgetExceeded) as refused:
         verify_packing_equivalence(d)
     assert str(refused.value) == "search budget exceeded: more than 100 packing states"

@@ -96,10 +96,14 @@ def test_packing_past_16_arcs_matches_independent_cycle_enumeration():
 
 
 def test_packing_budget_counts_the_cycle_listing(monkeypatch):
-    # a directed 10-ring with 4 parallel arcs per step has 4^9 cycles
-    # through its first arc; listing them alone passes a budget of 10000
+    # a ring of 10 layers of 3 vertices, every arc from one layer to the
+    # next: no vertex is inner and no two arcs are parallel, and 3^8 cycles
+    # of length 10 pass through each arc; the listing passes a budget of
+    # 10000 while the memo holds fewer than 100 states
     monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 10_000)
-    d = DiGraph.from_arcs(10, [(v, v % 10 + 1, 1) for v in range(1, 11) for _ in range(4)])
+    d = DiGraph.from_arcs(
+        30, [(3 * i + a, 3 * ((i + 1) % 10) + b, 1) for i in range(10) for a in (1, 2, 3) for b in (1, 2, 3)]
+    )
     start = time.perf_counter()
     with pytest.raises(SearchBudgetExceeded) as refused:
         max_arc_disjoint_cycles(d)
@@ -136,8 +140,16 @@ def test_packing_matches_independent_cycle_enumeration():
         [(1, 2), (2, 1), (1, 3), (3, 4), (4, 1), (3, 1), (4, 3)],
         [(1, 2), (2, 3), (1, 4), (4, 3), (3, 1), (3, 5), (5, 1)],
         [(1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)],
+        [(1, 2), (2, 3), (1, 4), (4, 3), (1, 3), (3, 1), (3, 1)],
     ],
-    ids=["inner-cycles", "chains-close-on-tail", "two-cycle-via-inner", "parallel-chains", "no-inner"],
+    ids=[
+        "inner-cycles",
+        "chains-close-on-tail",
+        "two-cycle-via-inner",
+        "parallel-chains",
+        "no-inner",
+        "parallel-after-contraction",
+    ],
 )
 def test_contracted_packing_matches_cycle_enumeration(arcs):
     d = DiGraph.from_arcs(max(map(max, arcs)), [(t, h, 1) for t, h in arcs])
@@ -157,16 +169,26 @@ def test_contracted_packing_matches_uncontracted_search_on_gadget_load():
             assert max_arc_disjoint_cycles(graph) == want, graph.arcs
 
 
-@pytest.mark.parametrize("n", [*range(8, 13), 16, 32, 64])
+@pytest.mark.parametrize("n", [*range(8, 13), 16, 32, 64, 256, 800])
 def test_equivalence_on_out_stars(n, monkeypatch):
     # d' of an out-star has 3n arcs and n arc-disjoint 5-cycles through x;
     # the leaves are inner vertices too, so contracted it is n parallel arcs
-    # x -> 1 and n back, and the 64-arc star needs 6366 states
-    monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 10_000)
+    # x -> 1 and n back, folded into two slots of n copies: the search of d'
+    # needs 2n + 2 states, the 800-arc star's 1602
+    monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 2000)
     d = DiGraph.from_arcs(n + 1, [(1, v, 1) for v in range(2, n + 2)])
     rep = verify_packing_equivalence(d)
     assert (rep.r, rep.r_prime, rep.x_outdegree, rep.holds) == (0, n, n, True)
     assert rep.d_prime == build_balanced_extension(d).d_prime
+
+
+def test_equivalence_on_ring_with_parallel_arcs():
+    # a directed 10-ring with 4 parallel arcs per step: balanced, so d' is
+    # d, and its 40 arcs fold into 10 slots of 4 copies (4^9 cycles through
+    # each arc would be listed with a slot per arc)
+    d = DiGraph.from_arcs(10, [(v, v % 10 + 1, 1) for v in range(1, 11) for _ in range(4)])
+    rep = verify_packing_equivalence(d)
+    assert (rep.r, rep.r_prime, rep.x_outdegree, rep.holds) == (4, 4, 0, True)
 
 
 def test_rejects_self_loop():
