@@ -32,6 +32,8 @@ the runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .graph import (
@@ -59,10 +61,13 @@ class Multiplicities:
 
     @classmethod
     def cover(cls, base: MultiGraph, counts: Mapping[int, int]) -> "Multiplicities":
-        """Covering counts: every edge of the base graph at least once."""
-        for e in base.edges:
-            if counts.get(e.id, 0) < 1:
-                raise GraphError(f"edge {e.id} is not covered")
+        """Covering counts: every edge of the base graph at least once.
+        One C-level pass checks them; the edges are walked only to name the
+        first uncovered one, in base order."""
+        if min(map(counts.get, base.edge_by_id, repeat(0)), default=1) < 1:
+            for e in base.edges:
+                if counts.get(e.id, 0) < 1:
+                    raise GraphError(f"edge {e.id} is not covered")
         return cls(base, dict(counts))
 
     @classmethod
@@ -129,8 +134,8 @@ def solve_cpp(g: MultiGraph) -> CppSolution:
     """Optimal single-walk cover: duplicate a minimum join over odd vertices.
 
     Returns the join, the covering counts (1 outside the join, 2 on it) and
-    the optimal weight total(g) + weight(join).  Connectivity comes from
-    g's cached chain cut and the join from g's cached chain_join over it.
+    the optimal weight total(g) + weight(join).  Connectivity, both weights
+    and the join come from g's cached chain cut and the chain_join over it.
     """
     if not g.edges:
         raise GraphError("graph has no edges")
@@ -138,7 +143,7 @@ def solve_cpp(g: MultiGraph) -> CppSolution:
     if not _connected(chains):
         raise GraphError("graph must be connected")
     counts = dict.fromkeys(g.edge_by_id, 1)
-    weight = g.total_weight()
+    weight = sum(c.weight for c in chains)  # the chains partition the edges
     join: list[int] = []
     for i in g.chain_join:
         c = chains[i]
@@ -164,7 +169,7 @@ def euler_tour(m: Multiplicities, start: int) -> Walk:
         raise GraphError(f"vertex {runs.odd} has odd degree {m.degree(runs.odd)}")
     if m.degree(start) == 0:
         raise GraphError(f"start vertex {start} not in the traversed component")
-    tour = _tour(runs, start)
+    tour = _tour(runs, start).steps
     if len(tour) < sum(left.values()):
         raise GraphError("multigraph spans more than one component")
     return Walk(tuple(tour))
@@ -197,6 +202,7 @@ class _Runs(NamedTuple):
 
     adjacency: Mapping[int, tuple[Edge, ...]]  # the base's
     pieces: list[tuple[tuple[int, ...], tuple[int, ...]]]  # (vertices, edges) per run
+    weights: list[int]  # per run, of one crossing
     copies: list[int]  # per run, spent by the tours
     ends: dict[int, int]  # run index per end edge of a run
     cursor: dict[int, int]  # per run end: see _tour
@@ -208,12 +214,15 @@ def _runs(g: MultiGraph, left: Mapping[int, int], starts: Iterable[int]) -> _Run
     runs, at every change of count along a chain and at every start inside
     one.  A chain with one count and no start inside is one run, found by
     C-level passes over its edges; only the others are walked edge by
-    edge.  Only run ends can be odd, so the parity is read off the runs: a
-    vertex is odd iff an odd number of runs with an odd count end at it
-    (a run closed on one vertex ends there twice)."""
+    edge.  A whole chain's run weighs the cut's c.weight, a part's is
+    summed over its edges.  Only run ends can be odd, so the parity is
+    read off the runs: a vertex is odd iff an odd number of runs with an
+    odd count end at it (a run closed on one vertex ends there twice)."""
     adjacency = g.adjacency
     cuts = {s for s in starts if len(adjacency.get(s, ())) == 2}
+    edge_of, weight_of = g.edge_by_id.__getitem__, itemgetter(3)
     pieces: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    weights: list[int] = []
     copies: list[int] = []
     for c in g.chains:
         vs, es = c.vertices, c.edges
@@ -222,6 +231,7 @@ def _runs(g: MultiGraph, left: Mapping[int, int], starts: Iterable[int]) -> _Run
         if counts.count(n) == len(counts) and cuts.isdisjoint(vs):
             if n:
                 pieces.append((vs, es))
+                weights.append(c.weight)
                 copies.append(n)
             continue
         i = 0
@@ -229,6 +239,7 @@ def _runs(g: MultiGraph, left: Mapping[int, int], starts: Iterable[int]) -> _Run
             if j == len(es) or counts[j] != n or vs[j] in cuts:
                 if n:
                     pieces.append((vs[i : j + 1], es[i:j]))
+                    weights.append(sum(map(weight_of, map(edge_of, es[i:j]))))
                     copies.append(n)
                 if j < len(es):
                     i, n = j, counts[j]
@@ -238,12 +249,18 @@ def _runs(g: MultiGraph, left: Mapping[int, int], starts: Iterable[int]) -> _Run
         ends[es[0]] = ends[es[-1]] = r
         if copies[r] & 1 and vs[0] != vs[-1]:
             odd ^= {vs[0], vs[-1]}
-    return _Runs(adjacency, pieces, copies, ends, {}, min(odd, default=None))
+    return _Runs(adjacency, pieces, weights, copies, ends, {}, min(odd, default=None))
 
 
-def _tour(runs: _Runs, start: int) -> list[tuple[int, int]]:
+class _Tour(NamedTuple):
+    steps: list[tuple[int, int]]  # (vertex, edge id)
+    stood: list[int]  # the run ends the tour stood on, start first
+    weight: int  # of the runs crossed
+
+
+def _tour(runs: _Runs, start: int) -> _Tour:
     """Hierholzer's closed walk from start through every copy still left in
-    start's component, as (vertex, edge id) steps; empty if start has none.
+    start's component; no steps if start has none.
 
     Steps from run end to run end, each step crossing one run whole, and
     spends the runs' copies.  At a run end v it takes the first run with
@@ -252,10 +269,11 @@ def _tour(runs: _Runs, start: int) -> list[tuple[int, int]]:
     copies left, so no spent run is read twice across the tours that share
     `runs`.  Each crossing is expanded into its edge steps at the end.
     """
-    adjacency, pieces, copies, ends, cursor, _ = runs
+    adjacency, pieces, weights, copies, ends, cursor, _ = runs
     stack = [start]
     vias = [0]  # per stacked vertex: the run crossed to reach it, ~r if backwards
     out: list[int] = []
+    weight = 0
     v = start
     while True:
         out_edges = adjacency[v]
@@ -270,6 +288,7 @@ def _tour(runs: _Runs, start: int) -> list[tuple[int, int]]:
         cursor[v] = i
         if i < n:
             copies[r] -= 1
+            weight += weights[r]
             vs, es = pieces[r]
             if v == vs[0]:  # a run closed on v is crossed forwards
                 v = vs[-1]
@@ -285,11 +304,14 @@ def _tour(runs: _Runs, start: int) -> list[tuple[int, int]]:
             break
         v = stack[-1]
     tour: list[tuple[int, int]] = []
+    stood: list[int] = []
     for r in out[-2::-1]:  # the circuit is the pop order reversed, less start's entry
         if r >= 0:
             vs, es = pieces[r]
+            stood.append(vs[0])
             tour.extend(zip(vs, es))
         else:
             vs, es = pieces[~r]
+            stood.append(vs[-1])
             tour.extend(zip(reversed(vs), reversed(es)))
-    return tour
+    return _Tour(tour, stood, weight)

@@ -82,12 +82,14 @@ def check_cycle(m: Multiplicities, c: Cycle) -> None:
     check_packing(m, CyclePacking((c,)))
 
 
-def check_packing(m: Multiplicities, packing: CyclePacking) -> dict[int, int]:
+def check_packing(m: Multiplicities, packing: CyclePacking) -> tuple[dict[int, int], int]:
     """Raise unless the cycles are pairwise disjoint edge copies within m, and
-    return the copies of each base edge they leave: one pass checks each
-    cycle and takes its copies out, so an overdrawn copy raises when drawn."""
+    return the copies of each base edge they leave and the cycles' total
+    weight: one pass checks each cycle and takes its copies out, so an
+    overdrawn copy raises when drawn."""
     left = _read_counts(m)
     by_id = m.base.edge_by_id
+    weight = 0
     for c in packing.cycles:
         vs, es = c.vertices, c.edges
         r = len(es)
@@ -102,7 +104,8 @@ def check_packing(m: Multiplicities, packing: CyclePacking) -> dict[int, int]:
             if not left[eid]:
                 raise GraphError(f"cycles use edge {eid} more often than it has copies")
             left[eid] -= 1
-    return left
+            weight += e.weight
+    return left, weight
 
 
 def _support(m: Multiplicities) -> tuple[list[Edge], dict[int, int]]:
@@ -211,7 +214,7 @@ def _chain_cycle(start: int, chains: Iterable[Chain]) -> Cycle:
     return Cycle(tuple(verts), tuple(ids))
 
 
-def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:
+def greedy_cycle_packing(m: Multiplicities, k: int, cut: list[Chain] | None = None) -> CyclePacking:
     """Repeatedly extract a shortest cycle, up to k cycles or until acyclic,
     in one pass over the counts.
 
@@ -223,6 +226,10 @@ def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:
     is a simple graph.  Its 2-core is peeled once into an incidence map;
     each shortest cycle is taken out of that map, and the peel restarts
     from the cycle's vertices only, which leaves the 2-core of the rest.
+    A list passed as `cut` receives the chain cut of that first 2-core,
+    the one packing_upper_bound makes of the simple rest, so a caller
+    bounding the rest need not cut it again; it stays empty when the
+    2-cycles alone reach k.
     Raises on a count that names no edge of the base or is negative.
     """
     if k < 1:
@@ -239,20 +246,25 @@ def greedy_cycle_packing(m: Multiplicities, k: int) -> CyclePacking:
             if len(cycles) == k:
                 return CyclePacking(tuple(cycles))
     core = _core(e for e in support if left[e.id])
+    chains = _chains(core)
+    if cut is not None:
+        cut.extend(chains)
     edge = m.base.edge_by_id
-    while len(cycles) < k:
-        chains = _chains(core)
+    while True:
         found = _girth(chains, [(len(c.edges), c.weight) for c in chains])
         if found is None:
             break
         _, start, path = found
         c = _chain_cycle(start, [chains[i] for i in path])
         cycles.append(c)
+        if len(cycles) == k:
+            break
         for eid in c.edges:
             e = edge[eid]
             del core[e.u][e]
             del core[e.v][e]
         _peel(core, c.vertices)
+        chains = _chains(core)
     return CyclePacking(tuple(cycles))
 
 
@@ -290,7 +302,12 @@ def packing_upper_bound(edges: Iterable[Edge], floor: int) -> int:
     the maximum, the rounds stop once the sum is at most `floor`, a count
     of disjoint cycles already found: it is then the maximum itself.
     """
-    chains = _chains(_core(edges))
+    return cut_packing_bound(_chains(_core(edges)), floor)
+
+
+def cut_packing_bound(chains: Sequence[Chain], floor: int) -> int:
+    """packing_upper_bound of a 2-core given by its chain cut, such as
+    the cut greedy_cycle_packing hands back of the simple rest."""
     root: dict[int, int] = {}
     for c in chains:
         a, b = _find(root, c.u), _find(root, c.v)

@@ -12,6 +12,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._matching import min_weight_perfect_matching
@@ -136,21 +137,22 @@ class MultiGraph:
         return range(1, self.vertex_count + 1)
 
     def total_weight(self) -> int:
-        return sum(e.weight for e in self.edges)
+        return sum(map(itemgetter(3), self.edges))
 
     def max_edge_id(self) -> int:
-        return max((e.id for e in self.edges), default=0)
+        return max(map(itemgetter(0), self.edges), default=0)
 
     def min_weight(self) -> int:
         """Smallest edge weight; graphs queried here always carry an edge."""
         if not self.edges:
             raise GraphError("graph has no edges")
-        return min(e.weight for e in self.edges)
+        return min(map(itemgetter(3), self.edges))
 
     def min_weight_edge(self) -> Edge:
         """Lowest-id edge attaining the minimum weight (deterministic choice)."""
-        mw = self.min_weight()
-        return min((e for e in self.edges if e.weight == mw), key=lambda e: e.id)
+        if not self.edges:
+            raise GraphError("graph has no edges")
+        return min(self.edges, key=itemgetter(3, 0))
 
 
 @dataclass(frozen=True)

@@ -92,14 +92,22 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
     expanding to itself), so the search reads the adjacency, chain cut and
     CPP join that g has already cached.  The rule works chain by chain and
     does not check connectivity; kernelize has checked g.
+
+    A shortened chain costs O(k) Python-level work beside C-level slices
+    and scans of its edge ids: its last merged segment weighs the cut's
+    c.weight less the at most k+2 single edges of the chain.  Only the
+    chain holding the minimum-weight edge can have a merged segment before
+    that edge, which is summed edge by edge.  expansions holds the kernel's
+    edges only; the kept ones are picked in one pass over g.edges.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     min_id = g.min_weight_edge().id if g.edges else None
     next_id = g.max_edge_id() + 1
     edge_by_id = g.edge_by_id
-    expansions: dict[int, tuple[int, ...]] = {e.id: (e.id,) for e in g.edges}
     merged: list[Edge] = []
+    spanned: dict[int, tuple[int, ...]] = {}  # expansion per merged segment
+    merged_ids: set[int] = set()
     for c in g.chains:
         parts = k + 2 if c.ring else k + 1
         if len(c.edges) <= parts:
@@ -117,18 +125,24 @@ def apply_reduction_rule(g: MultiGraph, k: int) -> ExpansionMap:
             cuts.add(pos)
             pos += 1
         bounds = [0, *sorted(cuts), len(ids)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi - lo < 2:
-                continue
-            weight = sum(edge_by_id[eid].weight for eid in ids[lo:hi])
+        segments = list(zip(bounds, bounds[1:]))
+        spans = [(lo, hi) for lo, hi in segments if hi - lo > 1]
+        # the chain's weight less its single edges; the last span takes
+        # what the spans before it leave of that
+        rest = c.weight - sum(edge_by_id[ids[lo]].weight for lo, hi in segments if hi - lo == 1)
+        for n, (lo, hi) in enumerate(spans, start=1):
+            seg = ids[lo:hi]
+            weight = rest if n == len(spans) else sum(edge_by_id[eid].weight for eid in seg)
+            rest -= weight
             merged.append(Edge(next_id, verts[lo], verts[hi], weight))
-            expansions[next_id] = ids[lo:hi]
+            spanned[next_id] = seg
+            merged_ids.update(seg)
             next_id += 1
-            for eid in ids[lo:hi]:
-                del expansions[eid]
     if not merged:
-        return ExpansionMap(g, g, expansions)
-    kept = tuple(e for e in g.edges if e.id in expansions)
+        return ExpansionMap(g, g, {e.id: (e.id,) for e in g.edges})
+    kept = tuple(e for e in g.edges if e.id not in merged_ids)
+    expansions = {e.id: (e.id,) for e in kept}
+    expansions.update(spanned)
     return ExpansionMap(
         original=g,
         kernel=MultiGraph(g.vertex_count, kept + tuple(merged)),

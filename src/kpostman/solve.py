@@ -26,7 +26,8 @@ of either restriction.
 
 A set that is packed gets a greedy packing first.  Greedy's 2-cycles lie
 in some maximum packing, so when greedy falls short of k only the simple
-rest is in question, and cycles.packing_upper_bound bounds it from above.
+rest is in question, and cycles.packing_upper_bound bounds it from above,
+read off the chain cut of the rest's 2-core that greedy has already made.
 The exhaustive packing search runs only when the bound leaves room above
 greedy's count of simple cycles, and it is asked for no more cycles than
 the bound, so it stops once it reaches it.
@@ -43,9 +44,9 @@ from .cycles import (
     Cycle,
     CyclePacking,
     PackingSearch,
+    cut_packing_bound,
     cycle_rank_bound,
     greedy_cycle_packing,
-    packing_upper_bound,
 )
 from .graph import (
     Chain,
@@ -164,7 +165,8 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
         for i, c in enumerate(chains):
             if s >> i & 1:
                 counts.update(dict.fromkeys(c.edges, 2))
-        cycles = list(greedy_cycle_packing(Multiplicities(g, counts), k).cycles)
+        cut: list[Chain] = []  # greedy's chain cut of the simple rest's 2-core
+        cycles = list(greedy_cycle_packing(Multiplicities(g, counts), k, cut).cycles)
         if len(cycles) < k and mu:
             # greedy takes every 2-cycle first, and some maximum packing
             # holds each of them, so only the simple rest needs the search
@@ -173,9 +175,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
             for c in pairs:
                 for eid in c.edges:
                     rest[eid] -= 1
-            bound = packing_upper_bound(
-                (e for e in g.edges if rest[e.id]), len(cycles) - len(pairs)
-            )
+            bound = cut_packing_bound(cut, len(cycles) - len(pairs))
             if len(pairs) + bound > len(cycles):
                 got, found = searcher().run(rest, min(k - len(pairs), bound))
                 if len(pairs) + got > len(cycles):

@@ -6,18 +6,22 @@ packed cycle (in packing order) that touches it.  The tour starts at the
 lowest vertex that cycle shares with the component and is inserted just
 before that vertex's first occurrence in the cycle.
 
-check_packing checks the packing and spends its copies in one pass.  Tours
-start only while copies are left, so a cycle that gets none is its own walk.
-The tours are cpp._tour's over the runs of the leftover (cpp._runs), cut
+check_packing checks the packing, spends its copies and sums its weight
+in one pass.  Tours start only while copies are left, so a cycle that gets
+none is its own walk.  The tours are cpp._tour's over the runs of the leftover (cpp._runs), cut
 at every packed cycle's vertices: at a run end a tour takes the first run
 with copies left, in the order of the run's end edge in the graph's
 adjacency, and crosses it whole, so a doubled chain is crossed end to end
 and back, not edge by edge.
+
+The checks stay at run level.  Connectivity is read off the run ends the
+tours stood on, not off every step, and the total is certified as the
+packed cycles' weights plus the weights of the runs the tours crossed
+(cut weights for whole chains), which must equal weight(m); the walks'
+steps are not summed again.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .cpp import Multiplicities, _runs, _tour
 from .cycles import CyclePacking, check_packing
@@ -35,7 +39,7 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     """
     if not packing.cycles:
         raise GraphError("packing must contain at least one cycle")
-    left = check_packing(m, packing)
+    left, total = check_packing(m, packing)  # total: the packed cycles' weight
     # tours start only while copies are left, and need no runs otherwise;
     # with none left, every degree is even
     rest = sum(left.values())
@@ -48,8 +52,10 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
 
     # m is connected iff every leftover copy is reached from a packed cycle
     # and the cycles are linked through shared vertices or shared leftover
-    # components; `first` maps each vertex reached so far to the first
-    # cycle that reached it, and `root` is a union-find over cycle indices
+    # components; `first` maps each packed-cycle vertex and each run end a
+    # tour stood on to the first cycle that reached it (every packed-cycle
+    # vertex is a run end, since the runs are cut there), and `root` is a
+    # union-find over cycle indices
     first: dict[int, int] = {}
     root: dict[int, int] = {}
     walks = []
@@ -60,11 +66,12 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
             if j != ci:
                 root[_find(root, ci)] = _find(root, j)
             if rest:
-                tour = _tour(runs, v)
+                tour, stood, weight = _tour(runs, v)
                 if tour:
                     rest -= len(tour)
+                    total += weight
                     tours[v] = tour
-                    first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
+                    first.update(dict.fromkeys(stood, ci))
         steps = zip(cyc.vertices, cyc.edges)
         if tours:
             walk: list[tuple[int, int]] = []
@@ -76,8 +83,5 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     # every union made a non-root, and no non-root becomes a root again
     if rest or sum(x != r for x, r in root.items()) < len(walks) - 1:
         raise GraphError("multigraph must be connected")
-
-    by_id = m.base.edge_by_id
-    total = sum(by_id[eid].weight for w in walks for _, eid in w.steps)
     assert total == m.weight()
     return Solution(tuple(walks), total)

@@ -11,6 +11,10 @@ and the skipped tours of split_into_k_walks, not the library's Hierholzer
 tour over runs, which both share by default.  With per_edge=True it tours
 with edge_tour instead, the library's earlier Hierholzer tour that steps
 one edge copy at a time, kept as it was, which checks the run tour.
+reference_reduction is the earlier chain reduction, kept as it was: it
+sums every merged segment edge by edge and starts its expansions from an
+identity entry per input edge, so it checks the reduction's weights read
+off the chain cut and its expansions of kernel edges only.
 The record readers
 reference_read_triples and reference_parse_solution are the library's
 earlier readers, kept as they were, and so are bfs_connected and
@@ -37,6 +41,7 @@ from kpostman.cycles import Cycle, CyclePacking, PackingSearch, shortest_cycle
 from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
 from kpostman.graph import (
+    Edge,
     GraphError,
     MultiGraph,
     ParseError,
@@ -45,6 +50,7 @@ from kpostman.graph import (
     _find,
     ascii_text,
 )
+from kpostman.kernel import ExpansionMap
 
 __all__ = [
     "named_graph",
@@ -66,6 +72,7 @@ __all__ = [
     "reference_greedy_packing",
     "reference_split",
     "edge_tour",
+    "reference_reduction",
     "reference_read_triples",
     "reference_parse_solution",
     "random_small_graphs",
@@ -465,7 +472,7 @@ def reference_split(m: Multiplicities, packing: CyclePacking, per_edge: bool = F
             j = first.setdefault(v, ci)
             if j != ci:
                 root[_find(root, ci)] = _find(root, j)
-            tour = edge_tour(g, left, cursor, v) if per_edge else _tour(runs, v)
+            tour = edge_tour(g, left, cursor, v) if per_edge else _tour(runs, v).steps
             if tour:
                 tours[v] = tour
                 first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
@@ -485,6 +492,48 @@ def reference_split(m: Multiplicities, packing: CyclePacking, per_edge: bool = F
     total = sum(by_id[eid].weight for w in walks for _, eid in w.steps)
     assert total == m.weight()
     return Solution(tuple(walks), total)
+
+
+def reference_reduction(g: MultiGraph, k: int) -> ExpansionMap:
+    """The earlier apply_reduction_rule, per edge: an identity expansion for
+    every input edge, each merged segment summed and its edges deleted."""
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
+    min_id = g.min_weight_edge().id if g.edges else None
+    next_id = g.max_edge_id() + 1
+    edge_by_id = g.edge_by_id
+    expansions: dict[int, tuple[int, ...]] = {e.id: (e.id,) for e in g.edges}
+    merged: list[Edge] = []
+    for c in g.chains:
+        parts = k + 2 if c.ring else k + 1
+        if len(c.edges) <= parts:
+            continue
+        verts, ids = c.vertices, c.edges
+        cuts: set[int] = set()
+        if min_id in ids:
+            p = ids.index(min_id)
+            if c.ring:  # start the ring at the kept edge
+                verts, ids = verts[p:] + verts[1 : p + 1], ids[p:] + ids[:p]
+                p = 0
+            cuts = {cut for cut in (p, p + 1) if 0 < cut < len(ids)}
+        pos = 1
+        while len(cuts) < parts - 1:
+            cuts.add(pos)
+            pos += 1
+        bounds = [0, *sorted(cuts), len(ids)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo < 2:
+                continue
+            weight = sum(edge_by_id[eid].weight for eid in ids[lo:hi])
+            merged.append(Edge(next_id, verts[lo], verts[hi], weight))
+            expansions[next_id] = ids[lo:hi]
+            next_id += 1
+            for eid in ids[lo:hi]:
+                del expansions[eid]
+    if not merged:
+        return ExpansionMap(g, g, expansions)
+    kept = tuple(e for e in g.edges if e.id in expansions)
+    return ExpansionMap(g, MultiGraph(g.vertex_count, kept + tuple(merged)), expansions)
 
 
 def seeded_load(workload: str):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kpostman.cpp import Multiplicities
 from kpostman.generators import cycle_graph
 from kpostman.graph import (
+    Edge,
     GraphError,
     Instance,
     MultiGraph,
@@ -103,6 +104,32 @@ def test_parse_serialize_round_trip(inst):
         (e.u, e.v, e.weight) for e in inst.graph.edges
     ]
     assert (again.k, again.p) == (inst.k, inst.p)
+
+
+def test_edge_scans_match_per_edge_references():
+    # edges shuffled out of id order, with ids spread apart and several
+    # edges tied on the minimum weight, which the lowest id breaks
+    rng = random.Random(33)
+    tied = 0
+    for trial in range(200):
+        m = rng.randint(1, 12)
+        ids = rng.sample(range(1, 60), m)
+        edges = [Edge(i, *rng.sample(range(1, 7), 2), rng.randint(0, 3)) for i in ids]
+        g = MultiGraph(6, tuple(edges))
+        weights = [e.weight for e in g.edges]
+        low = min(weights)
+        first = min((e for e in g.edges if e.weight == low), key=lambda e: e.id)
+        assert g.total_weight() == sum(weights)
+        assert g.max_edge_id() == max(ids)
+        assert g.min_weight() == low
+        assert g.min_weight_edge() == first
+        tied += weights.count(low) > 1 and first is not g.edges[weights.index(low)]
+    assert tied > 0
+    empty = MultiGraph(3, ())
+    assert empty.total_weight() == 0 and empty.max_edge_id() == 0
+    for scan in (empty.min_weight, empty.min_weight_edge):
+        with pytest.raises(GraphError, match="^graph has no edges$"):
+            scan()
 
 
 def test_degree_classes_path():

@@ -41,7 +41,7 @@ from kpostman.kernel import (
 )
 from kpostman.solve import oracle_kcpp, solve_kcpp, solve_kcpp_exact
 
-from conftest import random_small_graphs
+from conftest import random_small_graphs, reference_reduction
 
 
 def dumbbell(chain_weights):
@@ -324,6 +324,54 @@ def test_reduction_safety_against_oracle():
         verify_solution(g, k, lifted)
         assert lifted.total_weight == oracle_kcpp(g, k)
         checked += 1
+
+
+def _seeded_reduction_inputs() -> list[MultiGraph]:
+    """Seeded chain-inflated graphs: weighted rings, every named base
+    (theta and parallel-pair have parallel chains) with chains of random
+    lengths and weights, half of them with a unique minimum strictly inside
+    a chain, and each also with its edges shuffled out of id order."""
+    rng = random.Random(33)
+    graphs = []
+    for trial in range(60):
+        n = rng.randint(3, 40)
+        ws = [rng.randint(1, 9) for _ in range(n)]
+        if trial % 2:
+            ws[rng.randrange(n)] = 0
+        graphs.append(cycle_graph(n, ws))
+        base = named_graph(NAMED_BASES[trial % len(NAMED_BASES)])
+        seg = {e.id: [rng.randint(1, 9) for _ in range(rng.randint(1, 14))] for e in base.edges}
+        if trial % 2:
+            long = max(seg.values(), key=len)
+            if len(long) > 2:
+                long[rng.randrange(1, len(long) - 1)] = 0
+        graphs.append(inflate_chains(base, seg))
+    shuffled = []
+    for g in graphs:
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        shuffled.append(MultiGraph(g.vertex_count, tuple(edges)))
+    return graphs + shuffled
+
+
+def test_reduction_matches_the_per_edge_reference():
+    seen = Counter()
+    for g in _seeded_reduction_inputs():
+        e_min = g.min_weight_edge()
+        home = next(c for c in g.chains if e_min.id in c.edges)
+        for k in (1, 2, 3, 4):
+            em, ref = apply_reduction_rule(g, k), reference_reduction(g, k)
+            em.validate()
+            assert (em.kernel is g) == (ref.kernel is g)
+            assert em.kernel.edges == ref.kernel.edges, (g.edges, k)
+            assert list(em.expansions.items()) == list(ref.expansions.items())
+            spans = [ids for ids in em.expansions.values() if len(ids) > 1]
+            seen["unchanged" if em.kernel is g else "ring" if home.ring else "open"] += 1
+            seen["two spans"] += sum(set(ids) <= set(home.edges) for ids in spans) == 2
+            seen["parallel"] += len(find_chains(em.kernel)) > len(
+                {(c.u, c.v) for c in find_chains(em.kernel)}
+            )
+    assert min(seen.values()) > 0, seen
 
 
 def test_find_chains_of_path():

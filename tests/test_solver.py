@@ -43,6 +43,7 @@ from kpostman.generators import (
     uniform_inflation,
 )
 from kpostman.graph import (
+    Edge,
     GraphError,
     MultiGraph,
     SearchBudgetExceeded,
@@ -196,6 +197,77 @@ def test_split_pins_runs_cut_at_packed_vertices_inside_a_chain(tour_starts):
         [(4, 2), (3, 1), (1, 5), (6, 6), (2, 4), (5, 4), (2, 8), (7, 7), (1, 1), (3, 2), (4, 3), (5, 3)]
     ]
     assert tour_starts == [4]
+
+
+def checked_split(g, counts, cycles):
+    """split_into_k_walks, its walks verified, its total equal to m's
+    weight and the whole split equal to the reference split's."""
+    m, packing = Multiplicities(g, counts), CyclePacking(tuple(cycles))
+    sol = split_into_k_walks(m, packing)
+    assert verify_solution(g, len(cycles), sol) == sol.total_weight == m.weight()
+    assert sol == reference_split(m, packing)
+    return sol
+
+
+def test_split_crosses_runs_where_the_leftover_count_changes_inside_a_chain(tours):
+    # anchors 1 and 2; the square 1-3-4-2-5 is packed, and the chain
+    # 1-6-7-8-2 is left with counts 2, 4, 4, 2: runs 1-6, 6-7-8 and 8-2,
+    # the middle one weighing its two edges
+    g = MultiGraph.from_edges(8, [
+        (1, 3, 2), (3, 4, 3), (4, 2, 5), (1, 5, 7), (5, 2, 11),
+        (1, 6, 13), (6, 7, 17), (7, 8, 19), (8, 2, 23),
+    ])  # fmt: skip
+    counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 4, 8: 4, 9: 2}
+    sol = checked_split(g, counts, [Cycle((1, 3, 4, 2, 5), (1, 2, 3, 5, 4))])
+    assert sol.total_weight == 28 + 2 * 13 + 4 * (17 + 19) + 2 * 23
+    [(steps, stood, weight)] = [t for t in tours if t.steps]
+    assert steps[0][0] == 1 and set(stood) == {1, 6, 8, 2}  # 7 lies inside a run
+    assert weight == sol.total_weight - 28
+
+
+def test_split_starts_tours_inside_chains(tour_starts, tours):
+    # anchors 5 and 6 joined by the chains 5-1-2-6 (three copies), 5-3-6
+    # (one) and 5-4-6 (two); the packed cycle runs through both chains of
+    # lesser labels, so its lowest vertex 1 lies inside a chain
+    g = MultiGraph.from_edges(
+        6, [(5, 1, 1), (1, 2, 2), (2, 6, 3), (5, 3, 4), (3, 6, 5), (5, 4, 6), (4, 6, 7)]
+    )
+    counts = {1: 3, 2: 3, 3: 3, 4: 1, 5: 1, 6: 2, 7: 2}
+    sol = checked_split(g, counts, [Cycle((1, 2, 6, 3, 5), (2, 3, 5, 4, 1))])
+    assert tour_starts == [1]
+    assert sol.walks[0].steps[0] == (1, 1)  # the tour comes before the cycle's first step
+    assert set(tours[0].stood) == {1, 2, 5, 6}
+    assert sol.total_weight == 15 + 2 * (1 + 2 + 3) + 2 * (6 + 7)
+
+
+@pytest.mark.parametrize("b_first", [False, True])
+def test_split_links_cycles_through_a_run_end_a_tour_reaches_midway(tours, b_first):
+    # triangles 1-2-3 and 7-8-9 packed, linked only by the doubled chain
+    # 3-4-5-8: the first cycle's tour crosses it whole and back, so it
+    # stands on the other cycle's vertex mid-way and never on 4 or 5
+    g = MultiGraph.from_edges(9, [
+        (1, 2, 1), (2, 3, 1), (3, 1, 1), (7, 8, 2), (8, 9, 2), (9, 7, 2),
+        (3, 4, 3), (4, 5, 4), (5, 8, 5),
+    ])  # fmt: skip
+    counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2, 9: 2}
+    a, b = Cycle((1, 2, 3), (1, 2, 3)), Cycle((7, 8, 9), (4, 5, 6))
+    sol = checked_split(g, counts, [b, a] if b_first else [a, b])
+    assert sol.total_weight == 3 + 6 + 2 * 12
+    [(steps, stood, weight)] = [t for t in tours if t.steps]
+    assert stood == ([8, 3] if b_first else [3, 8]) and weight == 24
+
+
+def test_split_refuses_a_leftover_that_touches_no_cycle():
+    # the triangle 1-2-3 is packed; the triangle 4-5-6 and a doubled 7-8
+    # are left over and reach no packed cycle
+    g = MultiGraph.from_edges(
+        8, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (7, 8, 1)]
+    )
+    m = Multiplicities(g, {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2})
+    packing = CyclePacking((Cycle((1, 2, 3), (1, 2, 3)),))
+    for split in (split_into_k_walks, reference_split):
+        with pytest.raises(GraphError, match="^multigraph must be connected$"):
+            split(m, packing)
 
 
 @pytest.mark.parametrize(
@@ -406,7 +478,9 @@ def seeded_splits():
 def test_run_tours_match_the_per_edge_tours(tours):
     # every run tour is a closed walk, the tours of one split spend each
     # leftover copy once, and each walk has the start vertex and the edge
-    # multiset of the split that tours edge copy by edge copy
+    # multiset of the split that tours edge copy by edge copy; each tour
+    # hands back the weight of its steps and, among the vertices it stood
+    # on, every packed-cycle vertex it reached
     seen = Counter()
     for m, packing in [*split_cases(), *seeded_splits()]:
         tours.clear()
@@ -419,10 +493,16 @@ def test_run_tours_match_the_per_edge_tours(tours):
         assert [(w.steps[0][0], Counter(w.edge_ids())) for w in got.walks] == [
             (w.steps[0][0], Counter(w.edge_ids())) for w in want.walks
         ], (m.base.edges, m.counts, packing)
-        for tour in tours:
+        on_cycles = {v for c in packing.cycles for v in c.vertices}
+        for tour, stood, weight in tours:
             assert closed_walk(m.base, tour)
-        spent = sum((Counter(eid for _, eid in t) for t in tours), Counter())
-        assert spent == +Counter(check_packing(m, packing))
+            assert weight == sum(m.base.edge(eid).weight for _, eid in tour)
+            reached = {v for v, _ in tour}
+            assert reached & on_cycles <= set(stood) <= reached
+        spent = sum((Counter(eid for _, eid in t.steps) for t in tours), Counter())
+        left, packed = check_packing(m, packing)
+        assert spent == +Counter(left)
+        assert packed == sum(c.weight(m.base) for c in packing.cycles)
         seen["toured" if tours else "bare"] += 1
         seen["reordered"] += got.walks != want.walks
     assert min(seen.values()) > 0, seen  # refusals, splits with and without tours, new orders
@@ -501,18 +581,18 @@ def _counted_searches(monkeypatch) -> tuple[list[int], list[bool]]:
     and, per PackingSearch.run that follows, whether it found more."""
     floors: list[int] = []
     improved: list[bool] = []
-    bound, run = kpostman.solve.packing_upper_bound, PackingSearch.run
+    bound, run = kpostman.solve.cut_packing_bound, PackingSearch.run
 
-    def recorded_bound(edges, floor):
+    def recorded_bound(chains, floor):
         floors.append(floor)
-        return bound(edges, floor)
+        return bound(chains, floor)
 
     def counted_run(self, counts, target):
         got, found = run(self, counts, target)
         improved.append(got > floors[-1])
         return got, found
 
-    monkeypatch.setattr(kpostman.solve, "packing_upper_bound", recorded_bound)
+    monkeypatch.setattr(kpostman.solve, "cut_packing_bound", recorded_bound)
     monkeypatch.setattr(PackingSearch, "run", counted_run)
     return floors, improved
 
@@ -914,6 +994,15 @@ def test_multiplicities_cover_rejects_missing_edge():
     g = named_graph("triangle")
     with pytest.raises(GraphError):
         Multiplicities.cover(g, {1: 1, 2: 1})
+
+
+def test_multiplicities_cover_names_the_first_uncovered_edge_in_base_order():
+    g = MultiGraph(3, (Edge(7, 1, 2, 1), Edge(2, 2, 3, 1), Edge(5, 3, 1, 1)))
+    for counts, first in (({7: 1}, 2), ({2: 1, 5: 0, 7: 1}, 5), ({2: 1, 5: 1, 7: 0}, 7)):
+        with pytest.raises(GraphError, match=f"^edge {first} is not covered$"):
+            Multiplicities.cover(g, counts)
+    assert Multiplicities.cover(g, {2: 1, 5: 2, 7: 1}).weight() == 4
+    assert Multiplicities.cover(MultiGraph(1, ()), {}).copies() == 0
 
 
 def test_solve_rejects_edgeless_and_disconnected():
