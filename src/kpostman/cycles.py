@@ -7,10 +7,12 @@ total weight; ties on both are broken deterministically.
 
 The greedy packing takes a shortest cycle again and again, in one pass:
 taking a 2-cycle only spends copies, so the 2-cycles are one list sorted
-once and swept in order.  What the sweep leaves is a simple graph, whose
-2-core is peeled once and then again, in place, from the vertices of each
-cycle taken out; shortest_cycle is the greedy's first cycle.  The girth
-search runs the chain Dijkstra graph._settle that the CPP join runs too.
+once and swept in order.  What the sweep leaves is a simple graph.  Its
+2-core's chain cut is read off the cut the base graph caches, and is
+updated in place from the anchors of each cycle taken out
+(graph._CoreCut); no edge is cut again.  shortest_cycle is the greedy's
+first cycle.  The girth search runs the chain Dijkstra graph._settle that
+the CPP join runs too.
 
 Two upper bounds on the packing number answer whether a packing can grow:
 cycle_rank_bound, from the copies and vertices alone, and
@@ -29,6 +31,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .cpp import Multiplicities, _read_counts
@@ -38,10 +42,8 @@ from .graph import (
     GraphError,
     MultiGraph,
     SearchBudgetExceeded,
-    _chains,
-    _core,
+    _CoreCut,
     _find,
-    _peel,
     _settle,
 )
 
@@ -106,35 +108,6 @@ def check_packing(m: Multiplicities, packing: CyclePacking) -> tuple[dict[int, i
             left[eid] -= 1
             weight += e.weight
     return left, weight
-
-
-def _support(m: Multiplicities) -> tuple[list[Edge], dict[int, int]]:
-    """The edges with copies in m, in base order, and the copies of every
-    base edge.  Raises on a count that names no edge of the base or is
-    negative."""
-    left = _read_counts(m)
-    return [e for e in m.base.edges if left[e.id]], left
-
-
-def _two_cycles(
-    support: list[Edge], left: Mapping[int, int]
-) -> list[tuple[int, tuple[int, int], Cycle]]:
-    """Every 2-cycle of the support, two copies of one edge or two parallel
-    edges, as (weight, edge ids, cycle), sorted."""
-    out = []
-    by_pair: dict[tuple[int, int], list[Edge]] = {}
-    for e in support:
-        if left[e.id] >= 2:
-            ids = (e.id, e.id)
-            out.append((2 * e.weight, ids, Cycle((e.u, e.v), ids)))
-        by_pair.setdefault((e.u, e.v) if e.u < e.v else (e.v, e.u), []).append(e)
-    for pair_edges in by_pair.values():
-        for i, e in enumerate(pair_edges):
-            for f in pair_edges[i + 1:]:
-                ids = (e.id, f.id) if e.id < f.id else (f.id, e.id)
-                out.append((e.weight + f.weight, ids, Cycle((e.u, e.v), ids)))
-    out.sort(key=lambda t: t[:2])
-    return out
 
 
 def shortest_cycle(m: Multiplicities) -> Cycle | None:
@@ -216,55 +189,60 @@ def _chain_cycle(start: int, chains: Iterable[Chain]) -> Cycle:
 
 def greedy_cycle_packing(m: Multiplicities, k: int, cut: list[Chain] | None = None) -> CyclePacking:
     """Repeatedly extract a shortest cycle, up to k cycles or until acyclic,
-    in one pass over the counts.
+    in one pass over the counts, reading the chain cut that m.base caches.
 
     The 2-cycles come first, from one sorted list: taking a 2-cycle only
     spends copies, so no 2-cycle appears that was not there at the start,
     and a candidate's (weight, ids) key never changes.  The repeated
     minimum is then the first candidate in sorted order that still fits,
-    and the sweep takes each one as many times as it fits.  What is left
-    is a simple graph.  Its 2-core is peeled once into an incidence map;
-    each shortest cycle is taken out of that map, and the peel restarts
-    from the cycle's vertices only, which leaves the 2-core of the rest.
-    A list passed as `cut` receives the chain cut of that first 2-core,
-    the one packing_upper_bound makes of the simple rest, so a caller
-    bounding the rest need not cut it again; it stays empty when the
-    2-cycles alone reach k.
+    and the sweep takes each one as many times as it fits.  The candidates
+    are every edge with two copies, found in one C-level pass over the
+    counts, and every parallel pair with a copy of each, read off the cut
+    (MultiGraph.parallel_pairs); a pair's cycle takes the vertices of its
+    edge that comes first in base order.  What is left is a simple graph.
+    Its 2-core's chain cut is the base's cut less the chains with an edge
+    spent, peeled and joined (graph._CoreCut); each shortest cycle is whole
+    chains of that cut, which is then updated in place from the cycle's
+    anchors only.  A list passed as `cut` receives the chain cut of that
+    first 2-core, the one packing_upper_bound makes of the simple rest, so
+    a caller bounding the rest need not cut it again; it stays empty when
+    the 2-cycles alone reach k.
     Raises on a count that names no edge of the base or is negative.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    support, left = _support(m)
+    left = _read_counts(m)
+    by_id = m.base.edge_by_id
+    twice = map(by_id.__getitem__, compress(left, map((2).__le__, left.values())))
+    candidates = [(2 * e.weight, e.id, e.id, e) for e in twice]
+    candidates += [
+        (e.weight + f.weight, min(e.id, f.id), max(e.id, f.id), e)
+        for e, f in m.base.parallel_pairs
+        if left[e.id] and left[f.id]
+    ]
+    candidates.sort()  # (weight, ids) is unique per candidate
     cycles: list[Cycle] = []
-    for _, (a, b), c in _two_cycles(support, left):
+    for _, a, b, e in candidates:
         fits = left[a] // 2 if a == b else min(left[a], left[b])
         times = min(fits, k - len(cycles))
         if times > 0:
-            cycles.extend([c] * times)
+            cycles.extend([Cycle((e.u, e.v), (a, b))] * times)
             left[a] -= times
             left[b] -= times
             if len(cycles) == k:
                 return CyclePacking(tuple(cycles))
-    core = _core(e for e in support if left[e.id])
-    chains = _chains(core)
+    core = _CoreCut(m.base, set(compress(left, map(not_, left.values()))))
     if cut is not None:
-        cut.extend(chains)
-    edge = m.base.edge_by_id
+        cut.extend(core.chains)
     while True:
-        found = _girth(chains, [(len(c.edges), c.weight) for c in chains])
+        found = _girth(core.chains, core.sizes)
         if found is None:
             break
         _, start, path = found
-        c = _chain_cycle(start, [chains[i] for i in path])
-        cycles.append(c)
+        cycles.append(_chain_cycle(start, [core.chains[i] for i in path]))
         if len(cycles) == k:
             break
-        for eid in c.edges:
-            e = edge[eid]
-            del core[e.u][e]
-            del core[e.v][e]
-        _peel(core, c.vertices)
-        chains = _chains(core)
+        core.drop(path)
     return CyclePacking(tuple(cycles))
 
 
@@ -302,7 +280,9 @@ def packing_upper_bound(edges: Iterable[Edge], floor: int) -> int:
     the maximum, the rounds stop once the sum is at most `floor`, a count
     of disjoint cycles already found: it is then the maximum itself.
     """
-    return cut_packing_bound(_chains(_core(edges)), floor)
+    edges = tuple(edges)
+    g = MultiGraph(max((max(e.u, e.v) for e in edges), default=0), edges)
+    return cut_packing_bound(_CoreCut(g).chains, floor)
 
 
 def cut_packing_bound(chains: Sequence[Chain], floor: int) -> int:

@@ -9,11 +9,13 @@ adjacency: the header's n only bounds their labels.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._matching import min_weight_perfect_matching
 
@@ -120,6 +122,30 @@ class MultiGraph:
         return frozenset(_join_chains(chains, _odd_anchors(chains)))
 
     @cached_property
+    def parallel_pairs(self) -> tuple[tuple[Edge, Edge], ...]:
+        """Every pair of parallel edges, the earlier in base order first,
+        read off the chain cut: two parallel edges are two single-edge open
+        chains on the same anchors, a 2-edge loop chain or a 2-edge ring,
+        and the cut lists each group and each such chain's edges in base
+        order (see _CoreCut for the cut's order)."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        pairs: list[tuple[int, ...]] = []
+        for c in self.chains:
+            if len(c.edges) == 1:
+                groups.setdefault((c.u, c.v), []).append(c.edges[0])
+            elif len(c.edges) == 2 and c.u == c.v:
+                pairs.append(c.edges)
+        for ids in groups.values():
+            pairs.extend(combinations(ids, 2))
+        by_id = self.edge_by_id
+        return tuple((by_id[a], by_id[b]) for a, b in pairs)
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Index in edges per edge id."""
+        return dict(zip(map(itemgetter(0), self.edges), range(len(self.edges))))
+
+    @cached_property
     def ends(self) -> dict[int, tuple[int, int]]:
         """(u, v) per edge id."""
         return {e.id: (e.u, e.v) for e in self.edges}
@@ -221,38 +247,6 @@ class Chain(NamedTuple):
         return self.vertices[1:-1]
 
 
-def _core(edges: Iterable[Edge]) -> dict[int, dict[Edge, None]]:
-    """Incidence map of the 2-core of the graph on edges: the incident
-    edges of each vertex left, in the order given, as the keys of a dict so
-    that one can be dropped in O(1) (see _peel)."""
-    adj: dict[int, dict[Edge, None]] = {}
-    for e in edges:
-        adj.setdefault(e.u, {})[e] = None
-        adj.setdefault(e.v, {})[e] = None
-    _peel(adj, list(adj))
-    return adj
-
-
-def _peel(adj: dict[int, dict[Edge, None]], vertices: Iterable[int]) -> None:
-    """Strip degree-1 vertices from the incidence map in place, starting at
-    vertices, until none is left; a vertex left with no edge is dropped.
-    Only the vertices given and those their stripping reaches are read, so
-    after edges are taken out of a 2-core, their ends suffice."""
-    stack = list(vertices)
-    while stack:
-        v = stack.pop()
-        es = adj.get(v)
-        if es is None or len(es) > 1:
-            continue
-        del adj[v]
-        for e in es:
-            w = e.other(v)
-            ws = adj[w]
-            del ws[e]
-            if len(ws) < 2:
-                stack.append(w)
-
-
 def _chains(adj: Mapping[int, Collection[Edge]]) -> list[Chain]:
     """Cut the graph given by its incidence map (the incident edges of each
     vertex, in base edge order) into chains at its anchors, the vertices of
@@ -298,6 +292,148 @@ def _chains(adj: Mapping[int, Collection[Edge]]) -> list[Chain]:
                 if start[0] not in used:
                     follow(a, start, True)
     return chains
+
+
+class _CoreCut:
+    """The chain cut of the 2-core of a graph's edges less `zero`, read off
+    the graph's cached cut and kept live as whole chains are taken out.
+
+    It equals _chains of that 2-core's incidence map in base edge order,
+    chain for chain.  That cut lists the open and loop chains by (start
+    anchor, base position of the start edge): an open chain runs from its
+    lower anchor, a loop chain from whichever of its end edges comes first
+    in g.edges.  The rings follow by lowest vertex, each run from that
+    vertex along the ring edge there that comes first.  `keys` holds one
+    integer per chain in that order (the position counts in g.edges, not
+    the edge id), so a chain joined later is put in its place by bisection.
+
+    Every anchor of the core is an anchor of g.  So the core keeps the
+    chains of g's cut that hold no edge of `zero` and are not peeled away:
+    an anchor left with one chain end loses that chain, and one left with
+    two is no anchor any more, and the chains through it join into one.
+    Taking chains out (drop) repeats this from their anchors only.
+    """
+
+    def __init__(self, g: MultiGraph, zero: AbstractSet[int] = frozenset()) -> None:
+        self.pos, self.stride = g.positions, len(g.edges) + 1
+        self.rings = (g.vertex_count + 1) * self.stride  # keys from here on are rings
+        chains = [c for c in g.chains if zero.isdisjoint(c.edges)] if zero else list(g.chains)
+        self.chains = chains
+        self.keys = keys = [self._key(c.u, c.edges[0], c.ring) for c in chains]
+        self.sizes = [(len(c.edges), c.weight) for c in chains]  # (edges, weight) per chain
+        # anchor -> the key of each chain end there, so a loop chain's twice
+        self.at: defaultdict[int, list[int]] = defaultdict(list)
+        at = self.at
+        for key, c in zip(keys, chains):
+            if not c.ring:
+                at[c.u].append(key)
+                at[c.v].append(key)
+        self._settle([a for a, ends in at.items() if len(ends) < 3])
+
+    def _key(self, start: int, first_edge: int, ring: bool) -> int:
+        return self.rings + start if ring else start * self.stride + self.pos[first_edge]
+
+    def drop(self, indices: Iterable[int]) -> None:
+        """Take the chains at these indices of `chains` out of the core."""
+        at = self.at
+        stack: list[int] = []
+        for key in [self.keys[i] for i in indices]:
+            c = self._remove(key)
+            if not c.ring:
+                at[c.u].remove(key)
+                at[c.v].remove(key)
+                stack += (c.u, c.v)
+        self._settle(stack)
+
+    def _remove(self, key: int) -> Chain:
+        i = bisect_left(self.keys, key)
+        del self.keys[i], self.sizes[i]
+        return self.chains.pop(i)
+
+    def _settle(self, stack: list[int]) -> None:
+        """Peel from the anchors on stack, then join at those left with two
+        chain ends."""
+        at = self.at
+        twos: list[int] = []
+        while stack:
+            a = stack.pop()
+            ends = at.get(a)
+            if ends is None:
+                continue
+            if len(ends) == 2:
+                twos.append(a)
+            elif len(ends) == 1:
+                del at[a]
+                key = ends[0]
+                c = self._remove(key)
+                b = c.v if c.u == a else c.u
+                at[b].remove(key)
+                stack.append(b)
+            elif not ends:
+                del at[a]
+        for a in twos:
+            if len(at.get(a, ())) == 2:
+                self._join(a)
+
+    def _join(self, a: int) -> None:
+        """Join the chains through anchor a, which has two chain ends, and
+        on through every anchor with two, into one chain or ring."""
+        at = self.at
+        first, second = at.pop(a)
+        end, last, verts, ids, weight = self._run(a, first)
+        ring = end == a
+        if ring:  # start at the lowest vertex
+            i = verts.index(min(verts))
+            verts = verts[i:-1] + verts[: i + 1]
+            ids = ids[i:] + ids[:i]
+        else:  # run the other way too, and join the two
+            back_end, back_last, back, back_ids, back_weight = self._run(a, second)
+            verts = back[::-1] + verts[1:]
+            ids = back_ids[::-1] + ids
+            weight += back_weight
+        # an open chain runs from its lower anchor, a loop chain or a ring
+        # from the earlier of its end edges
+        u, v = verts[0], verts[-1]
+        if u > v or u == v and self.pos[ids[-1]] < self.pos[ids[0]]:
+            verts.reverse()
+            ids.reverse()
+            u, v = v, u
+        key = self._key(u, ids[0], ring)
+        if not ring:  # the joined chain takes the place of the last chain run at each end
+            for x, old in ((end, last), (back_end, back_last)):
+                ends = at[x]
+                ends[ends.index(old)] = key
+        i = bisect_left(self.keys, key)
+        self.keys.insert(i, key)
+        self.sizes.insert(i, (len(ids), weight))
+        self.chains.insert(i, Chain(tuple(verts), tuple(ids), weight, ring, u, v))
+
+    def _run(self, a: int, key: int) -> tuple[int, int, list[int], list[int], int]:
+        """Walk from anchor a along chain `key` and on through every anchor
+        with two chain ends, taking the chains walked and those anchors
+        out; return the anchor it stops at (a again round a ring), the key
+        of the last chain walked, which that anchor still lists, and the
+        vertices from a, the edge ids and the weight walked."""
+        at = self.at
+        verts, ids, weight, x = [a], [], 0, a
+        while True:
+            c = self._remove(key)
+            if c.u == x:
+                verts += c.vertices[1:]
+                ids += c.edges
+                x = c.v
+            else:
+                verts += c.vertices[-2::-1]
+                ids += c.edges[::-1]
+                x = c.u
+            weight += c.weight
+            if x == a:
+                return x, key, verts, ids, weight
+            ends = at[x]
+            if len(ends) != 2:
+                return x, key, verts, ids, weight
+            del at[x]
+            key = ends[1] if ends[0] == key else ends[0]
 
 
 def _find(root: dict[int, int], x: int) -> int:

@@ -21,8 +21,7 @@ from .graph import (
     MultiGraph,
     Solution,
     Walk,
-    _chains,
-    _core,
+    _CoreCut,
     degree_classes,
     verify_solution,
 )
@@ -167,7 +166,7 @@ def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
     """Greedy cycles of the 2-core of g with each degree-2 chain counted as
     one edge, mapped back to cycles of g.  Loop chains and rings are cycles
     as they are; the greedy runs on the open chains."""
-    chains = _chains(_core(g.edges))
+    chains = _CoreCut(g).chains
     out = [_chain_cycle(c.u, [c]) for c in chains if c.u == c.v]
     open_chains = [c for c in chains if c.u != c.v]
     if len(out) >= k or not open_chains:

@@ -15,6 +15,11 @@ reference_reduction is the earlier chain reduction, kept as it was: it
 sums every merged segment edge by edge and starts its expansions from an
 identity entry per input edge, so it checks the reduction's weights read
 off the chain cut and its expansions of kernel edges only.
+reference_edge_greedy is the earlier greedy packing, kept as it was: it
+builds the simple rest's 2-core edge by edge (reference_core) and cuts it
+afresh with _chains after every cycle, sharing only the girth search with
+greedy_cycle_packing, so it checks the cut that greedy reads off the
+graph's cached one and updates in place.
 The record readers
 reference_read_triples and reference_parse_solution are the library's
 earlier readers, kept as they were, and so are bfs_connected and
@@ -37,7 +42,14 @@ from typing import Iterator
 from hypothesis import strategies as st
 
 from kpostman.cpp import Multiplicities, _read_counts, _runs, _tour
-from kpostman.cycles import Cycle, CyclePacking, PackingSearch, shortest_cycle
+from kpostman.cycles import (
+    Cycle,
+    CyclePacking,
+    PackingSearch,
+    _chain_cycle,
+    _girth,
+    shortest_cycle,
+)
 from kpostman.digraph import DiGraph
 from kpostman.generators import named_graph, random_connected_graph
 from kpostman.graph import (
@@ -47,6 +59,7 @@ from kpostman.graph import (
     ParseError,
     Solution,
     Walk,
+    _chains,
     _find,
     ascii_text,
 )
@@ -70,6 +83,8 @@ __all__ = [
     "min_cycle_key",
     "max_disjoint_from_list",
     "reference_greedy_packing",
+    "reference_edge_greedy",
+    "reference_core",
     "reference_split",
     "edge_tour",
     "reference_reduction",
@@ -375,6 +390,98 @@ def reference_greedy_packing(m: Multiplicities, k: int) -> CyclePacking:
             break
         cycles.append(c)
         m = m.without(c.edge_multiset())
+    return CyclePacking(tuple(cycles))
+
+
+def reference_core(edges) -> dict[int, dict[Edge, None]]:
+    """Incidence map of the 2-core of the graph on edges: the incident
+    edges of each vertex left, in the order given, as the keys of a dict so
+    that one can be dropped in O(1) (see reference_peel)."""
+    adj: dict[int, dict[Edge, None]] = {}
+    for e in edges:
+        adj.setdefault(e.u, {})[e] = None
+        adj.setdefault(e.v, {})[e] = None
+    reference_peel(adj, list(adj))
+    return adj
+
+
+def reference_peel(adj: dict[int, dict[Edge, None]], vertices) -> None:
+    """Strip degree-1 vertices from the incidence map in place, starting at
+    vertices, until none is left; a vertex left with no edge is dropped."""
+    stack = list(vertices)
+    while stack:
+        v = stack.pop()
+        es = adj.get(v)
+        if es is None or len(es) > 1:
+            continue
+        del adj[v]
+        for e in es:
+            w = e.other(v)
+            ws = adj[w]
+            del ws[e]
+            if len(ws) < 2:
+                stack.append(w)
+
+
+def _reference_two_cycles(support: list[Edge], left) -> list[tuple[int, tuple[int, int], Cycle]]:
+    out = []
+    by_pair: dict[tuple[int, int], list[Edge]] = {}
+    for e in support:
+        if left[e.id] >= 2:
+            ids = (e.id, e.id)
+            out.append((2 * e.weight, ids, Cycle((e.u, e.v), ids)))
+        by_pair.setdefault((e.u, e.v) if e.u < e.v else (e.v, e.u), []).append(e)
+    for pair_edges in by_pair.values():
+        for i, e in enumerate(pair_edges):
+            for f in pair_edges[i + 1:]:
+                ids = (e.id, f.id) if e.id < f.id else (f.id, e.id)
+                out.append((e.weight + f.weight, ids, Cycle((e.u, e.v), ids)))
+    out.sort(key=lambda t: t[:2])
+    return out
+
+
+def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> CyclePacking:
+    """The library's earlier greedy packing, kept as it was: edge by edge,
+    a support list and a per-pair 2-cycle pass, then the 2-core of the
+    simple rest as an incidence map, cut afresh with _chains after every
+    cycle.  A list passed as `cuts` receives each cut the girth search
+    reads, in turn."""
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
+    left = _read_counts(m)
+    support = [e for e in m.base.edges if left[e.id]]
+    cycles: list[Cycle] = []
+    for _, (a, b), c in _reference_two_cycles(support, left):
+        fits = left[a] // 2 if a == b else min(left[a], left[b])
+        times = min(fits, k - len(cycles))
+        if times > 0:
+            cycles.extend([c] * times)
+            left[a] -= times
+            left[b] -= times
+            if len(cycles) == k:
+                return CyclePacking(tuple(cycles))
+    core = reference_core(e for e in support if left[e.id])
+    chains = _chains(core)
+    if cut is not None:
+        cut.extend(chains)
+    edge = m.base.edge_by_id
+    while True:
+        if cuts is not None:
+            cuts.append(list(chains))
+        found = _girth(chains, [(len(c.edges), c.weight) for c in chains])
+        if found is None:
+            break
+        _, start, path = found
+        c = _chain_cycle(start, [chains[i] for i in path])
+        cycles.append(c)
+        if len(cycles) == k:
+            break
+        for eid in c.edges:
+            e = edge[eid]
+            del core[e.u][e]
+            del core[e.v][e]
+        reference_peel(core, c.vertices)
+        chains = _chains(core)
     return CyclePacking(tuple(cycles))
 
 

@@ -414,3 +414,19 @@ def test_euler_tour_long_cycle_runs_without_recursion():
     walk = euler_tour(Multiplicities.uniform(g), 1)
     assert [e for _, e in walk.steps] == list(range(1, 20001))
     verify_solution(g, 1, Solution((walk,), 20000))
+
+
+def test_multiplicities_weight_ignores_nonpositive_counts_and_names_unknown_ids():
+    g = MultiGraph.from_edges(3, [(1, 2, 2), (2, 3, 5), (3, 1, 7)])
+    assert Multiplicities(g, {3: 3, 1: 2, 2: 1}).weight() == 21 + 4 + 5
+    # a count <= 0 adds nothing, and its id is never looked up
+    assert Multiplicities(g, {1: 2, 2: 0, 3: -1, 9: 0, 8: -2}).weight() == 4
+    assert Multiplicities(g, {}).weight() == 0
+    for counts in ({1: 1, 9: 1, 8: 2, 2: 1}, {1: 1, 2: 0, 9: 1, 8: 1}):
+        with pytest.raises(GraphError, match="^no edge with id 9$"):
+            Multiplicities(g, counts).weight()
+    rng = random.Random(84)
+    for g in random_small_graphs(84, 200, max_n=6, max_m=10, max_w=9):
+        counts = {e.id: rng.randint(-1, 3) for e in g.edges if rng.random() < 0.9}
+        want = sum(e.weight * counts[e.id] for e in g.edges if counts.get(e.id, 0) > 0)
+        assert Multiplicities(g, counts).weight() == want

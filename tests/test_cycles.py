@@ -9,6 +9,7 @@ import time
 import pytest
 
 import kpostman.cycles
+from kpostman import graph as graph_module
 from kpostman.cpp import Multiplicities, solve_cpp
 from kpostman.cycles import (
     CyclePacking,
@@ -21,7 +22,15 @@ from kpostman.cycles import (
     shortest_cycle,
 )
 from kpostman.generators import inflate_chains, theta_graph, uniform_inflation
-from kpostman.graph import Edge, GraphError, MultiGraph, SearchBudgetExceeded
+from kpostman.graph import (
+    Chain,
+    Edge,
+    GraphError,
+    MultiGraph,
+    SearchBudgetExceeded,
+    _chains,
+    _CoreCut,
+)
 
 from conftest import (
     all_simple_cycles,
@@ -32,6 +41,8 @@ from conftest import (
     named_graph,
     random_connected_graph,
     random_small_graphs,
+    reference_core,
+    reference_edge_greedy,
     reference_greedy_packing,
 )
 
@@ -229,6 +240,95 @@ def test_greedy_matches_reference_loop():
             if len(packing) < k and any(len(c) > 2 for c in packing.cycles):
                 short += 1  # the core emptied after some longer cycles
     assert swept and short
+
+
+def _shuffled_multigraph(rng: random.Random) -> tuple[MultiGraph, dict[int, int], int]:
+    """A random multigraph with its edges shuffled, ids drawn out of order
+    and vertices relabelled: parallel edges, some edges drawn out into
+    chains, sometimes a ring of its own; counts 0-3 (some ids left out)
+    and k from 1 to 8."""
+    n = rng.randint(2, 9)
+    drawn: list[tuple[int, int]] = []
+    for _ in range(rng.randint(n, 2 * n + 3)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        drawn += [(u, v)] * rng.choice((1,) * 8 + (2, 3))
+    pairs: list[tuple[int, int]] = []
+    top = n
+    for u, v in drawn:
+        inner = rng.choice((0, 0, 0, 0, 1, 2))
+        path = [u, *range(top + 1, top + inner + 1), v]
+        top += inner
+        pairs += zip(path, path[1:])
+    if rng.random() < 0.3:
+        ring = list(range(top + 1, top + rng.randint(2, 5) + 1))
+        top = ring[-1]
+        pairs += zip(ring, ring[1:] + ring[:1])
+    label = rng.sample(range(1, top + 1), top)
+    rng.shuffle(pairs)
+    ids = rng.sample(range(1, 3 * len(pairs) + 1), len(pairs))
+    edges = []
+    for eid, (u, v) in zip(ids, pairs):
+        u, v = label[u - 1], label[v - 1]
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append(Edge(eid, u, v, rng.randint(0, 3)))
+    g = MultiGraph(top, tuple(edges))
+    counts = {e.id: rng.choice((0,) + (1,) * 12 + (2, 3)) for e in edges if rng.random() < 0.97}
+    return g, counts, rng.randint(1, 8)
+
+
+def test_greedy_matches_the_edge_level_reference(monkeypatch):
+    # the cut greedy reads off g.chains and updates in place must be the
+    # edge-level 2-core's _chains cut before every girth search, chain for
+    # chain, or the girth's tie-breaks change
+    read: list[list[Chain]] = []
+    girth = kpostman.cycles._girth
+
+    def recorded(chains, keys):
+        read.append(list(chains))
+        return girth(chains, keys)
+
+    monkeypatch.setattr(kpostman.cycles, "_girth", recorded)
+    rng = random.Random(34)
+    longer = joined = updated = 0
+    for _ in range(5000):
+        g, counts, k = _shuffled_multigraph(rng)
+        m = Multiplicities(g, counts)
+        cut: list[Chain] = []
+        ref_cut: list[Chain] = []
+        ref_read: list[list[Chain]] = []
+        read.clear()
+        packing = greedy_cycle_packing(m, k, cut)
+        assert packing == reference_edge_greedy(m, k, ref_cut, ref_read), (g, counts, k)
+        assert cut == ref_cut
+        assert read == ref_read
+        assert _CoreCut(g).chains == _chains(reference_core(g.edges))
+        longer += sum(len(c) > 2 for c in packing.cycles)
+        joined += any(c not in g.chains for c in cut)
+        updated += max(len(read) - 1, 0)
+    # cycles past the 2-cycles, first cuts that joined chains of g's cut,
+    # and cuts updated in place after a cycle
+    assert longer > 2000 and joined > 1000 and updated > 1500
+
+
+def test_greedy_reads_the_cached_cut_and_cuts_nothing(monkeypatch):
+    # 400 triangles on one center: greedy takes them all off g's own cut,
+    # updated in place, and makes no cut of its own
+    g = bouquet([1] * 400)
+    g.chains  # the graph's one cut, cached before counting
+    cuts = []
+    real = graph_module._chains
+
+    def counted(adj):
+        cuts.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(graph_module, "_chains", counted)
+    cut: list[Chain] = []
+    packing = greedy_cycle_packing(Multiplicities.uniform(g), 400, cut)
+    assert len(packing) == 400 and cut == list(g.chains)
+    check_packing(Multiplicities.uniform(g), packing)
+    assert cuts == []
 
 
 @pytest.mark.parametrize(

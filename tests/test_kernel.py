@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import kpostman.kernel as kernel
+from kpostman import graph as graph_module
 from kpostman.cpp import Multiplicities, solve_cpp
 from kpostman.cycles import PackingSearch, check_packing, cycle_rank_bound
 from kpostman.generators import (
@@ -105,6 +106,24 @@ def test_packing_bowtie():
     assert sol is not None and sol.total_weight == 6
     verify_solution(g, 2, sol)
     assert oracle_kcpp(g, 2) == 6
+
+
+def test_packing_shortcut_reads_the_graphs_cut_and_cuts_nothing_else(monkeypatch):
+    # the bowtie's join is empty, so greedy runs on all of g: it reads the
+    # cut that solve_cpp made of g, and no other is made
+    g = uniform_inflation(named_graph("bowtie"), 5)
+    cuts = []
+    real = graph_module._chains
+
+    def counted(adj):
+        cuts.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(graph_module, "_chains", counted)
+    sol = packing_shortcut(g, 2)
+    assert sol is not None
+    assert verify_solution(g, 2, sol) == g.total_weight()
+    assert len(cuts) == 1 and cuts[0] is g.adjacency
 
 
 def count_core_cycles(monkeypatch) -> list[bool]:
