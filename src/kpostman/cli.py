@@ -27,6 +27,7 @@ from .generators import (
     uniform_inflation,
 )
 from .graph import (
+    Chain,
     GraphError,
     Instance,
     ParseError,
@@ -117,7 +118,8 @@ def _cmd_kernelize(args) -> int:
 
 def _cmd_pack_cycles(args) -> int:
     inst = _instance_from(args)
-    packing = greedy_cycle_packing(Multiplicities.uniform(inst.graph), inst.k)
+    cut: list[Chain] = []  # the 2-core cut of what greedy's 2-cycles leave
+    packing = greedy_cycle_packing(Multiplicities.uniform(inst.graph), inst.k, cut)
     if not packing.cycles:  # the solution format needs k >= 1 walks
         raise GraphError("graph has no cycle")
     walks = tuple(
@@ -129,10 +131,8 @@ def _cmd_pack_cycles(args) -> int:
     # some maximum packing holds greedy's 2-cycles, so the bound on the
     # rest, plus them, bounds the maximum; it equals len(packing) when
     # greedy's packing is proven maximum
-    pairs = [c for c in packing.cycles if len(c) == 2]
-    paired = {eid for c in pairs for eid in c.edges}
-    rest = (e for e in inst.graph.edges if e.id not in paired)
-    bound = len(pairs) + packing_upper_bound(rest, len(packing) - len(pairs))
+    pairs = sum(len(c) == 2 for c in packing.cycles)
+    bound = pairs + packing_upper_bound(cut, len(packing) - pairs)
     print(f"# cycles={len(packing)} requested={inst.k} upper_bound={bound}")
     return 0
 

@@ -16,14 +16,14 @@ the CPP join runs too.
 
 Two upper bounds on the packing number answer whether a packing can grow:
 cycle_rank_bound, from the copies and vertices alone, and
-packing_upper_bound, for a graph with one copy per edge such as the simple
-rest of greedy's 2-cycle sweep.  The latter sums, per component of the
-2-core, the lesser of the cycle rank and the length-function bound
-floor(total length / shortest cycle length) under lengths tuned by a fixed
-number of multiplicative-weight rounds; its shortest cycles come from the
-same girth search as the greedy's, keyed on length first.  When greedy
-already meets it, greedy's packing is a maximum one and the exhaustive
-PackingSearch has nothing to find.
+packing_upper_bound, over the chain cut of a 2-core with one copy per edge,
+such as the cut greedy hands back of the rest of its 2-cycle sweep.  It
+sums, per component, the lesser of the cycle rank and the length-function
+bound floor(total length / shortest cycle length) under lengths tuned by a
+fixed number of multiplicative-weight rounds; its shortest cycles come
+from the same girth search as the greedy's, keyed on length first.  When
+greedy already meets it, greedy's packing is a maximum one and the
+exhaustive PackingSearch has nothing to find.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Iterable, Mapping, Protocol, Sequence
 from .cpp import Multiplicities, _read_counts
 from .graph import (
     Chain,
-    Edge,
     GraphError,
     MultiGraph,
     SearchBudgetExceeded,
@@ -199,14 +198,15 @@ def greedy_cycle_packing(m: Multiplicities, k: int, cut: list[Chain] | None = No
     are every edge with two copies, found in one C-level pass over the
     counts, and every parallel pair with a copy of each, read off the cut
     (MultiGraph.parallel_pairs); a pair's cycle takes the vertices of its
-    edge that comes first in base order.  What is left is a simple graph.
-    Its 2-core's chain cut is the base's cut less the chains with an edge
-    spent, peeled and joined (graph._CoreCut); each shortest cycle is whole
-    chains of that cut, which is then updated in place from the cycle's
-    anchors only.  A list passed as `cut` receives the chain cut of that
-    first 2-core, the one packing_upper_bound makes of the simple rest, so
-    a caller bounding the rest need not cut it again; it stays empty when
-    the 2-cycles alone reach k.
+    edge that comes first in base order.  What a full sweep leaves is a
+    simple graph.  Its 2-core's chain cut is the base's cut less the chains
+    with an edge spent, peeled and joined (graph._CoreCut); each shortest
+    cycle is whole chains of that cut, which is then updated in place from
+    the cycle's anchors only.  A list passed as `cut` receives the chain cut of the
+    2-core of the edges with a copy left after the sweep, one copy each,
+    taken before the first simple cycle, even when the 2-cycles alone reach
+    k; packing_upper_bound of it bounds the cycles that can join the
+    2-cycles.
     Raises on a count that names no edge of the base or is negative.
     """
     if k < 1:
@@ -230,19 +230,20 @@ def greedy_cycle_packing(m: Multiplicities, k: int, cut: list[Chain] | None = No
             left[a] -= times
             left[b] -= times
             if len(cycles) == k:
-                return CyclePacking(tuple(cycles))
+                break
+    if len(cycles) == k and cut is None:
+        return CyclePacking(tuple(cycles))
     core = _CoreCut(m.base, set(compress(left, map(not_, left.values()))))
     if cut is not None:
         cut.extend(core.chains)
-    while True:
+    while len(cycles) < k:
         found = _girth(core.chains, core.sizes)
         if found is None:
             break
         _, start, path = found
         cycles.append(_chain_cycle(start, [core.chains[i] for i in path]))
-        if len(cycles) == k:
-            break
-        core.drop(path)
+        if len(cycles) < k:
+            core.drop(path)
     return CyclePacking(tuple(cycles))
 
 
@@ -261,33 +262,25 @@ def cycle_rank_bound(copies: int, vertices: int) -> int:
 PACKING_BOUND_ROUNDS = 20
 
 
-def packing_upper_bound(edges: Iterable[Edge], floor: int) -> int:
-    """An upper bound on the most edge-disjoint cycles of the graph on
-    `edges`, one copy each (a simple graph, such as the rest that greedy's
-    2-cycle sweep leaves; parallel edges are fine, loops are not), in exact
-    integer arithmetic.
+def packing_upper_bound(chains: Sequence[Chain], floor: int) -> int:
+    """An upper bound on the most edge-disjoint cycles of the 2-core cut
+    into `chains`, one copy per edge (such as the cut greedy_cycle_packing
+    hands back of the rest of its 2-cycle sweep; parallel edges are fine,
+    loops are not), in exact integer arithmetic.
 
     Weak LP duality: for any positive edge lengths, disjoint cycles each
     at least as long as the shortest one fit at most
-    floor(total length / girth) times.  Only the 2-core can hold a cycle,
-    so it is cut into chains once, and each component gets the lesser of
-    its cycle rank (chains - anchors + 1) and the best such quotient over
-    PACKING_BOUND_ROUNDS rounds of multiplicative weights (Garg and
-    Koenemann 1998): lengths start at one per edge, and each round
-    multiplies the chains of the shortest cycle, found by _girth, by 3 and
-    every other chain by 2, which is a factor of 1 + 1/2 kept in integers.
-    The bound is the sum over the components.  Since no bound falls below
-    the maximum, the rounds stop once the sum is at most `floor`, a count
-    of disjoint cycles already found: it is then the maximum itself.
+    floor(total length / girth) times.  Each component of the chains gets
+    the lesser of its cycle rank (chains - anchors + 1) and the best such
+    quotient over PACKING_BOUND_ROUNDS rounds of multiplicative weights
+    (Garg and Koenemann 1998): lengths start at one per edge, and each
+    round multiplies the chains of the shortest cycle, found by _girth, by
+    3 and every other chain by 2, which is a factor of 1 + 1/2 kept in
+    integers.  The bound is the sum over the components.  Since no bound
+    falls below the maximum, the rounds stop once the sum is at most
+    `floor`, a count of disjoint cycles already found: it is then the
+    maximum itself.
     """
-    edges = tuple(edges)
-    g = MultiGraph(max((max(e.u, e.v) for e in edges), default=0), edges)
-    return cut_packing_bound(_CoreCut(g).chains, floor)
-
-
-def cut_packing_bound(chains: Sequence[Chain], floor: int) -> int:
-    """packing_upper_bound of a 2-core given by its chain cut, such as
-    the cut greedy_cycle_packing hands back of the simple rest."""
     root: dict[int, int] = {}
     for c in chains:
         a, b = _find(root, c.u), _find(root, c.v)

@@ -86,9 +86,6 @@ class DiGraph:
     def is_balanced(self) -> bool:
         return all(self.outdegree(v) == self.indegree(v) for v in self.steps)
 
-    def total_weight(self) -> int:
-        return sum(a.weight for a in self.arcs)
-
 
 @dataclass(frozen=True)
 class GadgetResult:

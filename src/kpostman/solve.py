@@ -26,8 +26,8 @@ of either restriction.
 
 A set that is packed gets a greedy packing first.  Greedy's 2-cycles lie
 in some maximum packing, so when greedy falls short of k only the simple
-rest is in question, and cycles.packing_upper_bound bounds it from above,
-read off the chain cut of the rest's 2-core that greedy has already made.
+rest is in question, and cycles.packing_upper_bound bounds it from above
+over the chain cut of the rest's 2-core that greedy hands back.
 The exhaustive packing search runs only when the bound leaves room above
 greedy's count of simple cycles, and it is asked for no more cycles than
 the bound, so it stops once it reaches it.
@@ -44,9 +44,9 @@ from .cycles import (
     Cycle,
     CyclePacking,
     PackingSearch,
-    cut_packing_bound,
     cycle_rank_bound,
     greedy_cycle_packing,
+    packing_upper_bound,
 )
 from .graph import (
     Chain,
@@ -126,9 +126,10 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     module docstring).  A set's cycle count comes from a greedy packing,
     and, when that falls short of k and the missing cycles cost something,
     from the simple graph that greedy's 2-cycles leave: the exhaustive
-    packing search runs on it only when cycles.packing_upper_bound of it
-    exceeds greedy's count of simple cycles (otherwise greedy's packing is
-    proven maximum), and it is asked for at most that bound of cycles.
+    packing search runs on it only when cycles.packing_upper_bound of the
+    chain cut greedy hands back of its 2-core exceeds greedy's count of
+    simple cycles (otherwise greedy's packing is proven maximum), and it is
+    asked for at most that bound of cycles.
     The winner's packing, padded with 2-cycles on the
     minimum-weight edge, is split into the k walks.  No chain count is
     refused, only work: SearchBudgetExceeded past MAX_SEARCH_SETS visited
@@ -158,9 +159,10 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     def evaluate(s: int, w: int) -> tuple[int, dict[int, int], list[Cycle]]:
         """(cost, counts, at most k disjoint cycles) of the chains in s
         doubled, the cycles it lacks paid as pairs on e_min.  The cycles
-        are greedy's, or, where the packing bound on the simple rest leaves
-        room above greedy's count, greedy's 2-cycles and the exhaustive
-        search's packing of that rest, searched up to the bound."""
+        are greedy's, or, where packing_upper_bound of greedy's cut of the
+        simple rest leaves room above greedy's count, greedy's 2-cycles and
+        the exhaustive search's packing of that rest, searched up to the
+        bound."""
         counts = dict.fromkeys(g.edge_by_id, 1)
         for i, c in enumerate(chains):
             if s >> i & 1:
@@ -175,7 +177,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
             for c in pairs:
                 for eid in c.edges:
                     rest[eid] -= 1
-            bound = cut_packing_bound(cut, len(cycles) - len(pairs))
+            bound = packing_upper_bound(cut, len(cycles) - len(pairs))
             if len(pairs) + bound > len(cycles):
                 got, found = searcher().run(rest, min(k - len(pairs), bound))
                 if len(pairs) + got > len(cycles):

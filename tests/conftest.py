@@ -19,7 +19,11 @@ reference_edge_greedy is the earlier greedy packing, kept as it was: it
 builds the simple rest's 2-core edge by edge (reference_core) and cuts it
 afresh with _chains after every cycle, sharing only the girth search with
 greedy_cycle_packing, so it checks the cut that greedy reads off the
-graph's cached one and updates in place.
+graph's cached one and updates in place; it now also hands back its
+first cut when the 2-cycles alone reach k, as greedy does.
+reference_edge_bound is the earlier packing bound over an edge list, kept
+as it was: it builds a graph of the edges and cuts its 2-core afresh, so
+it checks the bound that pack-cycles reads off greedy's cut.
 The record readers
 reference_read_triples and reference_parse_solution are the library's
 earlier readers, kept as they were, and so are bfs_connected and
@@ -48,6 +52,7 @@ from kpostman.cycles import (
     PackingSearch,
     _chain_cycle,
     _girth,
+    packing_upper_bound,
     shortest_cycle,
 )
 from kpostman.digraph import DiGraph
@@ -60,6 +65,7 @@ from kpostman.graph import (
     Solution,
     Walk,
     _chains,
+    _CoreCut,
     _find,
     ascii_text,
 )
@@ -84,6 +90,7 @@ __all__ = [
     "max_disjoint_from_list",
     "reference_greedy_packing",
     "reference_edge_greedy",
+    "reference_edge_bound",
     "reference_core",
     "reference_split",
     "edge_tour",
@@ -444,8 +451,9 @@ def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> Cyc
     """The library's earlier greedy packing, kept as it was: edge by edge,
     a support list and a per-pair 2-cycle pass, then the 2-core of the
     simple rest as an incidence map, cut afresh with _chains after every
-    cycle.  A list passed as `cuts` receives each cut the girth search
-    reads, in turn."""
+    cycle.  A list passed as `cut` receives the first of those cuts, also
+    when the 2-cycles alone reach k, and one passed as `cuts` each cut the
+    girth search reads, in turn."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     left = _read_counts(m)
@@ -459,11 +467,13 @@ def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> Cyc
             left[a] -= times
             left[b] -= times
             if len(cycles) == k:
-                return CyclePacking(tuple(cycles))
+                break
     core = reference_core(e for e in support if left[e.id])
     chains = _chains(core)
     if cut is not None:
         cut.extend(chains)
+    if len(cycles) == k:
+        return CyclePacking(tuple(cycles))
     edge = m.base.edge_by_id
     while True:
         if cuts is not None:
@@ -483,6 +493,15 @@ def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> Cyc
         reference_peel(core, c.vertices)
         chains = _chains(core)
     return CyclePacking(tuple(cycles))
+
+
+def reference_edge_bound(edges, floor: int) -> int:
+    """The library's earlier edge-list packing bound, kept as it was:
+    packing_upper_bound of the 2-core cut of a graph built on `edges`, one
+    copy each."""
+    edges = tuple(edges)
+    g = MultiGraph(max((max(e.u, e.v) for e in edges), default=0), edges)
+    return packing_upper_bound(_CoreCut(g).chains, floor)
 
 
 def _reference_check_cycle(m: Multiplicities, c: Cycle) -> None:

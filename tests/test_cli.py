@@ -14,6 +14,8 @@ import kpostman
 import kpostman.cycles
 import kpostman.solve
 from kpostman.cli import main
+from kpostman.cpp import Multiplicities
+from kpostman.cycles import greedy_cycle_packing
 from kpostman.digraph import DiGraph, serialize_directed_instance, verify_packing_equivalence
 from kpostman.generators import (
     cycle_graph,
@@ -34,7 +36,13 @@ from kpostman.graph import (
 )
 from kpostman.kernel import ExpansionMap
 
-from conftest import bouquet
+from conftest import (
+    all_simple_cycles,
+    bouquet,
+    max_disjoint_from_list,
+    random_small_graphs,
+    reference_edge_bound,
+)
 
 BOWTIE = "p kcpp 5 6 2 6\ne 1 2 1\ne 2 3 1\ne 1 3 1\ne 3 4 1\ne 4 5 1\ne 3 5 1\n"
 TRIANGLE = "p kcpp 3 3 2 4\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
@@ -196,14 +204,47 @@ def test_pack_cycles(tmp_path, capsys):
         (serialize_instance(Instance(theta_graph(4, 2), 3)), "cycles=2 requested=3 upper_bound=2"),
         # one triangle, and the bound is K4's fractional packing of 2
         (serialize_instance(Instance(named_graph("k4"), 2)), "cycles=1 requested=2 upper_bound=2"),
+        # the 2-cycles reach k first, and the pair left on 2-3 is one more
+        # cycle that the bound has to count
+        ("p kcpp 3 5 1\ne 1 2 1\ne 1 2 1\ne 2 3 1\ne 2 3 1\ne 1 3 1\n", "cycles=1 requested=1 upper_bound=2"),
     ],
-    ids=["pair", "theta", "k4"],
+    ids=["pair", "theta", "k4", "pairs-reach-k"],
 )
 def test_pack_cycles_reports_an_upper_bound(text, line, tmp_path, capsys):
     f = tmp_path / "in.kcpp"
     f.write_text(text)
     assert main(["pack-cycles", str(f), "-o", str(tmp_path / "pack.txt")]) == 0
     assert capsys.readouterr().out.splitlines() == [f"# {line}"]
+
+
+def test_pack_cycles_bound_holds_the_maximum_on_parallel_edges(tmp_path, capsys):
+    # every k from 1 to nu + 1, so greedy's 2-cycles reach k on some runs
+    # and run out on others: the bound, read off the cut greedy hands back,
+    # is at least the maximum and equals the earlier bound over the edges
+    # that greedy's 2-cycles leave
+    rng = random.Random(35)
+    f = tmp_path / "in.kcpp"
+    reached = 0
+    for g in random_small_graphs(seed=35, trials=160, max_n=6, max_m=8, max_w=3):
+        copies = [(e.u, e.v, e.weight) for e in g.edges for _ in range(rng.choice((1, 1, 2, 3)))]
+        rng.shuffle(copies)
+        h = MultiGraph.from_edges(g.vertex_count, copies)
+        ones = dict.fromkeys(h.edge_by_id, 1)
+        nu = max_disjoint_from_list(all_simple_cycles(h, ones), ones)
+        for k in range(1, nu + 2) if nu else ():  # a forest is refused
+            f.write_text(serialize_instance(Instance(h, k)))
+            assert main(["pack-cycles", str(f), "-o", str(tmp_path / "pack.txt")]) == 0
+            packing = greedy_cycle_packing(Multiplicities.uniform(h), k)
+            pairs = [c for c in packing.cycles if len(c) == 2]
+            paired = {eid for c in pairs for eid in c.edges}
+            rest = [e for e in h.edges if e.id not in paired]
+            bound = len(pairs) + reference_edge_bound(rest, len(packing) - len(pairs))
+            assert bound >= nu, (h.edges, k)
+            line = f"# cycles={len(packing)} requested={k} upper_bound={bound}"
+            assert capsys.readouterr().out.splitlines() == [line], (h.edges, k)
+            reached += len(pairs) == k < bound
+    # runs whose 2-cycles reach k with a cycle left in the rest
+    assert reached >= 400
 
 
 @pytest.mark.parametrize(

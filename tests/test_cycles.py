@@ -484,11 +484,12 @@ def test_packing_upper_bound_lies_between_the_maximum_and_the_cycle_ranks():
         assert all(n <= 1 for n in counts.values()) and len({frozenset((e.u, e.v)) for e in edges}) == len(edges)
         nu = PackingSearch(g).run(counts, len(edges))[0]
         assert nu == max_disjoint_from_list(all_simple_cycles(g, counts), counts)
-        bound = packing_upper_bound(edges, 0)
+        cut = _CoreCut(g, {eid for eid, n in counts.items() if not n}).chains
+        bound = packing_upper_bound(cut, 0)
         assert nu <= bound <= _component_ranks(edges), (g.edges, counts)
         # greedy's count never exceeds the maximum, so stopping at it
         # changes no bound
-        assert packing_upper_bound(edges, floor) == bound
+        assert packing_upper_bound(cut, floor) == bound
         strict += bound < _component_ranks(edges)
         tight += bound == nu
     assert strict >= 5 and tight >= 100
@@ -504,7 +505,7 @@ def test_packing_upper_bound_is_exact_on_bouquets_and_thetas(paths):
     bowtie = named_graph("bowtie")  # two triangles on one vertex
     for g in (theta_graph(paths, 2), uneven, bouquet([1] * paths), _disjoint_union([bowtie] * paths)):
         nu = PackingSearch(g).run(dict.fromkeys(g.edge_by_id, 1), len(g.edges))[0]
-        assert packing_upper_bound(g.edges, 0) == nu
+        assert packing_upper_bound(_CoreCut(g).chains, 0) == nu
 
 
 def test_removing_packing_preserves_even_degrees():

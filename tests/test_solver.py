@@ -581,7 +581,7 @@ def _counted_searches(monkeypatch) -> tuple[list[int], list[bool]]:
     and, per PackingSearch.run that follows, whether it found more."""
     floors: list[int] = []
     improved: list[bool] = []
-    bound, run = kpostman.solve.cut_packing_bound, PackingSearch.run
+    bound, run = kpostman.solve.packing_upper_bound, PackingSearch.run
 
     def recorded_bound(chains, floor):
         floors.append(floor)
@@ -592,7 +592,7 @@ def _counted_searches(monkeypatch) -> tuple[list[int], list[bool]]:
         improved.append(got > floors[-1])
         return got, found
 
-    monkeypatch.setattr(kpostman.solve, "cut_packing_bound", recorded_bound)
+    monkeypatch.setattr(kpostman.solve, "packing_upper_bound", recorded_bound)
     monkeypatch.setattr(PackingSearch, "run", counted_run)
     return floors, improved
 
