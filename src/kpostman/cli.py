@@ -120,18 +120,15 @@ def _cmd_pack_cycles(args) -> int:
     inst = _instance_from(args)
     cut: list[Chain] = []  # the 2-core cut of what greedy's 2-cycles leave
     packing = greedy_cycle_packing(Multiplicities.uniform(inst.graph), inst.k, cut)
-    if not packing.cycles:  # the solution format needs k >= 1 walks
+    if not packing:  # the solution format needs k >= 1 walks
         raise GraphError("graph has no cycle")
-    walks = tuple(
-        Walk(tuple((c.vertices[i], c.edges[i]) for i in range(len(c.edges))))
-        for c in packing.cycles
-    )
+    walks = tuple(Walk(tuple(zip(c.vertices, c.edges))) for c in packing)
     total = sum(w.weight(inst.graph) for w in walks)
     _write_output(args.output, serialize_solution(Solution(walks, total)))
     # some maximum packing holds greedy's 2-cycles, so the bound on the
     # rest, plus them, bounds the maximum; it equals len(packing) when
     # greedy's packing is proven maximum
-    pairs = sum(len(c) == 2 for c in packing.cycles)
+    pairs = sum(len(c) == 2 for c in packing)
     bound = pairs + packing_upper_bound(cut, len(packing) - pairs)
     print(f"# cycles={len(packing)} requested={inst.k} upper_bound={bound}")
     return 0

@@ -4,7 +4,7 @@ Duplicating a minimum-weight join over the odd-degree vertices makes the
 multigraph Eulerian; an Euler tour of the result is an optimal single closed
 walk covering every edge.  solve_cpp reads everything it needs off the
 graph's cached cut into degree-2 chains at its anchors (vertices of degree
-other than 2): connectivity (graph._connected, a union-find over the chain
+other than 2): connectivity (graph._components, a union-find over the chain
 ends), the odd vertices (every odd vertex is an anchor, at which an odd
 number of chains end) and the join; is_connected and odd_vertices read the
 same cut.  The join is computed exactly on the anchor graph by
@@ -42,7 +42,7 @@ from .graph import (
     GraphError,
     MultiGraph,
     Walk,
-    _connected,
+    _components,
     _join_chains,
     _odd_anchors,
 )
@@ -125,7 +125,7 @@ def min_weight_join(g: MultiGraph, t: Iterable[int]) -> frozenset[int]:
     if len(terminals) % 2 != 0:
         raise GraphError(f"odd-vertex set has odd size {len(terminals)}")
     chains = [Chain((u, v), (eid,), w, False, u, v) for eid, u, v, w in g.edges]
-    if not _connected(chains):
+    if len(_components(chains)) > 1:
         raise GraphError("graph must be connected")
     return frozenset(g.edges[i].id for i in _join_chains(chains, terminals))
 
@@ -140,7 +140,7 @@ def solve_cpp(g: MultiGraph) -> CppSolution:
     if not g.edges:
         raise GraphError("graph has no edges")
     chains = g.chains
-    if not _connected(chains):
+    if len(_components(chains)) > 1:
         raise GraphError("graph must be connected")
     counts = dict.fromkeys(g.edge_by_id, 1)
     weight = sum(c.weight for c in chains)  # the chains partition the edges

@@ -3,7 +3,8 @@ that serves undirected and directed graphs alike.
 
 Cycles live in a multigraph-with-counts: two copies of one edge form a
 2-cycle, as do two parallel edges.  "Shortest" is by edge count, then by
-total weight; ties on both are broken deterministically.
+total weight; ties on both are broken deterministically.  A packing is a
+plain tuple of Cycle, and check_packing takes any sequence of them.
 
 The greedy packing takes a shortest cycle again and again, in one pass:
 taking a 2-cycle only spends copies, so the 2-cycles are one list sorted
@@ -18,12 +19,12 @@ Two upper bounds on the packing number answer whether a packing can grow:
 cycle_rank_bound, from the copies and vertices alone, and
 packing_upper_bound, over the chain cut of a 2-core with one copy per edge,
 such as the cut greedy hands back of the rest of its 2-cycle sweep.  It
-sums, per component, the lesser of the cycle rank and the length-function
-bound floor(total length / shortest cycle length) under lengths tuned by a
-fixed number of multiplicative-weight rounds; its shortest cycles come
-from the same girth search as the greedy's, keyed on length first.  When
-greedy already meets it, greedy's packing is a maximum one and the
-exhaustive PackingSearch has nothing to find.
+sums, per component (graph._components), the lesser of the cycle rank and
+the length-function bound floor(total length / shortest cycle length)
+under lengths tuned by a fixed number of multiplicative-weight rounds; its
+shortest cycles come from the same girth search as the greedy's, keyed on
+length first.  When greedy already meets it, greedy's packing is a maximum
+one and the exhaustive PackingSearch has nothing to find.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .graph import (
     MultiGraph,
     SearchBudgetExceeded,
     _CoreCut,
-    _find,
+    _components,
     _settle,
 )
 
@@ -64,34 +65,15 @@ class Cycle:
         return sum(g.edge(eid).weight for eid in self.edges)
 
 
-@dataclass(frozen=True)
-class CyclePacking:
-    cycles: tuple[Cycle, ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def edge_multiset(self) -> Counter:
-        total: Counter = Counter()
-        for c in self.cycles:
-            total.update(c.edges)
-        return total
-
-
-def check_cycle(m: Multiplicities, c: Cycle) -> None:
-    """Raise unless c is a valid simple cycle within m's remaining copies."""
-    check_packing(m, CyclePacking((c,)))
-
-
-def check_packing(m: Multiplicities, packing: CyclePacking) -> tuple[dict[int, int], int]:
-    """Raise unless the cycles are pairwise disjoint edge copies within m, and
-    return the copies of each base edge they leave and the cycles' total
-    weight: one pass checks each cycle and takes its copies out, so an
-    overdrawn copy raises when drawn."""
+def check_packing(m: Multiplicities, packing: Sequence[Cycle]) -> tuple[dict[int, int], int]:
+    """Raise unless the cycles are simple cycles of pairwise disjoint edge
+    copies within m, and return the copies of each base edge they leave and
+    the cycles' total weight: one pass checks each cycle and takes its
+    copies out, so an overdrawn copy raises when drawn."""
     left = _read_counts(m)
     by_id = m.base.edge_by_id
     weight = 0
-    for c in packing.cycles:
+    for c in packing:
         vs, es = c.vertices, c.edges
         r = len(es)
         if r < 2 or len(vs) != r or len(set(vs)) != r:
@@ -112,7 +94,7 @@ def check_packing(m: Multiplicities, packing: CyclePacking) -> tuple[dict[int, i
 def shortest_cycle(m: Multiplicities) -> Cycle | None:
     """Minimum (edge count, weight) cycle of the multigraph, or None if
     acyclic: the first cycle the greedy packing takes."""
-    cycles = greedy_cycle_packing(m, 1).cycles
+    cycles = greedy_cycle_packing(m, 1)
     return cycles[0] if cycles else None
 
 
@@ -186,7 +168,9 @@ def _chain_cycle(start: int, chains: Iterable[Chain]) -> Cycle:
     return Cycle(tuple(verts), tuple(ids))
 
 
-def greedy_cycle_packing(m: Multiplicities, k: int, cut: list[Chain] | None = None) -> CyclePacking:
+def greedy_cycle_packing(
+    m: Multiplicities, k: int, cut: list[Chain] | None = None
+) -> tuple[Cycle, ...]:
     """Repeatedly extract a shortest cycle, up to k cycles or until acyclic,
     in one pass over the counts, reading the chain cut that m.base caches.
 
@@ -232,7 +216,7 @@ def greedy_cycle_packing(m: Multiplicities, k: int, cut: list[Chain] | None = No
             if len(cycles) == k:
                 break
     if len(cycles) == k and cut is None:
-        return CyclePacking(tuple(cycles))
+        return tuple(cycles)
     core = _CoreCut(m.base, set(compress(left, map(not_, left.values()))))
     if cut is not None:
         cut.extend(core.chains)
@@ -244,7 +228,7 @@ def greedy_cycle_packing(m: Multiplicities, k: int, cut: list[Chain] | None = No
         cycles.append(_chain_cycle(start, [core.chains[i] for i in path]))
         if len(cycles) < k:
             core.drop(path)
-    return CyclePacking(tuple(cycles))
+    return tuple(cycles)
 
 
 def cycle_rank_bound(copies: int, vertices: int) -> int:
@@ -281,18 +265,10 @@ def packing_upper_bound(chains: Sequence[Chain], floor: int) -> int:
     `floor`, a count of disjoint cycles already found: it is then the
     maximum itself.
     """
-    root: dict[int, int] = {}
-    for c in chains:
-        a, b = _find(root, c.u), _find(root, c.v)
-        if a != b:
-            root[a] = b
-    parts: dict[int, list[Chain]] = {}
-    for c in chains:
-        parts.setdefault(_find(root, c.u), []).append(c)
-    anchors = Counter(_find(root, v) for v in root)
-    bounds = {r: len(part) - anchors[r] + 1 for r, part in parts.items()}
-    total = sum(bounds.values())
-    for r, part in parts.items():
+    parts = _components(chains)
+    bounds = [len(part) - len({v for c in part for v in (c.u, c.v)}) + 1 for part in parts]
+    total = sum(bounds)
+    for r, part in enumerate(parts):
         lengths = [len(c.edges) for c in part]
         for _ in range(PACKING_BOUND_ROUNDS):
             if total <= floor or bounds[r] <= 1:  # a component holds a cycle

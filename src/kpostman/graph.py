@@ -444,18 +444,19 @@ def _find(root: dict[int, int], x: int) -> int:
     return x
 
 
-def _connected(chains: Iterable[Chain]) -> bool:
-    """True iff the graph cut into chains has at most one component that
-    has an edge: a union-find over the chain ends, where a ring, whose ends
-    are its lowest vertex, is a component of its own."""
+def _components(chains: Sequence[Chain]) -> list[list[Chain]]:
+    """Each component's chains, in the order of their first chains: a
+    union-find over the chain ends, where a ring, whose ends are its lowest
+    vertex, is a component of its own."""
     root: dict[int, int] = {}
-    unions = 0
     for c in chains:
         a, b = _find(root, c.u), _find(root, c.v)
         if a != b:
             root[a] = b
-            unions += 1
-    return len(root) - unions <= 1
+    parts: dict[int, list[Chain]] = {}
+    for c in chains:
+        parts.setdefault(_find(root, c.u), []).append(c)
+    return list(parts.values())
 
 
 def _settle(
@@ -580,7 +581,7 @@ def bypass(g: MultiGraph, vertex: int) -> BypassResult:
 
 def is_connected(g: MultiGraph) -> bool:
     """True iff all vertices of degree >= 1 lie in one component."""
-    return _connected(g.chains)
+    return len(_components(g.chains)) <= 1
 
 
 def verify_solution(g: MultiGraph, k: int, s: Solution) -> int:

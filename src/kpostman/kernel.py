@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .cpp import CppSolution, Multiplicities, solve_cpp
-from .cycles import Cycle, CyclePacking, _chain_cycle, cycle_rank_bound, greedy_cycle_packing
+from .cycles import Cycle, _chain_cycle, cycle_rank_bound, greedy_cycle_packing
 from .graph import (
     Chain,
     Edge,
@@ -175,7 +175,7 @@ def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
         g.vertex_count,
         tuple(Edge(i, c.u, c.v, c.weight) for i, c in enumerate(open_chains, start=1)),
     )
-    for cyc in greedy_cycle_packing(Multiplicities.uniform(core), k - len(out)).cycles:
+    for cyc in greedy_cycle_packing(Multiplicities.uniform(core), k - len(out)):
         out.append(_chain_cycle(cyc.vertices[0], [open_chains[eid - 1] for eid in cyc.edges]))
     return out
 
@@ -203,15 +203,15 @@ def packing_shortcut(
     cycles = [Cycle((e.u, e.v), (e.id, e.id)) for e in map(g.edge, sorted(cpp.join)[:k])]
     if len(cycles) < k:
         rest = Multiplicities(g, {e.id: 1 for e in g.edges if e.id not in cpp.join})
-        cycles += greedy_cycle_packing(rest, k - len(cycles)).cycles
+        cycles += greedy_cycle_packing(rest, k - len(cycles))
     if len(cycles) < k and k <= cycle_rank_bound(len(g.edges), len(g.adjacency)):
         cycles = _stripped_core_cycles(g, k)
     if len(cycles) < k:
         return None
-    return split_into_k_walks(cpp.multiplicities, CyclePacking(tuple(cycles[:k])))
+    return split_into_k_walks(cpp.multiplicities, cycles[:k])
 
 
-def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
+def parallel_edge_shortcut(chains: list[Chain], k: int) -> tuple[Cycle, ...] | None:
     """k disjoint cycles obtained by pairing up 2k parallel chains of
     find_chains in cut order, from the lowest anchor pair that has that
     many.  kernelize does not call this rule: the reduction keeps every
@@ -225,7 +225,7 @@ def parallel_edge_shortcut(chains: list[Chain], k: int) -> CyclePacking | None:
         if len(group) < 2 * k:
             continue
         pairs = zip(group[0 : 2 * k : 2], group[1 : 2 * k : 2])
-        return CyclePacking(tuple(_chain_cycle(key[0], pair) for pair in pairs))
+        return tuple(_chain_cycle(key[0], pair) for pair in pairs)
     return None
 
 

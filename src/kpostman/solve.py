@@ -27,10 +27,11 @@ of either restriction.
 A set that is packed gets a greedy packing first.  Greedy's 2-cycles lie
 in some maximum packing, so when greedy falls short of k only the simple
 rest is in question, and cycles.packing_upper_bound bounds it from above
-over the chain cut of the rest's 2-core that greedy hands back.
-The exhaustive packing search runs only when the bound leaves room above
-greedy's count of simple cycles, and it is asked for no more cycles than
-the bound, so it stops once it reaches it.
+over the chain cut of the rest's 2-core that greedy hands back.  The rest
+is even (each 2-cycle takes two copies at each end), so that cut is all of
+it, one copy per edge, and the exhaustive packing search runs on it only
+when the bound leaves room above greedy's count of simple cycles; it is
+asked for no more cycles than the bound, so it stops once it reaches it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from functools import cache
 from .cpp import Multiplicities
 from .cycles import (
     Cycle,
-    CyclePacking,
     PackingSearch,
     cycle_rank_bound,
     greedy_cycle_packing,
@@ -168,17 +168,15 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
             if s >> i & 1:
                 counts.update(dict.fromkeys(c.edges, 2))
         cut: list[Chain] = []  # greedy's chain cut of the simple rest's 2-core
-        cycles = list(greedy_cycle_packing(Multiplicities(g, counts), k, cut).cycles)
+        cycles = list(greedy_cycle_packing(Multiplicities(g, counts), k, cut))
         if len(cycles) < k and mu:
             # greedy takes every 2-cycle first, and some maximum packing
-            # holds each of them, so only the simple rest needs the search
+            # holds each of them, so only the simple rest needs the search:
+            # it is even, so greedy's cut holds all of it, one copy per edge
             pairs = [c for c in cycles if len(c) == 2]
-            rest = dict(counts)
-            for c in pairs:
-                for eid in c.edges:
-                    rest[eid] -= 1
             bound = packing_upper_bound(cut, len(cycles) - len(pairs))
             if len(pairs) + bound > len(cycles):
+                rest = {eid: 1 for c in cut for eid in c.edges}
                 got, found = searcher().run(rest, min(k - len(pairs), bound))
                 if len(pairs) + got > len(cycles):
                     cycles = pairs + list(found)
@@ -225,7 +223,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     t = k - len(cycles)
     counts[e_min.id] += 2 * t
     cycles += [Cycle((e_min.u, e_min.v), (e_min.id, e_min.id))] * t
-    solution = split_into_k_walks(Multiplicities.cover(g, counts), CyclePacking(tuple(cycles)))
+    solution = split_into_k_walks(Multiplicities.cover(g, counts), cycles)
     assert solution.total_weight == cost
     return solution
 

@@ -1,4 +1,4 @@
-"""Turning an even covering multigraph plus a k-cycle packing into k walks.
+"""Turning an even covering multigraph plus k packed cycles into k walks.
 
 Walk i is packed cycle i with tours of the leftover copies spliced in.  Each
 connected component of the leftover goes, as one Euler tour, to the first
@@ -23,12 +23,14 @@ steps are not summed again.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .cpp import Multiplicities, _runs, _tour
-from .cycles import CyclePacking, check_packing
+from .cycles import Cycle, check_packing
 from .graph import GraphError, Solution, Walk, _find
 
 
-def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
+def split_into_k_walks(m: Multiplicities, packing: Sequence[Cycle]) -> Solution:
     """Build exactly k = len(packing) closed walks covering every copy of m.
 
     Removes the packing and tours the leftover from the packed cycles'
@@ -37,14 +39,14 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     it.  Requires m connected with all degrees even and the packing
     contained in m; total weight equals weight(m).
     """
-    if not packing.cycles:
+    if not packing:
         raise GraphError("packing must contain at least one cycle")
     left, total = check_packing(m, packing)  # total: the packed cycles' weight
     # tours start only while copies are left, and need no runs otherwise;
     # with none left, every degree is even
     rest = sum(left.values())
     if rest:
-        runs = _runs(m.base, left, set().union(*(c.vertices for c in packing.cycles)))
+        runs = _runs(m.base, left, set().union(*(c.vertices for c in packing)))
         # a packed cycle meets each of its vertices twice, so the copies
         # left have m's parities
         if runs.odd is not None:
@@ -59,7 +61,7 @@ def split_into_k_walks(m: Multiplicities, packing: CyclePacking) -> Solution:
     first: dict[int, int] = {}
     root: dict[int, int] = {}
     walks = []
-    for ci, cyc in enumerate(packing.cycles):
+    for ci, cyc in enumerate(packing):
         tours = {}
         for v in sorted(cyc.vertices):
             j = first.setdefault(v, ci)

@@ -48,7 +48,6 @@ from hypothesis import strategies as st
 from kpostman.cpp import Multiplicities, _read_counts, _runs, _tour
 from kpostman.cycles import (
     Cycle,
-    CyclePacking,
     PackingSearch,
     _chain_cycle,
     _girth,
@@ -387,7 +386,7 @@ def max_disjoint_from_list(cycles: list[tuple[int, ...]], counts: dict[int, int]
     return rec(state | guards)
 
 
-def reference_greedy_packing(m: Multiplicities, k: int) -> CyclePacking:
+def reference_greedy_packing(m: Multiplicities, k: int) -> tuple[Cycle, ...]:
     """Up to k cycles: a shortest cycle of what is left, again and again,
     each time on a fresh Multiplicities without the copies taken."""
     cycles: list[Cycle] = []
@@ -397,7 +396,7 @@ def reference_greedy_packing(m: Multiplicities, k: int) -> CyclePacking:
             break
         cycles.append(c)
         m = m.without(c.edge_multiset())
-    return CyclePacking(tuple(cycles))
+    return tuple(cycles)
 
 
 def reference_core(edges) -> dict[int, dict[Edge, None]]:
@@ -447,7 +446,7 @@ def _reference_two_cycles(support: list[Edge], left) -> list[tuple[int, tuple[in
     return out
 
 
-def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> CyclePacking:
+def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> tuple[Cycle, ...]:
     """The library's earlier greedy packing, kept as it was: edge by edge,
     a support list and a per-pair 2-cycle pass, then the 2-core of the
     simple rest as an incidence map, cut afresh with _chains after every
@@ -473,7 +472,7 @@ def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> Cyc
     if cut is not None:
         cut.extend(chains)
     if len(cycles) == k:
-        return CyclePacking(tuple(cycles))
+        return tuple(cycles)
     edge = m.base.edge_by_id
     while True:
         if cuts is not None:
@@ -492,7 +491,7 @@ def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> Cyc
             del core[e.v][e]
         reference_peel(core, c.vertices)
         chains = _chains(core)
-    return CyclePacking(tuple(cycles))
+    return tuple(cycles)
 
 
 def reference_edge_bound(edges, floor: int) -> int:
@@ -520,10 +519,10 @@ def _reference_check_cycle(m: Multiplicities, c: Cycle) -> None:
             raise GraphError(f"cycle uses edge {eid} {uses} times, only {m.count(eid)} copies")
 
 
-def _reference_check_packing(m: Multiplicities, packing: CyclePacking) -> None:
-    for c in packing.cycles:
+def _reference_check_packing(m: Multiplicities, packing: tuple[Cycle, ...]) -> None:
+    for c in packing:
         _reference_check_cycle(m, c)
-    for eid, uses in packing.edge_multiset().items():
+    for eid, uses in Counter(eid for c in packing for eid in c.edges).items():
         if uses > m.count(eid):
             raise GraphError(f"packing uses edge {eid} {uses} times, only {m.count(eid)} copies")
 
@@ -570,29 +569,29 @@ def edge_tour(
     return list(zip(out_v, out_e[1:]))
 
 
-def reference_split(m: Multiplicities, packing: CyclePacking, per_edge: bool = False) -> Solution:
+def reference_split(m: Multiplicities, packing: tuple[Cycle, ...], per_edge: bool = False) -> Solution:
     """The earlier split_into_k_walks, kept as the reference: every check
     first (counts, parity counted vertex by vertex, each cycle, the whole
     packing), the packing subtracted as one multiset, then a tour from
     every vertex of every packed cycle, in packing order and each cycle's
     vertices ascending.  The tours are the library's _tour over the runs
     cut at every packed cycle's vertex, or edge_tour with per_edge."""
-    if not packing.cycles:
+    if not packing:
         raise GraphError("packing must contain at least one cycle")
     left = _read_counts(m)
     g = m.base
     if any(sum(left[e.id] for e in es) % 2 for es in g.adjacency.values()):
         raise GraphError("multigraph has a vertex of odd degree")
     _reference_check_packing(m, packing)
-    for eid, c in packing.edge_multiset().items():
-        left[eid] -= c
+    for eid, n in Counter(eid for c in packing for eid in c.edges).items():
+        left[eid] -= n
 
     cursor = dict.fromkeys(g.adjacency, 0)
-    runs = _runs(g, left, {v for c in packing.cycles for v in c.vertices})
+    runs = _runs(g, left, {v for c in packing for v in c.vertices})
     first: dict[int, int] = {}
     root: dict[int, int] = {}
     walks = []
-    for ci, cyc in enumerate(packing.cycles):
+    for ci, cyc in enumerate(packing):
         tours = {}
         for v in sorted(cyc.vertices):
             j = first.setdefault(v, ci)

@@ -235,7 +235,7 @@ def test_pack_cycles_bound_holds_the_maximum_on_parallel_edges(tmp_path, capsys)
             f.write_text(serialize_instance(Instance(h, k)))
             assert main(["pack-cycles", str(f), "-o", str(tmp_path / "pack.txt")]) == 0
             packing = greedy_cycle_packing(Multiplicities.uniform(h), k)
-            pairs = [c for c in packing.cycles if len(c) == 2]
+            pairs = [c for c in packing if len(c) == 2]
             paired = {eid for c in pairs for eid in c.edges}
             rest = [e for e in h.edges if e.id not in paired]
             bound = len(pairs) + reference_edge_bound(rest, len(packing) - len(pairs))

@@ -27,9 +27,7 @@ from kpostman.cpp import (
 )
 from kpostman.cycles import (
     Cycle,
-    CyclePacking,
     PackingSearch,
-    check_cycle,
     check_packing,
     greedy_cycle_packing,
 )
@@ -84,7 +82,7 @@ def two_cycle(g, eid):
 def test_split_triangle_all_doubled_into_three_walks():
     g = named_graph("triangle")
     m = Multiplicities(g, {1: 2, 2: 2, 3: 2})
-    packing = CyclePacking(tuple(two_cycle(g, i) for i in (1, 2, 3)))
+    packing = tuple(two_cycle(g, i) for i in (1, 2, 3))
     sol = split_into_k_walks(m, packing)
     assert sol.total_weight == 6
     assert [len(w) for w in sol.walks] == [2, 2, 2]
@@ -103,7 +101,7 @@ def test_split_bowtie_two_triangles():
 def test_split_star_absorbs_leftover_pair():
     g = named_graph("star3")
     m = Multiplicities(g, {1: 2, 2: 2, 3: 2})
-    packing = CyclePacking((two_cycle(g, 1), two_cycle(g, 2)))
+    packing = (two_cycle(g, 1), two_cycle(g, 2))
     sol = split_into_k_walks(m, packing)
     assert sorted(len(w) for w in sol.walks) == [2, 4]
     assert sol.total_weight == 6
@@ -113,7 +111,7 @@ def test_split_star_absorbs_leftover_pair():
 def test_split_rejects_packing_not_in_m():
     g = named_graph("triangle")
     m = Multiplicities.uniform(g)
-    packing = CyclePacking((two_cycle(g, 1),))
+    packing = (two_cycle(g, 1),)
     with pytest.raises(GraphError):
         split_into_k_walks(m, packing)
 
@@ -122,7 +120,7 @@ def test_split_rejects_odd_degrees():
     g = named_graph("path2")
     m = Multiplicities(g, {1: 2, 2: 1})
     with pytest.raises(GraphError):
-        split_into_k_walks(m, CyclePacking((two_cycle(g, 1),)))
+        split_into_k_walks(m, (two_cycle(g, 1),))
 
 
 @pytest.fixture
@@ -140,7 +138,7 @@ def tour_starts(monkeypatch):
 
 
 def split_steps(g, counts, cycles):
-    sol = split_into_k_walks(Multiplicities(g, counts), CyclePacking(tuple(cycles)))
+    sol = split_into_k_walks(Multiplicities(g, counts), cycles)
     verify_solution(g, len(cycles), sol)
     return [list(w.steps) for w in sol.walks]
 
@@ -202,10 +200,10 @@ def test_split_pins_runs_cut_at_packed_vertices_inside_a_chain(tour_starts):
 def checked_split(g, counts, cycles):
     """split_into_k_walks, its walks verified, its total equal to m's
     weight and the whole split equal to the reference split's."""
-    m, packing = Multiplicities(g, counts), CyclePacking(tuple(cycles))
-    sol = split_into_k_walks(m, packing)
+    m = Multiplicities(g, counts)
+    sol = split_into_k_walks(m, cycles)
     assert verify_solution(g, len(cycles), sol) == sol.total_weight == m.weight()
-    assert sol == reference_split(m, packing)
+    assert sol == reference_split(m, cycles)
     return sol
 
 
@@ -264,7 +262,7 @@ def test_split_refuses_a_leftover_that_touches_no_cycle():
         8, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (7, 8, 1)]
     )
     m = Multiplicities(g, {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2})
-    packing = CyclePacking((Cycle((1, 2, 3), (1, 2, 3)),))
+    packing = (Cycle((1, 2, 3), (1, 2, 3)),)
     for split in (split_into_k_walks, reference_split):
         with pytest.raises(GraphError, match="^multigraph must be connected$"):
             split(m, packing)
@@ -281,7 +279,7 @@ def test_split_refuses_a_leftover_that_touches_no_cycle():
 def test_split_names_bad_count(name, counts, match):
     g = named_graph(name)
     with pytest.raises(GraphError, match=match):
-        split_into_k_walks(Multiplicities(g, counts), CyclePacking((two_cycle(g, 1),)))
+        split_into_k_walks(Multiplicities(g, counts), (two_cycle(g, 1),))
 
 
 def large_even_covers():
@@ -308,7 +306,7 @@ def test_tours_and_splits_above_the_oracle_gate():
         sol = split_into_k_walks(m, packing)
         verify_solution(g, len(packing), sol)
         assert sum((Counter(w.edge_ids()) for w in sol.walks), Counter()) == expected
-        for walk, cyc in zip(sol.walks, packing.cycles):
+        for walk, cyc in zip(sol.walks, packing):
             assert walk.steps[0][0] == cyc.vertices[0]
             it = iter(walk.steps)
             assert all(step in it for step in zip(cyc.vertices, cyc.edges))
@@ -319,9 +317,9 @@ def star(leaves: int) -> MultiGraph:
     return MultiGraph.from_edges(leaves + 1, [(1, i, 1) for i in range(2, leaves + 2)])
 
 
-def two_cycles(g) -> CyclePacking:
+def two_cycles(g) -> tuple[Cycle, ...]:
     """A 2-cycle on every edge of g: all copies of g doubled."""
-    return CyclePacking(tuple(two_cycle(g, e.id) for e in g.edges))
+    return tuple(two_cycle(g, e.id) for e in g.edges)
 
 
 def split_cases():
@@ -338,26 +336,26 @@ def split_cases():
         for e in rng.sample(g.edges, rng.randint(0, len(g.edges))):
             counts[e.id] += 2
         m = Multiplicities(g, counts)
-        cycles = list(greedy_cycle_packing(m, m.copies()).cycles)
+        cycles = list(greedy_cycle_packing(m, m.copies()))
         for k in {1, rng.randint(1, len(cycles)), len(cycles)}:
-            yield m, CyclePacking(tuple(cycles[:k]))
+            yield m, tuple(cycles[:k])
         turned = []
         for c in cycles:
             r = rng.randrange(len(c))
             turned.append(Cycle(c.vertices[r:] + c.vertices[:r], c.edges[r:] + c.edges[:r]))
         rng.shuffle(turned)
-        yield m, CyclePacking(tuple(turned[: rng.randint(1, len(turned))]))
+        yield m, tuple(turned[: rng.randint(1, len(turned))])
         for options in ((0, 1, 2, 3), (0, 2)):
             m = Multiplicities(g, {e.id: rng.choice(options) for e in g.edges})
             packing = greedy_cycle_packing(m, rng.randint(1, 4))
-            if packing.cycles:
+            if packing:
                 yield m, packing
     for g in (star(3), star(400), named_graph("k4")):
         yield Multiplicities.uniform(g, 2), two_cycles(g)
     for n, edges in ((20, 40), (300, 700)):
         g = random_connected_graph(rng, n, edges, max_weight=4)
         yield Multiplicities.uniform(g, 2), two_cycles(g)
-        yield Multiplicities.uniform(g, 2), CyclePacking(two_cycles(g).cycles[::3])
+        yield Multiplicities.uniform(g, 2), two_cycles(g)[::3]
 
 
 def split_outcome(split, m, packing):
@@ -375,7 +373,7 @@ def test_split_matches_the_reference_split():
         if isinstance(got, str):
             seen[got] += 1
         else:
-            bare = tuple(Walk(tuple(zip(c.vertices, c.edges))) for c in packing.cycles)
+            bare = tuple(Walk(tuple(zip(c.vertices, c.edges))) for c in packing)
             seen["toured" if got.walks != bare else "bare"] += 1
     assert len(seen) == 4, seen  # both refusals, and splits with and without tours
 
@@ -413,13 +411,13 @@ def test_malformed_packings_are_refused(copies, cycles):
     m = Multiplicities.uniform(named_graph("triangle"), copies)
     if len(cycles) > 1:
         for c in cycles:
-            check_packing(m, CyclePacking((c,)))  # each fits m alone
+            check_packing(m, (c,))  # each fits m alone
     else:
         with pytest.raises(GraphError):
-            check_cycle(m, cycles[0])
+            check_packing(m, (cycles[0],))
     for check in (check_packing, split_into_k_walks, reference_split):
         with pytest.raises(GraphError):
-            check(m, CyclePacking(tuple(cycles)))
+            check(m, cycles)
 
 
 @pytest.mark.parametrize(
@@ -436,7 +434,7 @@ def test_malformed_packings_are_refused(copies, cycles):
 def test_split_refuses_odd_and_split_covers(name, cover, cycles):
     g = named_graph(name)
     m = Multiplicities(g, cover)
-    packing = CyclePacking(tuple(Cycle(vs, es) for vs, es in zip(cycles[::2], cycles[1::2])))
+    packing = tuple(Cycle(vs, es) for vs, es in zip(cycles[::2], cycles[1::2]))
     check_packing(m, packing)
     for split in (split_into_k_walks, reference_split):
         with pytest.raises(GraphError, match="odd degree|must be connected"):
@@ -493,7 +491,7 @@ def test_run_tours_match_the_per_edge_tours(tours):
         assert [(w.steps[0][0], Counter(w.edge_ids())) for w in got.walks] == [
             (w.steps[0][0], Counter(w.edge_ids())) for w in want.walks
         ], (m.base.edges, m.counts, packing)
-        on_cycles = {v for c in packing.cycles for v in c.vertices}
+        on_cycles = {v for c in packing for v in c.vertices}
         for tour, stood, weight in tours:
             assert closed_walk(m.base, tour)
             assert weight == sum(m.base.edge(eid).weight for _, eid in tour)
@@ -502,7 +500,7 @@ def test_run_tours_match_the_per_edge_tours(tours):
         spent = sum((Counter(eid for _, eid in t.steps) for t in tours), Counter())
         left, packed = check_packing(m, packing)
         assert spent == +Counter(left)
-        assert packed == sum(c.weight(m.base) for c in packing.cycles)
+        assert packed == sum(c.weight(m.base) for c in packing)
         seen["toured" if tours else "bare"] += 1
         seen["reordered"] += got.walks != want.walks
     assert min(seen.values()) > 0, seen  # refusals, splits with and without tours, new orders
@@ -621,6 +619,33 @@ def test_bound_leaves_the_search_only_where_it_beats_greedy(monkeypatch):
         solve_kcpp_exact(g, k)
     assert len(floors) > 400
     assert 0 < len(improved) <= 10 and all(improved)
+
+
+def test_greedy_cut_holds_every_copy_its_two_cycles_leave(monkeypatch):
+    # the kernel search packs greedy's cut, one copy per edge, in place of
+    # the counts less greedy's 2-cycles: on every even set it visits, the
+    # rest is even, so it is its own 2-core and has no edge with two copies
+    calls = []
+    greedy = kpostman.solve.greedy_cycle_packing
+
+    def recorded(m, k, cut):
+        packing = greedy(m, k, cut)
+        calls.append((m.base, dict(m.counts), k, cut, packing))  # the answer's counts change later
+        return packing
+
+    monkeypatch.setattr(kpostman.solve, "greedy_cycle_packing", recorded)
+    for g, k in _chain_search_corpus():
+        solve_kcpp_exact(g, k)
+    short = 0
+    for g, counts, k, cut, packing in calls:
+        if len(packing) == k:
+            continue
+        short += 1
+        left = Counter(counts)
+        left.subtract(eid for c in packing if len(c) == 2 for eid in c.edges)
+        on_cut = Counter(eid for c in cut for eid in c.edges)
+        assert on_cut == +left and set(on_cut.values()) <= {1}, (g.edges, counts)
+    assert short > 400
 
 
 # (weights 1-4, seed, k) of random_connected_graph(n=16, m=24) whose kernels
@@ -946,7 +971,7 @@ def test_feasibility_characterization_even_plus_packing():
                 continue
             got, cycles = searcher.run(counts, k)
             if got >= k:
-                sol = split_into_k_walks(m, CyclePacking(cycles[:k]))
+                sol = split_into_k_walks(m, cycles[:k])
                 verify_solution(g, k, sol)
                 assert sol.total_weight == m.weight()
 
@@ -968,7 +993,7 @@ def test_split_uses_every_copy_exactly_once():
         packing = greedy_cycle_packing(m, k)
         if len(packing) < k:
             continue
-        sol = split_into_k_walks(m, CyclePacking(packing.cycles[:k]))
+        sol = split_into_k_walks(m, packing[:k])
         used: Counter = Counter()
         for w in sol.walks:
             used.update(eid for _, eid in w.steps)
