@@ -12,7 +12,7 @@ import random
 import sys
 
 from .cpp import Multiplicities, euler_tour, solve_cpp
-from .cycles import greedy_cycle_packing, packing_upper_bound
+from .cycles import check_packing, greedy_cycle_packing, packing_upper_bound
 from .digraph import (
     parse_directed_instance,
     serialize_directed_instance,
@@ -32,7 +32,6 @@ from .graph import (
     Instance,
     ParseError,
     Solution,
-    Walk,
     checked_instance,
     parse_instance,
     serialize_instance,
@@ -119,12 +118,12 @@ def _cmd_kernelize(args) -> int:
 def _cmd_pack_cycles(args) -> int:
     inst = _instance_from(args)
     cut: list[Chain] = []  # the 2-core cut of what greedy's 2-cycles leave
-    packing = greedy_cycle_packing(Multiplicities.uniform(inst.graph), inst.k, cut)
+    m = Multiplicities.uniform(inst.graph)
+    packing = greedy_cycle_packing(m, inst.k, cut)
     if not packing:  # the solution format needs k >= 1 walks
         raise GraphError("graph has no cycle")
-    walks = tuple(Walk(tuple(zip(c.vertices, c.edges))) for c in packing)
-    total = sum(w.weight(inst.graph) for w in walks)
-    _write_output(args.output, serialize_solution(Solution(walks, total)))
+    _, total = check_packing(m, packing)
+    _write_output(args.output, serialize_solution(Solution(packing, total)))
     # some maximum packing holds greedy's 2-cycles, so the bound on the
     # rest, plus them, bounds the maximum; it equals len(packing) when
     # greedy's packing is proven maximum

@@ -3,8 +3,9 @@ that serves undirected and directed graphs alike.
 
 Cycles live in a multigraph-with-counts: two copies of one edge form a
 2-cycle, as do two parallel edges.  "Shortest" is by edge count, then by
-total weight; ties on both are broken deterministically.  A packing is a
-plain tuple of Cycle, and check_packing takes any sequence of them.
+total weight; ties on both are broken deterministically.  A cycle is a
+graph.Walk on distinct vertices, a packing a plain tuple of them, and
+check_packing takes any sequence of walks and checks that.
 
 The greedy packing takes a shortest cycle again and again, in one pass:
 taking a 2-cycle only spends copies, so the 2-cycles are one list sorted
@@ -30,8 +31,6 @@ one and the exhaustive PackingSearch has nothing to find.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -42,43 +41,28 @@ from .graph import (
     GraphError,
     MultiGraph,
     SearchBudgetExceeded,
+    Walk,
     _CoreCut,
     _components,
     _settle,
 )
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """Simple closed cycle: edges[i] joins vertices[i] to vertices[i+1 mod r]."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def edge_multiset(self) -> Counter:
-        return Counter(self.edges)
-
-    def weight(self, g: MultiGraph) -> int:
-        return sum(g.edge(eid).weight for eid in self.edges)
-
-
-def check_packing(m: Multiplicities, packing: Sequence[Cycle]) -> tuple[dict[int, int], int]:
-    """Raise unless the cycles are simple cycles of pairwise disjoint edge
-    copies within m, and return the copies of each base edge they leave and
-    the cycles' total weight: one pass checks each cycle and takes its
-    copies out, so an overdrawn copy raises when drawn."""
+def check_packing(m: Multiplicities, packing: Sequence[Walk]) -> tuple[dict[int, int], int]:
+    """Raise unless the walks are simple cycles of pairwise disjoint edge
+    copies within m: at least 2 steps on distinct vertices, each step's
+    edge joining its vertex to the next step's, as in verify_solution.
+    Return the copies of each base edge they leave and the walks' total
+    weight: one pass checks each walk and takes its copies out, so an
+    overdrawn copy raises when drawn."""
     left = _read_counts(m)
     by_id = m.base.edge_by_id
     weight = 0
     for c in packing:
-        vs, es = c.vertices, c.edges
-        r = len(es)
-        if r < 2 or len(vs) != r or len(set(vs)) != r:
+        steps = c.steps
+        if len(steps) < 2 or len({v for v, _ in steps}) != len(steps):
             raise GraphError(f"cycle must have >= 2 edges and as many distinct vertices, got {c}")
-        for a, b, eid in zip(vs, vs[1:] + vs[:1], es):
+        for (a, eid), (b, _) in zip(steps, steps[1:] + steps[:1]):
             e = by_id.get(eid)
             if e is None:
                 raise GraphError(f"no edge with id {eid}")
@@ -91,7 +75,7 @@ def check_packing(m: Multiplicities, packing: Sequence[Cycle]) -> tuple[dict[int
     return left, weight
 
 
-def shortest_cycle(m: Multiplicities) -> Cycle | None:
+def shortest_cycle(m: Multiplicities) -> Walk | None:
     """Minimum (edge count, weight) cycle of the multigraph, or None if
     acyclic: the first cycle the greedy packing takes."""
     cycles = greedy_cycle_packing(m, 1)
@@ -150,7 +134,7 @@ def _girth(
     return None if best is None else (best_key, best[0], best[1])
 
 
-def _chain_cycle(start: int, chains: Iterable[Chain]) -> Cycle:
+def _chain_cycle(start: int, chains: Iterable[Chain]) -> Walk:
     """The cycle that runs from start through each chain in turn, entering
     each at the end where the one before it left off; the last must end at
     start."""
@@ -165,12 +149,12 @@ def _chain_cycle(start: int, chains: Iterable[Chain]) -> Cycle:
             verts.extend(c.vertices[:0:-1])
             ids.extend(c.edges[::-1])
             start = c.u
-    return Cycle(tuple(verts), tuple(ids))
+    return Walk(tuple(zip(verts, ids)))
 
 
 def greedy_cycle_packing(
     m: Multiplicities, k: int, cut: list[Chain] | None = None
-) -> tuple[Cycle, ...]:
+) -> tuple[Walk, ...]:
     """Repeatedly extract a shortest cycle, up to k cycles or until acyclic,
     in one pass over the counts, reading the chain cut that m.base caches.
 
@@ -205,12 +189,12 @@ def greedy_cycle_packing(
         if left[e.id] and left[f.id]
     ]
     candidates.sort()  # (weight, ids) is unique per candidate
-    cycles: list[Cycle] = []
+    cycles: list[Walk] = []
     for _, a, b, e in candidates:
         fits = left[a] // 2 if a == b else min(left[a], left[b])
         times = min(fits, k - len(cycles))
         if times > 0:
-            cycles.extend([Cycle((e.u, e.v), (a, b))] * times)
+            cycles.extend([Walk(((e.u, a), (e.v, b)))] * times)
             left[a] -= times
             left[b] -= times
             if len(cycles) == k:
@@ -351,7 +335,7 @@ class PackingSearch:
         self._through.clear()
         self.listed = 0
 
-    def run(self, counts: Mapping[int, int], target: int) -> tuple[int, tuple[Cycle, ...]]:
+    def run(self, counts: Mapping[int, int], target: int) -> tuple[int, tuple[Walk, ...]]:
         """Up to `target` disjoint cycles within the edge copies in `counts`
         (edge id -> copies; ids left out have none), and how many.  Raises
         SearchBudgetExceeded past MAX_PACKING_STATES states or the recursion limit."""
@@ -372,9 +356,8 @@ class PackingSearch:
             raise SearchBudgetExceeded(
                 "search budget exceeded: packing search deeper than the recursion limit"
             ) from None
-        return len(found), tuple(
-            Cycle(verts, tuple(self.ids[s] for s in slots)) for verts, slots in found
-        )
+        ids = self.ids.__getitem__
+        return len(found), tuple(Walk(tuple(zip(verts, map(ids, slots)))) for verts, slots in found)
 
     def _cycles_through(self, i: int) -> list[tuple[int, int, RawCycle]]:
         """List, once per layout, each simple cycle through one copy of slot

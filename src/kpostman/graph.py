@@ -200,7 +200,8 @@ class DegreeClasses:
 @dataclass(frozen=True)
 class Walk:
     """Closed walk: cyclic (vertex, edge_id) steps; step i leaves its vertex
-    along its edge and arrives at step i+1's vertex."""
+    along its edge and arrives at step i+1's vertex.  A packed cycle is a
+    walk on distinct vertices, which cycles.check_packing checks."""
 
     steps: tuple[tuple[int, int], ...]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .cpp import CppSolution, Multiplicities, solve_cpp
-from .cycles import Cycle, _chain_cycle, cycle_rank_bound, greedy_cycle_packing
+from .cycles import _chain_cycle, cycle_rank_bound, greedy_cycle_packing
 from .graph import (
     Chain,
     Edge,
@@ -162,7 +162,7 @@ def pendant_shortcut(
     return packing_shortcut(g, k, cpp)
 
 
-def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
+def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Walk]:
     """Greedy cycles of the 2-core of g with each degree-2 chain counted as
     one edge, mapped back to cycles of g.  Loop chains and rings are cycles
     as they are; the greedy runs on the open chains."""
@@ -176,7 +176,7 @@ def _stripped_core_cycles(g: MultiGraph, k: int) -> list[Cycle]:
         tuple(Edge(i, c.u, c.v, c.weight) for i, c in enumerate(open_chains, start=1)),
     )
     for cyc in greedy_cycle_packing(Multiplicities.uniform(core), k - len(out)):
-        out.append(_chain_cycle(cyc.vertices[0], [open_chains[eid - 1] for eid in cyc.edges]))
+        out.append(_chain_cycle(cyc.steps[0][0], [open_chains[eid - 1] for _, eid in cyc.steps]))
     return out
 
 
@@ -200,7 +200,7 @@ def packing_shortcut(
         cpp = solve_cpp(g)
     if k > cycle_rank_bound(len(g.edges) + len(cpp.join), len(g.adjacency)):
         return None
-    cycles = [Cycle((e.u, e.v), (e.id, e.id)) for e in map(g.edge, sorted(cpp.join)[:k])]
+    cycles = [Walk(((e.u, e.id), (e.v, e.id))) for e in map(g.edge, sorted(cpp.join)[:k])]
     if len(cycles) < k:
         rest = Multiplicities(g, {e.id: 1 for e in g.edges if e.id not in cpp.join})
         cycles += greedy_cycle_packing(rest, k - len(cycles))
@@ -211,7 +211,7 @@ def packing_shortcut(
     return split_into_k_walks(cpp.multiplicities, cycles[:k])
 
 
-def parallel_edge_shortcut(chains: list[Chain], k: int) -> tuple[Cycle, ...] | None:
+def parallel_edge_shortcut(chains: list[Chain], k: int) -> tuple[Walk, ...] | None:
     """k disjoint cycles obtained by pairing up 2k parallel chains of
     find_chains in cut order, from the lowest anchor pair that has that
     many.  kernelize does not call this rule: the reduction keeps every

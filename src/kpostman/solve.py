@@ -42,7 +42,6 @@ from functools import cache
 
 from .cpp import Multiplicities
 from .cycles import (
-    Cycle,
     PackingSearch,
     cycle_rank_bound,
     greedy_cycle_packing,
@@ -54,6 +53,7 @@ from .graph import (
     MultiGraph,
     SearchBudgetExceeded,
     Solution,
+    Walk,
     _find,
     is_connected,
 )
@@ -156,7 +156,7 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
                 n += len(c.edges)
         return w, n
 
-    def evaluate(s: int, w: int) -> tuple[int, dict[int, int], list[Cycle]]:
+    def evaluate(s: int, w: int) -> tuple[int, dict[int, int], list[Walk]]:
         """(cost, counts, at most k disjoint cycles) of the chains in s
         doubled, the cycles it lacks paid as pairs on e_min.  The cycles
         are greedy's, or, where packing_upper_bound of greedy's cut of the
@@ -221,9 +221,10 @@ def solve_kcpp_exact(g: MultiGraph, k: int) -> Solution:
     cost, counts, cycles = best
     cycles = cycles[:k]
     t = k - len(cycles)
-    counts[e_min.id] += 2 * t
-    cycles += [Cycle((e_min.u, e_min.v), (e_min.id, e_min.id))] * t
-    solution = split_into_k_walks(Multiplicities.cover(g, counts), cycles)
+    cycles += [Walk(((e_min.u, e_min.id), (e_min.v, e_min.id)))] * t
+    # greedy's Multiplicities still holds `counts`: the pairs go on a copy
+    cover = Multiplicities.cover(g, {**counts, e_min.id: counts[e_min.id] + 2 * t})
+    solution = split_into_k_walks(cover, cycles)
     assert solution.total_weight == cost
     return solution
 

@@ -47,7 +47,6 @@ from hypothesis import strategies as st
 
 from kpostman.cpp import Multiplicities, _read_counts, _runs, _tour
 from kpostman.cycles import (
-    Cycle,
     PackingSearch,
     _chain_cycle,
     _girth,
@@ -386,16 +385,16 @@ def max_disjoint_from_list(cycles: list[tuple[int, ...]], counts: dict[int, int]
     return rec(state | guards)
 
 
-def reference_greedy_packing(m: Multiplicities, k: int) -> tuple[Cycle, ...]:
+def reference_greedy_packing(m: Multiplicities, k: int) -> tuple[Walk, ...]:
     """Up to k cycles: a shortest cycle of what is left, again and again,
     each time on a fresh Multiplicities without the copies taken."""
-    cycles: list[Cycle] = []
+    cycles: list[Walk] = []
     while len(cycles) < k:
         c = shortest_cycle(m)
         if c is None:
             break
         cycles.append(c)
-        m = m.without(c.edge_multiset())
+        m = m.without(Counter(c.edge_ids()))
     return tuple(cycles)
 
 
@@ -429,24 +428,24 @@ def reference_peel(adj: dict[int, dict[Edge, None]], vertices) -> None:
                 stack.append(w)
 
 
-def _reference_two_cycles(support: list[Edge], left) -> list[tuple[int, tuple[int, int], Cycle]]:
+def _reference_two_cycles(support: list[Edge], left) -> list[tuple[int, tuple[int, int], Walk]]:
     out = []
     by_pair: dict[tuple[int, int], list[Edge]] = {}
     for e in support:
         if left[e.id] >= 2:
             ids = (e.id, e.id)
-            out.append((2 * e.weight, ids, Cycle((e.u, e.v), ids)))
+            out.append((2 * e.weight, ids, Walk(((e.u, e.id), (e.v, e.id)))))
         by_pair.setdefault((e.u, e.v) if e.u < e.v else (e.v, e.u), []).append(e)
     for pair_edges in by_pair.values():
         for i, e in enumerate(pair_edges):
             for f in pair_edges[i + 1:]:
                 ids = (e.id, f.id) if e.id < f.id else (f.id, e.id)
-                out.append((e.weight + f.weight, ids, Cycle((e.u, e.v), ids)))
+                out.append((e.weight + f.weight, ids, Walk(((e.u, ids[0]), (e.v, ids[1])))))
     out.sort(key=lambda t: t[:2])
     return out
 
 
-def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> tuple[Cycle, ...]:
+def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> tuple[Walk, ...]:
     """The library's earlier greedy packing, kept as it was: edge by edge,
     a support list and a per-pair 2-cycle pass, then the 2-core of the
     simple rest as an incidence map, cut afresh with _chains after every
@@ -457,7 +456,7 @@ def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> tup
         raise GraphError(f"k must be >= 1, got {k}")
     left = _read_counts(m)
     support = [e for e in m.base.edges if left[e.id]]
-    cycles: list[Cycle] = []
+    cycles: list[Walk] = []
     for _, (a, b), c in _reference_two_cycles(support, left):
         fits = left[a] // 2 if a == b else min(left[a], left[b])
         times = min(fits, k - len(cycles))
@@ -485,11 +484,11 @@ def reference_edge_greedy(m: Multiplicities, k: int, cut=None, cuts=None) -> tup
         cycles.append(c)
         if len(cycles) == k:
             break
-        for eid in c.edges:
+        for eid in c.edge_ids():
             e = edge[eid]
             del core[e.u][e]
             del core[e.v][e]
-        reference_peel(core, c.vertices)
+        reference_peel(core, [v for v, _ in c.steps])
         chains = _chains(core)
     return tuple(cycles)
 
@@ -503,26 +502,27 @@ def reference_edge_bound(edges, floor: int) -> int:
     return packing_upper_bound(_CoreCut(g).chains, floor)
 
 
-def _reference_check_cycle(m: Multiplicities, c: Cycle) -> None:
-    r = len(c.edges)
-    if r < 2 or len(c.vertices) != r:
+def _reference_check_cycle(m: Multiplicities, c: Walk) -> None:
+    vs, es = tuple(v for v, _ in c.steps), c.edge_ids()
+    r = len(es)
+    if r < 2 or len(vs) != r:
         raise GraphError(f"cycle must have >= 2 edges and matching vertex count, got {c}")
-    if len(set(c.vertices)) != r:
-        raise GraphError(f"cycle repeats a vertex: {c.vertices}")
-    for i, eid in enumerate(c.edges):
+    if len(set(vs)) != r:
+        raise GraphError(f"cycle repeats a vertex: {vs}")
+    for i, eid in enumerate(es):
         e = m.base.edge(eid)
-        a, b = c.vertices[i], c.vertices[(i + 1) % r]
+        a, b = vs[i], vs[(i + 1) % r]
         if {a, b} != {e.u, e.v}:
             raise GraphError(f"edge {eid} does not join {a} and {b}")
-    for eid, uses in c.edge_multiset().items():
+    for eid, uses in Counter(es).items():
         if uses > m.count(eid):
             raise GraphError(f"cycle uses edge {eid} {uses} times, only {m.count(eid)} copies")
 
 
-def _reference_check_packing(m: Multiplicities, packing: tuple[Cycle, ...]) -> None:
+def _reference_check_packing(m: Multiplicities, packing: tuple[Walk, ...]) -> None:
     for c in packing:
         _reference_check_cycle(m, c)
-    for eid, uses in Counter(eid for c in packing for eid in c.edges).items():
+    for eid, uses in Counter(eid for c in packing for eid in c.edge_ids()).items():
         if uses > m.count(eid):
             raise GraphError(f"packing uses edge {eid} {uses} times, only {m.count(eid)} copies")
 
@@ -569,7 +569,7 @@ def edge_tour(
     return list(zip(out_v, out_e[1:]))
 
 
-def reference_split(m: Multiplicities, packing: tuple[Cycle, ...], per_edge: bool = False) -> Solution:
+def reference_split(m: Multiplicities, packing: tuple[Walk, ...], per_edge: bool = False) -> Solution:
     """The earlier split_into_k_walks, kept as the reference: every check
     first (counts, parity counted vertex by vertex, each cycle, the whole
     packing), the packing subtracted as one multiset, then a tour from
@@ -583,17 +583,17 @@ def reference_split(m: Multiplicities, packing: tuple[Cycle, ...], per_edge: boo
     if any(sum(left[e.id] for e in es) % 2 for es in g.adjacency.values()):
         raise GraphError("multigraph has a vertex of odd degree")
     _reference_check_packing(m, packing)
-    for eid, n in Counter(eid for c in packing for eid in c.edges).items():
+    for eid, n in Counter(eid for c in packing for eid in c.edge_ids()).items():
         left[eid] -= n
 
     cursor = dict.fromkeys(g.adjacency, 0)
-    runs = _runs(g, left, {v for c in packing for v in c.vertices})
+    runs = _runs(g, left, {v for c in packing for v, _ in c.steps})
     first: dict[int, int] = {}
     root: dict[int, int] = {}
     walks = []
     for ci, cyc in enumerate(packing):
         tours = {}
-        for v in sorted(cyc.vertices):
+        for v in sorted(v for v, _ in cyc.steps):
             j = first.setdefault(v, ci)
             if j != ci:
                 root[_find(root, ci)] = _find(root, j)
@@ -602,7 +602,7 @@ def reference_split(m: Multiplicities, packing: tuple[Cycle, ...], per_edge: boo
                 tours[v] = tour
                 first.update(dict.fromkeys(map(itemgetter(0), tour), ci))
         walk: list[tuple[int, int]] = []
-        for step in zip(cyc.vertices, cyc.edges):
+        for step in cyc.steps:
             if step[0] in tours:
                 walk.extend(tours[step[0]])
             walk.append(step)

@@ -15,7 +15,7 @@ import kpostman.cycles
 import kpostman.solve
 from kpostman.cli import main
 from kpostman.cpp import Multiplicities
-from kpostman.cycles import greedy_cycle_packing
+from kpostman.cycles import check_packing, greedy_cycle_packing
 from kpostman.digraph import DiGraph, serialize_directed_instance, verify_packing_equivalence
 from kpostman.generators import (
     cycle_graph,
@@ -195,21 +195,21 @@ def test_pack_cycles(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["# cycles=2 requested=2 upper_bound=2"]
 
 
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        # a 2-cycle, then nothing on the path that is left
-        ("p kcpp 3 4 3\ne 1 2 1\ne 1 2 2\ne 2 3 1\ne 3 1 1\n", "cycles=1 requested=3 upper_bound=1"),
-        # cycle rank 3, but the lengths prove greedy's 2 cycles maximum
-        (serialize_instance(Instance(theta_graph(4, 2), 3)), "cycles=2 requested=3 upper_bound=2"),
-        # one triangle, and the bound is K4's fractional packing of 2
-        (serialize_instance(Instance(named_graph("k4"), 2)), "cycles=1 requested=2 upper_bound=2"),
-        # the 2-cycles reach k first, and the pair left on 2-3 is one more
-        # cycle that the bound has to count
-        ("p kcpp 3 5 1\ne 1 2 1\ne 1 2 1\ne 2 3 1\ne 2 3 1\ne 1 3 1\n", "cycles=1 requested=1 upper_bound=2"),
-    ],
-    ids=["pair", "theta", "k4", "pairs-reach-k"],
-)
+UPPER_BOUND_CASES = [
+    # a 2-cycle, then nothing on the path that is left
+    ("p kcpp 3 4 3\ne 1 2 1\ne 1 2 2\ne 2 3 1\ne 3 1 1\n", "cycles=1 requested=3 upper_bound=1"),
+    # cycle rank 3, but the lengths prove greedy's 2 cycles maximum
+    (serialize_instance(Instance(theta_graph(4, 2), 3)), "cycles=2 requested=3 upper_bound=2"),
+    # one triangle, and the bound is K4's fractional packing of 2
+    (serialize_instance(Instance(named_graph("k4"), 2)), "cycles=1 requested=2 upper_bound=2"),
+    # the 2-cycles reach k first, and the pair left on 2-3 is one more
+    # cycle that the bound has to count
+    ("p kcpp 3 5 1\ne 1 2 1\ne 1 2 1\ne 2 3 1\ne 2 3 1\ne 1 3 1\n", "cycles=1 requested=1 upper_bound=2"),
+]
+UPPER_BOUND_IDS = ["pair", "theta", "k4", "pairs-reach-k"]
+
+
+@pytest.mark.parametrize("text, line", UPPER_BOUND_CASES, ids=UPPER_BOUND_IDS)
 def test_pack_cycles_reports_an_upper_bound(text, line, tmp_path, capsys):
     f = tmp_path / "in.kcpp"
     f.write_text(text)
@@ -236,7 +236,7 @@ def test_pack_cycles_bound_holds_the_maximum_on_parallel_edges(tmp_path, capsys)
             assert main(["pack-cycles", str(f), "-o", str(tmp_path / "pack.txt")]) == 0
             packing = greedy_cycle_packing(Multiplicities.uniform(h), k)
             pairs = [c for c in packing if len(c) == 2]
-            paired = {eid for c in pairs for eid in c.edges}
+            paired = {eid for c in pairs for eid in c.edge_ids()}
             rest = [e for e in h.edges if e.id not in paired]
             bound = len(pairs) + reference_edge_bound(rest, len(packing) - len(pairs))
             assert bound >= nu, (h.edges, k)
@@ -245,6 +245,23 @@ def test_pack_cycles_bound_holds_the_maximum_on_parallel_edges(tmp_path, capsys)
             reached += len(pairs) == k < bound
     # runs whose 2-cycles reach k with a cycle left in the rest
     assert reached >= 400
+
+
+@pytest.mark.parametrize(
+    "text", [BOWTIE, *(text for text, _ in UPPER_BOUND_CASES)], ids=["bowtie", *UPPER_BOUND_IDS]
+)
+def test_pack_cycles_file_reads_back_as_greedys_packing(text, tmp_path, capsys):
+    # the walks written are the packed cycles themselves, so the file read
+    # back goes straight into check_packing
+    f = tmp_path / "in.kcpp"
+    f.write_text(text)
+    out = tmp_path / "pack.txt"
+    assert main(["pack-cycles", str(f), "-o", str(out)]) == 0
+    inst = parse_instance(text)
+    m = Multiplicities.uniform(inst.graph)
+    packed = parse_solution(out.read_text())
+    assert check_packing(m, packed.walks)[1] == packed.total_weight
+    assert packed.walks == greedy_cycle_packing(m, inst.k)
 
 
 @pytest.mark.parametrize(

@@ -50,12 +50,12 @@ def test_shortest_cycle_prefers_duplicated_copy():
     g = named_graph("path2")
     m = Multiplicities(g, {1: 2, 2: 1})
     c = shortest_cycle(m)
-    assert c is not None and c.edges == (1, 1)
+    assert c is not None and c.edge_ids() == (1, 1)
 
 
 def test_shortest_cycle_k4_girth():
     c = shortest_cycle(Multiplicities.uniform(named_graph("k4")))
-    assert c is not None and len(c.edges) == 3
+    assert c is not None and len(c.edge_ids()) == 3
 
 
 def test_shortest_cycle_tree_none():
@@ -101,7 +101,7 @@ def test_shortest_cycle_matches_enumerated_girth():
             assert c is not None
             check_packing(m, (c,))
             want = min((len(x), sum(g.edge(eid).weight for eid in x)) for x in cycles)
-            assert (len(c.edges), c.weight(g)) == want, (g.edges, counts)
+            assert (len(c.edge_ids()), c.weight(g)) == want, (g.edges, counts)
 
 
 def test_shortest_cycle_matches_edge_removal_girth_on_larger_graphs():
@@ -124,7 +124,7 @@ def test_shortest_cycle_matches_edge_removal_girth_on_larger_graphs():
         else:
             assert c is not None
             check_packing(m, (c,))
-            assert (len(c.edges), c.weight(g)) == want, (g.edges, counts)
+            assert (len(c.edge_ids()), c.weight(g)) == want, (g.edges, counts)
 
 
 def _grid(rows: int, cols: int) -> MultiGraph:
@@ -155,13 +155,13 @@ def _grid(rows: int, cols: int) -> MultiGraph:
 )
 def test_shortest_cycle_tie_breaks(g, vertices, edges):
     c = shortest_cycle(Multiplicities.uniform(g))
-    assert (c.vertices, c.edges) == (vertices, edges)
+    assert tuple(zip(*c.steps)) == (vertices, edges)
 
 
 def test_greedy_tie_breaks():
     def cycles(g):
         packing = greedy_cycle_packing(Multiplicities.uniform(g), 10)
-        return [(c.vertices, c.edges) for c in packing]
+        return [tuple(zip(*c.steps)) for c in packing]
 
     assert cycles(_grid(4, 4)) == [
         ((2, 1, 5, 6), (1, 2, 8, 4)),
@@ -182,7 +182,7 @@ def test_greedy_tie_breaks():
 def test_greedy_star_all_two_cycles():
     m = Multiplicities(named_graph("star3"), {1: 2, 2: 2, 3: 2})
     packing = greedy_cycle_packing(m, 3)
-    assert [len(c.edges) for c in packing] == [2, 2, 2]
+    assert [len(c.edge_ids()) for c in packing] == [2, 2, 2]
     check_packing(m, packing)
 
 
@@ -194,7 +194,7 @@ def test_greedy_triangle_single_cycle():
 def test_greedy_bowtie_two_triangles():
     m = Multiplicities.uniform(named_graph("bowtie"))
     packing = greedy_cycle_packing(m, 2)
-    assert [len(c.edges) for c in packing] == [3, 3]
+    assert [len(c.edge_ids()) for c in packing] == [3, 3]
     check_packing(m, packing)
 
 
@@ -233,7 +233,7 @@ def test_greedy_matches_reference_loop():
             packing = greedy_cycle_packing(m, k)
             assert packing == reference_greedy_packing(m, k), (m.base.edges, m.counts, k)
             check_packing(m, packing)
-            rest = m.without(Counter(eid for c in packing for eid in c.edges))
+            rest = m.without(Counter(eid for c in packing for eid in c.edge_ids()))
             if len(packing) == k and shortest_cycle(rest) is not None and len(shortest_cycle(rest)) == 2:
                 swept += 1  # k was reached with 2-cycles still left
             if len(packing) < k and any(len(c) > 2 for c in packing):
@@ -387,7 +387,7 @@ def test_greedy_two_cycles_lie_in_a_maximum_packing():
         m = Multiplicities(g, counts)
         greedy = greedy_cycle_packing(m, m.copies())
         pairs = [c for c in greedy if len(c) == 2]
-        rest = m.without(Counter(eid for c in pairs for eid in c.edges))
+        rest = m.without(Counter(eid for c in pairs for eid in c.edge_ids()))
         assert shortest_cycle(rest) is None or len(shortest_cycle(rest)) >= 3
         assert len(pairs) + _exact_packing(rest)[0] == _exact_packing(m)[0]
 
@@ -458,7 +458,7 @@ def _bound_cases():
         greedy = greedy_cycle_packing(Multiplicities(g, counts), sum(counts.values()))
         pairs = [c for c in greedy if len(c) == 2]
         for c in pairs:
-            for eid in c.edges:
+            for eid in c.edge_ids():
                 counts[eid] -= 1
         yield g, counts, len(greedy) - len(pairs)
     triangle = named_graph("triangle")
@@ -513,7 +513,7 @@ def test_removing_packing_preserves_even_degrees():
         m = Multiplicities(g, counts)
         assert even_degrees(m)
         packing = greedy_cycle_packing(m, 3)
-        rest = m.without(Counter(eid for c in packing for eid in c.edges))
+        rest = m.without(Counter(eid for c in packing for eid in c.edge_ids()))
         assert even_degrees(rest)
 
 

@@ -123,13 +123,14 @@ def test_packing_matches_independent_cycle_enumeration():
             got, witness = PackingSearch(graph).run(ones, len(graph.arcs))
             assert got == nu == len(witness)
             arc = {a.id: a for a in graph.arcs}
-            used = [aid for c in witness for aid in c.edges]
+            used = [aid for c in witness for aid in c.edge_ids()]
             assert len(used) == len(set(used))
             for c in witness:
-                assert len(c.edges) >= 2 and len(set(c.vertices)) == len(c.vertices) == len(c.edges)
-                for i, aid in enumerate(c.edges):
-                    assert arc[aid].tail == c.vertices[i]
-                    assert arc[aid].head == c.vertices[(i + 1) % len(c.edges)]
+                vs, es = zip(*c.steps)
+                assert len(es) >= 2 and len(set(vs)) == len(vs) == len(es)
+                for i, aid in enumerate(es):
+                    assert arc[aid].tail == vs[i]
+                    assert arc[aid].head == vs[(i + 1) % len(es)]
 
 
 @pytest.mark.parametrize(

@@ -421,7 +421,7 @@ def test_find_chains_rejects_bare_cycle():
 def test_parallel_shortcut_thresholds():
     th4 = theta_graph(4, 2)
     pack = parallel_edge_shortcut(find_chains(th4), 2)
-    assert pack is not None and [c.edges for c in pack] == [(1, 2, 4, 3), (5, 6, 8, 7)]
+    assert pack is not None and [c.edge_ids() for c in pack] == [(1, 2, 4, 3), (5, 6, 8, 7)]
     th3 = theta_graph(3, 2)
     assert parallel_edge_shortcut(find_chains(th3), 2) is None
     pack1 = parallel_edge_shortcut(find_chains(th3), 1)

@@ -26,7 +26,6 @@ from kpostman.cpp import (
     solve_cpp,
 )
 from kpostman.cycles import (
-    Cycle,
     PackingSearch,
     check_packing,
     greedy_cycle_packing,
@@ -76,7 +75,7 @@ from conftest import (
 
 def two_cycle(g, eid):
     e = g.edge(eid)
-    return Cycle((e.u, e.v), (eid, eid))
+    return Walk(((e.u, eid), (e.v, eid)))
 
 
 def test_split_triangle_all_doubled_into_three_walks():
@@ -149,7 +148,7 @@ def test_split_pins_two_components_in_one_cycle(tour_starts):
         6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1), (1, 6, 1)]
     )
     counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2}
-    assert split_steps(g, counts, [Cycle((1, 2, 3), (1, 2, 3))]) == [
+    assert split_steps(g, counts, [Walk(((1, 1), (2, 2), (3, 3)))]) == [
         [(1, 7), (6, 7), (1, 1), (2, 2), (3, 4), (4, 5), (5, 6), (3, 3)]
     ]
     assert tour_starts == [1, 2, 3]  # from vertex 2 too, as copies are left then
@@ -161,7 +160,7 @@ def test_split_pins_component_touching_two_cycles_goes_to_the_first(tour_starts)
         6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (3, 4, 1)]
     )
     counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2}
-    a, b = Cycle((1, 2, 3), (1, 2, 3)), Cycle((4, 5, 6), (4, 5, 6))
+    a, b = Walk(((1, 1), (2, 2), (3, 3))), Walk(((4, 4), (5, 5), (6, 6)))
     assert split_steps(g, counts, [a, b]) == [
         [(1, 1), (2, 2), (3, 7), (4, 7), (3, 3)],
         [(4, 4), (5, 5), (6, 6)],
@@ -178,7 +177,7 @@ def test_split_pins_lowest_shared_vertex_not_first_in_cycle(tour_starts):
     # square 1-2-3-4 packed from vertex 3; a doubled diagonal 1-3 is left over
     g = MultiGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 1)])
     counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2}
-    assert split_steps(g, counts, [Cycle((3, 4, 1, 2), (3, 4, 1, 2))]) == [
+    assert split_steps(g, counts, [Walk(((3, 3), (4, 4), (1, 1), (2, 2)))]) == [
         [(3, 3), (4, 4), (1, 5), (3, 5), (1, 1), (2, 2)]
     ]
     assert tour_starts == [1]
@@ -191,7 +190,7 @@ def test_split_pins_runs_cut_at_packed_vertices_inside_a_chain(tour_starts):
         7, [(1, 3, 1), (3, 4, 1), (4, 5, 1), (5, 2, 1), (1, 6, 1), (6, 2, 1), (1, 7, 1), (7, 2, 1)]
     )
     counts = {1: 2, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1, 7: 1, 8: 1}
-    assert split_steps(g, counts, [Cycle((4, 5), (3, 3))]) == [
+    assert split_steps(g, counts, [Walk(((4, 3), (5, 3)))]) == [
         [(4, 2), (3, 1), (1, 5), (6, 6), (2, 4), (5, 4), (2, 8), (7, 7), (1, 1), (3, 2), (4, 3), (5, 3)]
     ]
     assert tour_starts == [4]
@@ -216,7 +215,7 @@ def test_split_crosses_runs_where_the_leftover_count_changes_inside_a_chain(tour
         (1, 6, 13), (6, 7, 17), (7, 8, 19), (8, 2, 23),
     ])  # fmt: skip
     counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 4, 8: 4, 9: 2}
-    sol = checked_split(g, counts, [Cycle((1, 3, 4, 2, 5), (1, 2, 3, 5, 4))])
+    sol = checked_split(g, counts, [Walk(((1, 1), (3, 2), (4, 3), (2, 5), (5, 4)))])
     assert sol.total_weight == 28 + 2 * 13 + 4 * (17 + 19) + 2 * 23
     [(steps, stood, weight)] = [t for t in tours if t.steps]
     assert steps[0][0] == 1 and set(stood) == {1, 6, 8, 2}  # 7 lies inside a run
@@ -231,7 +230,7 @@ def test_split_starts_tours_inside_chains(tour_starts, tours):
         6, [(5, 1, 1), (1, 2, 2), (2, 6, 3), (5, 3, 4), (3, 6, 5), (5, 4, 6), (4, 6, 7)]
     )
     counts = {1: 3, 2: 3, 3: 3, 4: 1, 5: 1, 6: 2, 7: 2}
-    sol = checked_split(g, counts, [Cycle((1, 2, 6, 3, 5), (2, 3, 5, 4, 1))])
+    sol = checked_split(g, counts, [Walk(((1, 2), (2, 3), (6, 5), (3, 4), (5, 1)))])
     assert tour_starts == [1]
     assert sol.walks[0].steps[0] == (1, 1)  # the tour comes before the cycle's first step
     assert set(tours[0].stood) == {1, 2, 5, 6}
@@ -248,7 +247,7 @@ def test_split_links_cycles_through_a_run_end_a_tour_reaches_midway(tours, b_fir
         (3, 4, 3), (4, 5, 4), (5, 8, 5),
     ])  # fmt: skip
     counts = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2, 9: 2}
-    a, b = Cycle((1, 2, 3), (1, 2, 3)), Cycle((7, 8, 9), (4, 5, 6))
+    a, b = Walk(((1, 1), (2, 2), (3, 3))), Walk(((7, 4), (8, 5), (9, 6)))
     sol = checked_split(g, counts, [b, a] if b_first else [a, b])
     assert sol.total_weight == 3 + 6 + 2 * 12
     [(steps, stood, weight)] = [t for t in tours if t.steps]
@@ -262,7 +261,7 @@ def test_split_refuses_a_leftover_that_touches_no_cycle():
         8, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (7, 8, 1)]
     )
     m = Multiplicities(g, {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2})
-    packing = (Cycle((1, 2, 3), (1, 2, 3)),)
+    packing = (Walk(((1, 1), (2, 2), (3, 3))),)
     for split in (split_into_k_walks, reference_split):
         with pytest.raises(GraphError, match="^multigraph must be connected$"):
             split(m, packing)
@@ -307,9 +306,9 @@ def test_tours_and_splits_above_the_oracle_gate():
         verify_solution(g, len(packing), sol)
         assert sum((Counter(w.edge_ids()) for w in sol.walks), Counter()) == expected
         for walk, cyc in zip(sol.walks, packing):
-            assert walk.steps[0][0] == cyc.vertices[0]
+            assert walk.steps[0][0] == cyc.steps[0][0]
             it = iter(walk.steps)
-            assert all(step in it for step in zip(cyc.vertices, cyc.edges))
+            assert all(step in it for step in cyc.steps)
     assert min(sizes) >= 200 and max(sizes) <= 5000
 
 
@@ -317,7 +316,7 @@ def star(leaves: int) -> MultiGraph:
     return MultiGraph.from_edges(leaves + 1, [(1, i, 1) for i in range(2, leaves + 2)])
 
 
-def two_cycles(g) -> tuple[Cycle, ...]:
+def two_cycles(g) -> tuple[Walk, ...]:
     """A 2-cycle on every edge of g: all copies of g doubled."""
     return tuple(two_cycle(g, e.id) for e in g.edges)
 
@@ -342,7 +341,7 @@ def split_cases():
         turned = []
         for c in cycles:
             r = rng.randrange(len(c))
-            turned.append(Cycle(c.vertices[r:] + c.vertices[:r], c.edges[r:] + c.edges[:r]))
+            turned.append(Walk(c.steps[r:] + c.steps[:r]))
         rng.shuffle(turned)
         yield m, tuple(turned[: rng.randint(1, len(turned))])
         for options in ((0, 1, 2, 3), (0, 2)):
@@ -373,26 +372,37 @@ def test_split_matches_the_reference_split():
         if isinstance(got, str):
             seen[got] += 1
         else:
-            bare = tuple(Walk(tuple(zip(c.vertices, c.edges))) for c in packing)
+            bare = tuple(packing)
             seen["toured" if got.walks != bare else "bare"] += 1
     assert len(seen) == 4, seen  # both refusals, and splits with and without tours
 
 
 @pytest.mark.parametrize(
-    "copies,cycles",
+    "copies,cycles,message",
     [
-        (2, [Cycle((1,), (1,))]),
-        (2, [Cycle((1, 2, 3), (1, 2))]),
-        (2, [Cycle((1, 2, 3, 2), (1, 2, 2, 1))]),
-        (2, [Cycle((1, 2, 3), (1, 3, 2))]),
-        (2, [Cycle((1, 2, 3), (3, 1, 2))]),
-        (2, [Cycle((1, 2, 3), (2, 3, 1))]),
-        (2, [Cycle((1, 2), (1, 9))]),
-        (1, [Cycle((1, 2), (1, 1))]),
-        (2, [Cycle((1, 2), (1, 1)), Cycle((2, 1), (1, 1))]),
-        (1, [Cycle((1, 2, 3), (1, 2, 3)), Cycle((3, 2, 1), (2, 1, 3))]),
+        (2, [Walk(())], None),
+        (2, [Walk(((1, 1),))], None),
+        # stops an edge short: edge 2 leaves 2 for 3, not for 1
+        (2, [Walk(((1, 1), (2, 2)))], "edge 2 does not join 2 and 1"),
+        (2, [Walk(((1, 1), (2, 2), (3, 2), (2, 1)))], None),
+        (2, [Walk(((1, 1), (2, 3), (3, 2)))], "edge 3 does not join 2 and 3"),
+        (2, [Walk(((1, 3), (2, 1), (3, 2)))], "edge 3 does not join 1 and 2"),
+        (2, [Walk(((1, 2), (2, 3), (3, 1)))], "edge 2 does not join 1 and 2"),
+        (2, [Walk(((1, 1), (2, 9)))], "no edge with id 9"),
+        (1, [Walk(((1, 1), (2, 1)))], "cycles use edge 1 more often than it has copies"),
+        (
+            2,
+            [Walk(((1, 1), (2, 1))), Walk(((2, 1), (1, 1)))],
+            "cycles use edge 1 more often than it has copies",
+        ),
+        (
+            1,
+            [Walk(((1, 1), (2, 2), (3, 3))), Walk(((3, 2), (2, 1), (1, 3)))],
+            "cycles use edge 2 more often than it has copies",
+        ),
     ],
     ids=[
+        "empty",
         "one-edge",
         "vertex-count",
         "repeated-vertex",
@@ -405,19 +415,21 @@ def test_split_matches_the_reference_split():
         "overdrawn-by-two-triangles",
     ],
 )
-def test_malformed_packings_are_refused(copies, cycles):
+def test_malformed_packings_are_refused(copies, cycles, message):
     # the doubled or plain triangle: even and connected, so only the
-    # packing is at fault
+    # packing is at fault; check_packing names the first check that fails,
+    # and a walk too short or with a repeated vertex is named whole (None)
     m = Multiplicities.uniform(named_graph("triangle"), copies)
     if len(cycles) > 1:
         for c in cycles:
             check_packing(m, (c,))  # each fits m alone
-    else:
+    with pytest.raises(GraphError) as refused:
+        check_packing(m, cycles)
+    shape = f"cycle must have >= 2 edges and as many distinct vertices, got {cycles[0]}"
+    assert str(refused.value) == (message or shape)
+    for split in (split_into_k_walks, reference_split):
         with pytest.raises(GraphError):
-            check_packing(m, (cycles[0],))
-    for check in (check_packing, split_into_k_walks, reference_split):
-        with pytest.raises(GraphError):
-            check(m, cycles)
+            split(m, cycles)
 
 
 @pytest.mark.parametrize(
@@ -434,7 +446,7 @@ def test_malformed_packings_are_refused(copies, cycles):
 def test_split_refuses_odd_and_split_covers(name, cover, cycles):
     g = named_graph(name)
     m = Multiplicities(g, cover)
-    packing = tuple(Cycle(vs, es) for vs, es in zip(cycles[::2], cycles[1::2]))
+    packing = tuple(Walk(tuple(zip(vs, es))) for vs, es in zip(cycles[::2], cycles[1::2]))
     check_packing(m, packing)
     for split in (split_into_k_walks, reference_split):
         with pytest.raises(GraphError, match="odd degree|must be connected"):
@@ -491,7 +503,7 @@ def test_run_tours_match_the_per_edge_tours(tours):
         assert [(w.steps[0][0], Counter(w.edge_ids())) for w in got.walks] == [
             (w.steps[0][0], Counter(w.edge_ids())) for w in want.walks
         ], (m.base.edges, m.counts, packing)
-        on_cycles = {v for c in packing for v in c.vertices}
+        on_cycles = {v for c in packing for v, _ in c.steps}
         for tour, stood, weight in tours:
             assert closed_walk(m.base, tour)
             assert weight == sum(m.base.edge(eid).weight for _, eid in tour)
@@ -621,6 +633,22 @@ def test_bound_leaves_the_search_only_where_it_beats_greedy(monkeypatch):
     assert 0 < len(improved) <= 10 and all(improved)
 
 
+def test_exact_search_pays_its_pairs_off_the_counts_greedy_read(monkeypatch):
+    # the triangle holds one cycle, so k = 3 pays two pairs on edge 1, the
+    # lightest; they go on the final cover, not on the counts greedy read
+    calls = []
+    greedy = kpostman.solve.greedy_cycle_packing
+
+    def recorded(m, k, cut):
+        calls.append((m, dict(m.counts)))
+        return greedy(m, k, cut)
+
+    monkeypatch.setattr(kpostman.solve, "greedy_cycle_packing", recorded)
+    g = MultiGraph.from_edges(3, [(1, 2, 1), (2, 3, 5), (3, 1, 5)])
+    assert solve_kcpp_exact(g, 3).total_weight == 11 + 2 * 2
+    assert calls and all(m.counts == read for m, read in calls), calls
+
+
 def test_greedy_cut_holds_every_copy_its_two_cycles_leave(monkeypatch):
     # the kernel search packs greedy's cut, one copy per edge, in place of
     # the counts less greedy's 2-cycles: on every even set it visits, the
@@ -630,7 +658,7 @@ def test_greedy_cut_holds_every_copy_its_two_cycles_leave(monkeypatch):
 
     def recorded(m, k, cut):
         packing = greedy(m, k, cut)
-        calls.append((m.base, dict(m.counts), k, cut, packing))  # the answer's counts change later
+        calls.append((m.base, dict(m.counts), k, cut, packing))
         return packing
 
     monkeypatch.setattr(kpostman.solve, "greedy_cycle_packing", recorded)
@@ -642,7 +670,7 @@ def test_greedy_cut_holds_every_copy_its_two_cycles_leave(monkeypatch):
             continue
         short += 1
         left = Counter(counts)
-        left.subtract(eid for c in packing if len(c) == 2 for eid in c.edges)
+        left.subtract(eid for c in packing if len(c) == 2 for eid in c.edge_ids())
         on_cut = Counter(eid for c in cut for eid in c.edges)
         assert on_cut == +left and set(on_cut.values()) <= {1}, (g.edges, counts)
     assert short > 400
