@@ -328,9 +328,10 @@ class PackingSearch:
         state of a narrower one, so no old memo key can be hit again, and
         the memo goes too."""
         self.width = width
-        self.stride = width + 1
-        self.guards = sum(1 << (s * self.stride + width) for s in range(len(self.ids)))
-        self.values = self.guards - sum(1 << (s * self.stride) for s in range(len(self.ids)))
+        self.stride = stride = width + 1
+        ones = ((1 << stride * len(self.ids)) - 1) // ((1 << stride) - 1)  # a 1 per field
+        self.guards = ones << width
+        self.values = self.guards - ones
         self.memo.clear()
         self._through.clear()
         self.listed = 0

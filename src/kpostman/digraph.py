@@ -1,11 +1,16 @@
 """Directed multigraphs, the balancing-vertex gadget, and arc-disjoint
 cycle packing through the shared packing search.
 
-The packing search runs on the digraph with its chains contracted: each
-maximal directed path through inner vertices (one arc in, one arc out,
-such as the gadget's midpoints) becomes one arc, the directed form of the
-undirected chain reduction.  Contracted arcs with the same tail and head
-share one slot of the search, with a copy per arc."""
+The packing search runs on the digraph with its acyclic arcs peeled and
+its chains contracted.  The arcs of each vertex with no arc in or no arc
+out lie on no cycle and go first, again and again, which empties an
+acyclic digraph.  Then each maximal directed path through inner vertices
+(one arc in, one arc out, such as the gadget's midpoints) becomes one arc,
+the directed form of the undirected chain reduction.  Contracted arcs with
+the same tail and head share one slot of the search, with a copy per arc.
+The gadget check contracts d' alone, its gadget arcs marked, and one
+searcher with one state budget answers the packing numbers of d and of
+d'."""
 
 from __future__ import annotations
 
@@ -138,81 +143,158 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
 
 
 class _Contracted(NamedTuple):
-    """A digraph with its chains contracted and its parallel arcs folded,
-    as PackingSearch reads it: one arc per (tail, head) pair, the count of
-    its copies going to the search.  Built by hand, not as a DiGraph: the
-    arc checks and cached maps of a DiGraph cost a gadget check about a
-    tenth of its time."""
+    """A digraph with its acyclic arcs peeled, its chains contracted and its
+    parallel arcs folded, as PackingSearch reads it: one slot per tail,
+    head and kind, the count of its copies going to the search, and the
+    cycles that meet no other cycle counted apart.  A slot's kind says
+    whether it holds an arc above the routine's `last` id (a gadget arc);
+    `counts` and `free` cover every slot, `plain` and `plain_free` those
+    without gadget arcs.  Built by hand, not as a DiGraph: the arc checks
+    and cached maps of a DiGraph cost a gadget check about a tenth of its
+    time."""
 
     ends: dict[int, tuple[int, int]]
     steps: dict[int, tuple[tuple[int, int], ...]]
+    counts: dict[int, int]
+    free: int
+    plain: dict[int, int]
+    plain_free: int
+
+
+def _peel(
+    steps: dict[int, tuple[tuple[int, int], ...]], into: dict[int, int]
+) -> tuple[dict[int, tuple[tuple[int, int], ...]], dict[int, int]]:
+    """steps and indegrees less every vertex with no arc in or no arc out,
+    and its arcs, peeled until none is left.  No such arc lies on a cycle,
+    and an acyclic digraph is left empty; a balanced one is returned as it
+    is."""
+    stack = [v for v, s in steps.items() if not s or not into[v]]
+    if not stack:
+        return steps, into
+    out = {v: len(s) for v, s in steps.items()}
+    into = dict(into)
+    tails: dict[int, list[int]] = {v: [] for v in steps}
+    for v, s in steps.items():
+        for _, head in s:
+            tails[head].append(v)
+    dead: set[int] = set()
+    while stack:
+        v = stack.pop()
+        if v in dead:
+            continue
+        dead.add(v)
+        for _, head in steps[v]:
+            into[head] -= 1
+            if not into[head]:
+                stack.append(head)
+        for tail in tails[v]:
+            out[tail] -= 1
+            if not out[tail]:
+                stack.append(tail)
+    steps = {v: tuple(st for st in s if st[1] not in dead) for v, s in steps.items() if v not in dead}
+    return steps, {v: into[v] for v in steps}
+
+
+def _contract(d: DiGraph, last: int) -> _Contracted:
+    """d peeled (_peel) and contracted for the packing search, the arcs
+    with ids above `last` counted as gadget arcs; see
+    max_arc_disjoint_cycles.  A contracted arc that holds a gadget arc folds
+    only with arcs of its kind.  Its slot is keyed below every arc id, in
+    descending order of its largest arc id, so the gadget slots come first
+    in the search."""
+    steps, into = _peel(d.steps, d.indegrees)
+    inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
+    below = last + min((a.id for a in d.arcs), default=0) - 1
+    free = [0, 0]  # per kind: without, with a gadget arc
+    counts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    ends: dict[int, tuple[int, int]] = {}
+    contracted: dict[int, tuple[tuple[int, int], ...]] = {}
+    # the outer vertices are listed first, since the walks empty `inner`
+    for v in [v for v in steps if v not in inner]:
+        out = []
+        slots: tuple[dict[int, int], dict[int, int]] = ({}, {})  # head -> slot, per kind
+        for aid, head in steps[v]:
+            top = aid  # the path's largest arc id, a gadget arc's if it holds one
+            while head in inner:
+                inner.remove(head)
+                a, head = steps[head][0]
+                if a > top:
+                    top = a
+            kind = top > last
+            if head == v:
+                free[kind] += 1
+            elif head in slots[kind]:
+                counts[kind][slots[kind][head]] += 1
+            else:
+                key = below - top if kind else aid
+                slots[kind][head] = key
+                counts[kind][key] = 1
+                ends[key] = (v, head)
+                out.append((key, head))
+        contracted[v] = tuple(out)
+    # no path from an outer vertex reached what is left: cycles of inner vertices
+    while inner:
+        v = head = inner.pop()
+        top = steps[v][0][0]
+        while (head := steps[head][0][1]) != v:
+            inner.remove(head)
+            top = max(top, steps[head][0][0])
+        free[top > last] += 1
+    plain, gadget = counts
+    return _Contracted(ends, contracted, {**gadget, **plain}, sum(free), plain, free[0])
 
 
 def max_arc_disjoint_cycles(d: DiGraph) -> int:
     """Exact maximum number of pairwise arc-disjoint directed cycles.
 
-    An inner vertex has exactly one arc in and one arc out, so a directed
-    cycle through either of its arcs passes the vertex and uses both.  A
-    cycle therefore takes all or none of the arcs of each maximal path
-    through inner vertices, and contracting every such path into one arc
-    (keeping the id of its first arc) maps the directed cycles of d one to
-    one onto those of the contracted digraph, arc-disjoint packings onto
-    arc-disjoint packings.  A path that closes on its own tail, and a cycle
-    of inner vertices only, is a cycle that no other cycle meets: each
-    counts once, outside the search.  The rest is the packing search, with
-    the contracted arcs from one tail to one head folded into one slot (the
-    first arc's id) that holds a copy per arc.  A simple cycle leaves each
-    vertex once, so it uses at most one arc of such a group, and the
-    arc-disjoint packings are exactly the packings within these copies.
-    The search raises SearchBudgetExceeded past its state budget,
-    cycles.MAX_PACKING_STATES, counted on the folded digraph.  A digraph
-    without inner vertices or parallel arcs is searched as it is."""
-    steps, into = d.steps, d.indegrees
-    inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
-    cycles = 0
-    ends: dict[int, tuple[int, int]] = {}
-    counts: dict[int, int] = {}
-    contracted: dict[int, tuple[tuple[int, int], ...]] = {}
-    # the outer vertices are listed first, since the walks empty `inner`
-    for v in [v for v in steps if v not in inner]:
-        out = []
-        slot: dict[int, int] = {}  # head -> id of the first contracted arc to reach it
-        for aid, head in steps[v]:
-            while head in inner:
-                inner.remove(head)
-                head = steps[head][0][1]
-            if head == v:
-                cycles += 1
-            elif head in slot:
-                counts[slot[head]] += 1
-            else:
-                slot[head] = aid
-                counts[aid] = 1
-                ends[aid] = (v, head)
-                out.append((aid, head))
-        contracted[v] = tuple(out)
-    # no path from an outer vertex reached what is left: cycles of inner vertices
-    while inner:
-        cycles += 1
-        v = head = inner.pop()
-        while (head := steps[head][0][1]) != v:
-            inner.remove(head)
-    searcher = PackingSearch(_Contracted(ends, contracted))
-    return cycles + searcher.run(counts, sum(counts.values()) // 2)[0]
+    An arc out of a vertex with no arc in, or into a vertex with no arc
+    out, lies on no cycle: such arcs are peeled, again and again, before
+    anything else, which leaves an acyclic digraph empty.  An inner vertex
+    has exactly one arc in and one arc out, so a directed cycle through
+    either of its arcs passes the vertex and uses both.  A cycle therefore
+    takes all or none of the arcs of each maximal path through inner
+    vertices, and contracting every such path into one arc maps the
+    directed cycles of d one to one onto those of the contracted digraph,
+    arc-disjoint packings onto arc-disjoint packings.  A path that closes
+    on its own tail, and a cycle of inner vertices only, is a cycle that no
+    other cycle meets: each counts once, outside the search.  The rest is
+    the packing search, with the contracted arcs from one tail to one head
+    folded into one slot (keyed by the first arc's id) that holds a copy
+    per arc.  A simple cycle leaves each vertex once, so it uses at most
+    one arc of such a group, and the arc-disjoint packings are exactly the
+    packings within these copies.  The search raises SearchBudgetExceeded
+    past its state budget, cycles.MAX_PACKING_STATES, counted on the
+    folded digraph.  verify_packing_equivalence runs the same contraction
+    on d', where it also marks the gadget arcs."""
+    c = _contract(d, max((a.id for a in d.arcs), default=0))
+    return c.free + PackingSearch(c).run(c.counts, sum(c.counts.values()) // 2)[0]
 
 
 def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
     """Check that balancing adds exactly x's outdegree to the packing number.
 
-    d and d' are packed alike by max_arc_disjoint_cycles, each within the
-    packing search's state budget.  Every midpoint of d' is an inner
-    vertex, so the search of d' runs with each two-arc path through x
-    contracted to one arc, and the paths between x and one vertex v, one
-    per unit of v's imbalance, folded into one slot.  The report carries
-    the uncontracted d' for the caller to write out."""
+    Every cycle of d is a cycle of d' that uses no gadget arc, so one
+    searcher over d', contracted as by max_arc_disjoint_cycles with the
+    gadget arcs marked, answers both numbers within one state budget,
+    cycles.MAX_PACKING_STATES.  A contracted arc that holds a gadget arc
+    folds only with its kind, so the slots without gadget arcs are d's
+    cycles' slots, and each midpoint is an inner vertex: each two-arc path
+    through x is one arc, and the paths between x and one vertex v, one per
+    unit of v's imbalance, fold into one slot.  The search over all slots
+    gives r'.  The gadget slots come first and the search drops a slot
+    before it takes any cycle through it, so that search has already
+    searched the gadget-free slots on their own, and the run for r over
+    them only reads its memo.  A balanced d is d', searched once.  d' is
+    balanced, so the peel leaves it whole.  The report carries the
+    uncontracted d' for the caller to write out."""
     gadget = build_balanced_extension(d)
-    r = max_arc_disjoint_cycles(d)
-    r_prime = max_arc_disjoint_cycles(gadget.d_prime)
+    c = _contract(gadget.d_prime, max((a.id for a in d.arcs), default=0))
+    searcher = PackingSearch(c)
+    r_prime = c.free + searcher.run(c.counts, sum(c.counts.values()) // 2)[0]
+    if gadget.x is None:
+        r = r_prime
+    else:
+        r = c.plain_free + searcher.run(c.plain, sum(c.plain.values()) // 2)[0]
     holds = r_prime == r + gadget.x_outdegree
     return EquivalenceReport(r, r_prime, gadget.x_outdegree, holds, gadget.d_prime)
 

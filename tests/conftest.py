@@ -661,15 +661,15 @@ def reference_reduction(g: MultiGraph, k: int) -> ExpansionMap:
     return ExpansionMap(g, MultiGraph(g.vertex_count, kept + tuple(merged)), expansions)
 
 
-def seeded_load(workload: str):
-    """The specs of a benchmark workload at its default seed, from
-    perfbench/workloads.py."""
+def seeded_load(workload: str, seed: int | None = None):
+    """The specs of a benchmark workload at `seed`, by default the
+    workload's default seed, from perfbench/workloads.py."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         from workloads import DEFAULT_SEED, generate
     finally:
         sys.path.pop(0)
-    return generate(workload, DEFAULT_SEED)
+    return generate(workload, DEFAULT_SEED if seed is None else seed)
 
 
 def random_small_graphs(seed: int, trials: int, max_n=5, max_m=7, max_w=2):

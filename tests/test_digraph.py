@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import kpostman.cycles
+import kpostman.digraph
 from kpostman.cycles import PackingSearch
 from kpostman.digraph import (
     DiGraph,
@@ -190,6 +191,79 @@ def test_equivalence_on_ring_with_parallel_arcs():
     d = DiGraph.from_arcs(10, [(v, v % 10 + 1, 1) for v in range(1, 11) for _ in range(4)])
     rep = verify_packing_equivalence(d)
     assert (rep.r, rep.r_prime, rep.x_outdegree, rep.holds) == (4, 4, 0, True)
+
+
+def test_packing_peels_arcs_on_no_cycle():
+    # every arc of an acyclic digraph is peeled before the search, so the
+    # 1024-arc out-star and a 2000-arc DAG cost no state and no recursion
+    star = DiGraph.from_arcs(1025, [(1, v, 1) for v in range(2, 1026)])
+    rng = random.Random(5)
+    pairs = [tuple(sorted(rng.sample(range(1, 301), 2))) for _ in range(2000)]
+    dag = DiGraph.from_arcs(300, [(t, h, 1) for t, h in pairs])
+    assert max_arc_disjoint_cycles(star) == max_arc_disjoint_cycles(dag) == 0
+    # a source's arc into a cycle and a sink's arc out of it are peeled too
+    d = DiGraph.from_arcs(5, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1), (3, 5, 1)])
+    assert max_arc_disjoint_cycles(d) == 1
+
+
+def _gadget_digraphs():
+    """The gadget load of seeds 1 and 7, then 2400 seeded random digraphs
+    with parallel arcs, 2-cycles, sources and sinks."""
+    for seed in (1, 7):
+        for spec in seeded_load("gadget", seed):
+            yield DiGraph.from_arcs(spec.n, spec.triples)
+    rng = random.Random(38)
+    for _ in range(2400):
+        yield random_digraph(rng, rng.randint(2, 6), rng.randint(0, 12))
+
+
+def test_equivalence_numbers_match_separate_packings():
+    # r and r' come from one search of d'; each must be the packing number
+    # of d and of d' on its own
+    seen = {"x_out=1, x inner": 0, "parallel": 0, "2-cycle": 0, "source or sink": 0}
+    for d in _gadget_digraphs():
+        rep = verify_packing_equivalence(d)
+        assert (rep.r, rep.r_prime) == (
+            max_arc_disjoint_cycles(d),
+            max_arc_disjoint_cycles(rep.d_prime),
+        ), d.arcs
+        pairs = [(a.tail, a.head) for a in d.arcs]
+        seen["x_out=1, x inner"] += rep.x_outdegree == 1
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["2-cycle"] += any((h, t) in pairs for t, h in pairs)
+        seen["source or sink"] += any(not d.outdegree(v) or not d.indegree(v) for v in d.steps)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_equivalence_searches_d_prime_once(monkeypatch):
+    # one searcher per check; the run for r over the gadget-free slots only
+    # reads the memo that the run for r' left
+    built: list[PackingSearch] = []
+    growth: list[tuple[int, int]] = []
+
+    class Recorded(PackingSearch):
+        def __init__(self, base):
+            super().__init__(base)
+            built.append(self)
+
+        def run(self, counts, target):
+            before = len(self.memo), self.listed
+            try:
+                return super().run(counts, target)
+            finally:
+                growth.append((len(self.memo) - before[0], self.listed - before[1]))
+
+    monkeypatch.setattr(kpostman.digraph, "PackingSearch", Recorded)
+    runs = []
+    for spec in seeded_load("gadget"):
+        built.clear()
+        growth.clear()
+        rep = verify_packing_equivalence(DiGraph.from_arcs(spec.n, spec.triples))
+        # a balanced d is d' and is searched once
+        assert len(built) == 1 and len(growth) == 1 + (rep.x_outdegree > 0), spec
+        assert growth[1:] in ([], [(0, 0)]), spec
+        runs.append(len(growth))
+    assert runs.count(1) >= 100 and runs.count(2) >= 400
 
 
 def test_rejects_self_loop():
