@@ -195,16 +195,19 @@ def _peel(
     return steps, {v: into[v] for v in steps}
 
 
-def _contract(d: DiGraph, last: int) -> _Contracted:
+def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
     """d peeled (_peel) and contracted for the packing search, the arcs
     with ids above `last` counted as gadget arcs; see
     max_arc_disjoint_cycles.  A contracted arc that holds a gadget arc folds
-    only with arcs of its kind.  Its slot is keyed below every arc id, in
-    descending order of its largest arc id, so the gadget slots come first
-    in the search."""
+    only with arcs of its kind.  Its slot is keyed below every arc id, so
+    the gadget slots come first in the search: those into the gadget vertex
+    x first, then the rest, each group in descending order of its largest
+    arc id."""
     steps, into = _peel(d.steps, d.indegrees)
     inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
-    below = last + min((a.id for a in d.arcs), default=0) - 1
+    ids = [a.id for a in d.arcs]
+    below = last + min(ids, default=0) - 1
+    into_x = max(ids, default=0) - last  # at least the span of the gadget ids
     free = [0, 0]  # per kind: without, with a gadget arc
     counts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     ends: dict[int, tuple[int, int]] = {}
@@ -226,7 +229,7 @@ def _contract(d: DiGraph, last: int) -> _Contracted:
             elif head in slots[kind]:
                 counts[kind][slots[kind][head]] += 1
             else:
-                key = below - top if kind else aid
+                key = below - top - (into_x if head == x else 0) if kind else aid
                 slots[kind][head] = key
                 counts[kind][key] = 1
                 ends[key] = (v, head)
@@ -266,7 +269,7 @@ def max_arc_disjoint_cycles(d: DiGraph) -> int:
     past its state budget, cycles.MAX_PACKING_STATES, counted on the
     folded digraph.  verify_packing_equivalence runs the same contraction
     on d', where it also marks the gadget arcs."""
-    c = _contract(d, max((a.id for a in d.arcs), default=0))
+    c = _contract(d, max((a.id for a in d.arcs), default=0), None)
     return c.free + PackingSearch(c).run(c.counts, sum(c.counts.values()) // 2)[0]
 
 
@@ -288,7 +291,7 @@ def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
     balanced, so the peel leaves it whole.  The report carries the
     uncontracted d' for the caller to write out."""
     gadget = build_balanced_extension(d)
-    c = _contract(gadget.d_prime, max((a.id for a in d.arcs), default=0))
+    c = _contract(gadget.d_prime, max((a.id for a in d.arcs), default=0), gadget.x)
     searcher = PackingSearch(c)
     r_prime = c.free + searcher.run(c.counts, sum(c.counts.values()) // 2)[0]
     if gadget.x is None:
