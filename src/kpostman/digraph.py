@@ -199,17 +199,19 @@ def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
     """d peeled (_peel) and contracted for the packing search, the arcs
     with ids above `last` counted as gadget arcs; see
     max_arc_disjoint_cycles.  A contracted arc that holds a gadget arc folds
-    only with arcs of its kind.  Its slot is keyed below every arc id, so
-    the gadget slots come first in the search: those into the gadget vertex
-    x first, then the rest, each group in descending order of its largest
-    arc id."""
+    only with arcs of its kind.  The slots are keyed by their rank in the
+    search: the gadget slots into the gadget vertex x first, then the other
+    gadget slots, then the rest, each group the fewest copies first.  Gadget
+    slots first make the search of d a part of the search of d'; the rest
+    of the order is a heuristic that kept every random digraph of 5 to 8
+    vertices and 24 to 36 arcs that two separate searches of d and d'
+    answered inside the state budget, which the gadget slots in arc id
+    order did not."""
     steps, into = _peel(d.steps, d.indegrees)
     inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
-    ids = [a.id for a in d.arcs]
-    below = last + min(ids, default=0) - 1
-    into_x = max(ids, default=0) - last  # at least the span of the gadget ids
     free = [0, 0]  # per kind: without, with a gadget arc
-    counts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    copies: dict[int, int] = {}  # per slot, keyed by its first arc's id
+    gadget: set[int] = set()
     ends: dict[int, tuple[int, int]] = {}
     contracted: dict[int, tuple[tuple[int, int], ...]] = {}
     # the outer vertices are listed first, since the walks empty `inner`
@@ -227,13 +229,14 @@ def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
             if head == v:
                 free[kind] += 1
             elif head in slots[kind]:
-                counts[kind][slots[kind][head]] += 1
+                copies[slots[kind][head]] += 1
             else:
-                key = below - top - (into_x if head == x else 0) if kind else aid
-                slots[kind][head] = key
-                counts[kind][key] = 1
-                ends[key] = (v, head)
-                out.append((key, head))
+                slots[kind][head] = aid
+                copies[aid] = 1
+                ends[aid] = (v, head)
+                out.append((aid, head))
+                if kind:
+                    gadget.add(aid)
         contracted[v] = tuple(out)
     # no path from an outer vertex reached what is left: cycles of inner vertices
     while inner:
@@ -243,8 +246,16 @@ def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
             inner.remove(head)
             top = max(top, steps[head][0][0])
         free[top > last] += 1
-    plain, gadget = counts
-    return _Contracted(ends, contracted, {**gadget, **plain}, sum(free), plain, free[0])
+    ranked = sorted(copies, key=lambda k: (k not in gadget, ends[k][1] != x, copies[k], k))
+    key = {k: i for i, k in enumerate(ranked)}
+    return _Contracted(
+        {key[k]: ends[k] for k in ranked},
+        {v: tuple((key[k], h) for k, h in out) for v, out in contracted.items()},
+        {key[k]: copies[k] for k in ranked},
+        sum(free),
+        {key[k]: copies[k] for k in ranked if k not in gadget},
+        free[0],
+    )
 
 
 def max_arc_disjoint_cycles(d: DiGraph) -> int:

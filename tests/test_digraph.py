@@ -268,8 +268,8 @@ def test_equivalence_searches_d_prime_once(monkeypatch):
 
 def test_equivalence_branches_on_slots_into_x_first():
     # every cycle through x enters it once; with the slots into x first this
-    # d' takes about 28,000 packing states, and with the gadget slots in id
-    # order alone it runs past the state budget
+    # d' takes about 33,000 packing states, and with the gadget slots in arc
+    # id order it runs past the state budget
     d = random_digraph(random.Random(27), 6, 30)
     rep = verify_packing_equivalence(d)
     assert (rep.r, rep.r_prime, rep.x_outdegree, rep.holds) == (7, 16, 9, True)
