@@ -145,8 +145,9 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
 class _Contracted(NamedTuple):
     """A digraph with its acyclic arcs peeled, its chains contracted and its
     parallel arcs folded, as PackingSearch reads it: one slot per tail,
-    head and kind, the count of its copies going to the search, and the
-    cycles that meet no other cycle counted apart.  A slot's kind says
+    head and kind, keyed by its rank in the search, the count of its copies
+    going to the search, and the cycles that meet no other cycle counted
+    apart.  A slot's kind says
     whether it holds an arc above the routine's `last` id (a gadget arc);
     `counts` and `free` cover every slot, `plain` and `plain_free` those
     without gadget arcs.  Built by hand, not as a DiGraph: the arc checks
@@ -219,13 +220,11 @@ def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
         out = []
         slots: tuple[dict[int, int], dict[int, int]] = ({}, {})  # head -> slot, per kind
         for aid, head in steps[v]:
-            top = aid  # the path's largest arc id, a gadget arc's if it holds one
+            kind = aid > last  # the path holds a gadget arc
             while head in inner:
                 inner.remove(head)
                 a, head = steps[head][0]
-                if a > top:
-                    top = a
-            kind = top > last
+                kind |= a > last
             if head == v:
                 free[kind] += 1
             elif head in slots[kind]:
@@ -241,11 +240,11 @@ def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
     # no path from an outer vertex reached what is left: cycles of inner vertices
     while inner:
         v = head = inner.pop()
-        top = steps[v][0][0]
+        kind = steps[v][0][0] > last
         while (head := steps[head][0][1]) != v:
             inner.remove(head)
-            top = max(top, steps[head][0][0])
-        free[top > last] += 1
+            kind |= steps[head][0][0] > last
+        free[kind] += 1
     ranked = sorted(copies, key=lambda k: (k not in gadget, ends[k][1] != x, copies[k], k))
     key = {k: i for i, k in enumerate(ranked)}
     return _Contracted(
@@ -273,8 +272,7 @@ def max_arc_disjoint_cycles(d: DiGraph) -> int:
     on its own tail, and a cycle of inner vertices only, is a cycle that no
     other cycle meets: each counts once, outside the search.  The rest is
     the packing search, with the contracted arcs from one tail to one head
-    folded into one slot (keyed by the first arc's id) that holds a copy
-    per arc.  A simple cycle leaves each vertex once, so it uses at most
+    folded into one slot that holds a copy per arc.  A simple cycle leaves each vertex once, so it uses at most
     one arc of such a group, and the arc-disjoint packings are exactly the
     packings within these copies.  The search raises SearchBudgetExceeded
     past its state budget, cycles.MAX_PACKING_STATES, counted on the
