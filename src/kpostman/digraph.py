@@ -147,12 +147,11 @@ class _Contracted(NamedTuple):
     parallel arcs folded, as PackingSearch reads it: one slot per tail,
     head and kind, keyed by its rank in the search, the count of its copies
     going to the search, and the cycles that meet no other cycle counted
-    apart.  A slot's kind says
-    whether it holds an arc above the routine's `last` id (a gadget arc);
-    `counts` and `free` cover every slot, `plain` and `plain_free` those
-    without gadget arcs.  Built by hand, not as a DiGraph: the arc checks
-    and cached maps of a DiGraph cost a gadget check about a tenth of its
-    time."""
+    apart.  A slot's kind says whether it holds an arc above the routine's
+    `last` id (a gadget arc); `counts` and `free` cover every slot, `plain`
+    and `plain_free` those without gadget arcs.  Built by hand, not as a
+    DiGraph: the arc checks and cached maps of a DiGraph cost a gadget
+    check about a tenth of its time."""
 
     ends: dict[int, tuple[int, int]]
     steps: dict[int, tuple[tuple[int, int], ...]]
@@ -272,12 +271,13 @@ def max_arc_disjoint_cycles(d: DiGraph) -> int:
     on its own tail, and a cycle of inner vertices only, is a cycle that no
     other cycle meets: each counts once, outside the search.  The rest is
     the packing search, with the contracted arcs from one tail to one head
-    folded into one slot that holds a copy per arc.  A simple cycle leaves each vertex once, so it uses at most
-    one arc of such a group, and the arc-disjoint packings are exactly the
-    packings within these copies.  The search raises SearchBudgetExceeded
-    past its state budget, cycles.MAX_PACKING_STATES, counted on the
-    folded digraph.  verify_packing_equivalence runs the same contraction
-    on d', where it also marks the gadget arcs."""
+    folded into one slot that holds a copy per arc.  A simple cycle leaves
+    each vertex once, so it uses at most one arc of such a group, and the
+    arc-disjoint packings are exactly the packings within these copies.
+    The search raises SearchBudgetExceeded past its state budget,
+    cycles.MAX_PACKING_STATES, counted on the folded digraph.
+    verify_packing_equivalence runs the same contraction on d', where it
+    also marks the gadget arcs."""
     c = _contract(d, max((a.id for a in d.arcs), default=0), None)
     return c.free + PackingSearch(c).run(c.counts, sum(c.counts.values()) // 2)[0]
 
