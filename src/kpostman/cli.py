@@ -37,7 +37,7 @@ from .graph import (
     serialize_instance,
     serialize_solution,
 )
-from .kernel import Reduced, Solved, kernel_report, kernelize
+from .kernel import kernel_report, kernelize
 from .solve import oracle_kcpp, solve_kcpp
 
 
@@ -91,11 +91,10 @@ def _cmd_kernelize(args) -> int:
     outcome = kernelize(inst.graph, inst.k)
     for line in kernel_report(inst.graph, outcome).lines():
         print(f"# {line}")
-    if isinstance(outcome, Solved):
-        _write_output(args.output, serialize_solution(outcome.solution))
-        print(f"# solved=packing weight={outcome.solution.total_weight}")
+    if isinstance(outcome, Solution):
+        _write_output(args.output, serialize_solution(outcome))
+        print(f"# solved=packing weight={outcome.total_weight}")
         return 0
-    assert isinstance(outcome, Reduced)
     em = outcome.expansion
     kernel = em.kernel
     body = serialize_instance(Instance(kernel, outcome.k, inst.p))

@@ -1,16 +1,16 @@
 """Directed multigraphs, the balancing-vertex gadget, and arc-disjoint
 cycle packing through the shared packing search.
 
-The packing search runs on the digraph with its acyclic arcs peeled and
-its chains contracted.  The arcs of each vertex with no arc in or no arc
-out lie on no cycle and go first, again and again, which empties an
-acyclic digraph.  Then each maximal directed path through inner vertices
-(one arc in, one arc out, such as the gadget's midpoints) becomes one arc,
-the directed form of the undirected chain reduction.  Contracted arcs with
-the same tail and head share one slot of the search, with a copy per arc.
-The gadget check contracts d' alone, its gadget arcs marked, and one
-searcher with one state budget answers the packing numbers of d and of
-d'."""
+The packing search runs on the digraph with its arcs on no cycle dropped
+and its chains contracted.  An arc lies on a cycle exactly when its ends
+share a strong component, so one strong-component pass drops the rest
+first, which empties an acyclic digraph.  Then each maximal directed path
+through inner vertices (one arc in, one arc out, such as the gadget's
+midpoints) becomes one arc, the directed form of the undirected chain
+reduction.  Contracted arcs with the same tail and head share one slot of
+the search, with a copy per arc.  The gadget check contracts d' alone, its
+gadget arcs marked, and one searcher with one state budget answers the
+packing numbers of d and of d'."""
 
 from __future__ import annotations
 
@@ -97,7 +97,6 @@ class GadgetResult:
     d_prime: DiGraph
     x: int | None
     x_outdegree: int
-    path_midpoints: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -116,19 +115,17 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
     connected."""
     surplus = {v: d.outdegree(v) - d.indegree(v) for v in d.steps}
     if all(s == 0 for s in surplus.values()):
-        return GadgetResult(d, None, 0, frozenset())
+        return GadgetResult(d, None, 0)
     x = d.vertex_count + 1
     next_vertex = x + 1
     next_arc = max((a.id for a in d.arcs), default=0) + 1
     arcs = list(d.arcs)
-    midpoints: list[int] = []
     x_out = 0
     for v in sorted(surplus):
         s = surplus[v]
         for _ in range(abs(s)):
             mid = next_vertex
             next_vertex += 1
-            midpoints.append(mid)
             if s > 0:
                 arcs.append(Arc(next_arc, x, mid, 1))
                 arcs.append(Arc(next_arc + 1, mid, v, 1))
@@ -139,15 +136,15 @@ def build_balanced_extension(d: DiGraph) -> GadgetResult:
             next_arc += 2
     d_prime = DiGraph(next_vertex - 1, tuple(arcs))
     assert d_prime.is_balanced()
-    return GadgetResult(d_prime, x, x_out, frozenset(midpoints))
+    return GadgetResult(d_prime, x, x_out)
 
 
 class _Contracted(NamedTuple):
-    """A digraph with its acyclic arcs peeled, its chains contracted and its
-    parallel arcs folded, as PackingSearch reads it: one slot per tail,
-    head and kind, keyed by its rank in the search, the count of its copies
-    going to the search, and the cycles that meet no other cycle counted
-    apart.  A slot's kind says whether it holds an arc above the routine's
+    """A digraph with its arcs on no cycle dropped, its chains contracted
+    and its parallel arcs folded, as PackingSearch reads it: one slot per
+    tail, head and kind, keyed by its rank in the search, the count of its
+    copies going to the search, and the cycles that meet no other cycle
+    counted apart.  A slot's kind says whether it holds an arc above the routine's
     `last` id (a gadget arc); `counts` and `free` cover every slot, `plain`
     and `plain_free` those without gadget arcs.  Built by hand, not as a
     DiGraph: the arc checks and cached maps of a DiGraph cost a gadget
@@ -161,43 +158,57 @@ class _Contracted(NamedTuple):
     plain_free: int
 
 
-def _peel(
+def _strong(
     steps: dict[int, tuple[tuple[int, int], ...]], into: dict[int, int]
 ) -> tuple[dict[int, tuple[tuple[int, int], ...]], dict[int, int]]:
-    """steps and indegrees less every vertex with no arc in or no arc out,
-    and its arcs, peeled until none is left.  No such arc lies on a cycle,
-    and an acyclic digraph is left empty; a balanced one is returned as it
-    is."""
-    stack = [v for v, s in steps.items() if not s or not into[v]]
-    if not stack:
+    """steps and indegrees of the arcs that lie on a cycle: those whose
+    ends share a strong component, found by one iterative pass of Tarjan's
+    algorithm (1972).  A vertex left without an arc goes, so an acyclic
+    digraph is left empty.  Every weak component of a balanced digraph is
+    strong, so a balanced one is returned as it is, with no pass."""
+    if all(len(s) == into[v] for v, s in steps.items()):
         return steps, into
-    out = {v: len(s) for v, s in steps.items()}
-    into = dict(into)
-    tails: dict[int, list[int]] = {v: [] for v in steps}
-    for v, s in steps.items():
-        for _, head in s:
-            tails[head].append(v)
-    dead: set[int] = set()
-    while stack:
-        v = stack.pop()
-        if v in dead:
+    index: dict[int, int] = {}  # DFS order
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}  # vertex -> its component's root
+    stack: list[int] = []  # visited vertices not yet in a component
+    for root in steps:
+        if root in index:
             continue
-        dead.add(v)
-        for _, head in steps[v]:
-            into[head] -= 1
-            if not into[head]:
-                stack.append(head)
-        for tail in tails[v]:
-            out[tail] -= 1
-            if not out[tail]:
-                stack.append(tail)
-    steps = {v: tuple(st for st in s if st[1] not in dead) for v, s in steps.items() if v not in dead}
-    return steps, {v: into[v] for v in steps}
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(steps[root]))]
+        while work:
+            v, it = work[-1]
+            for _, head in it:
+                if head not in index:
+                    index[head] = low[head] = len(index)
+                    stack.append(head)
+                    work.append((head, iter(steps[head])))
+                    break
+                if head not in comp:  # on the stack
+                    low[v] = min(low[v], index[head])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while (w := stack.pop()) != v:
+                        comp[w] = v
+                    comp[v] = v
+    kept = {v: tuple(st for st in s if comp[st[1]] == comp[v]) for v, s in steps.items()}
+    steps = {v: s for v, s in kept.items() if s}
+    into = dict.fromkeys(steps, 0)
+    for s in steps.values():
+        for _, head in s:
+            into[head] += 1
+    return steps, into
 
 
 def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
-    """d peeled (_peel) and contracted for the packing search, the arcs
-    with ids above `last` counted as gadget arcs; see
+    """d less its arcs on no cycle (_strong), contracted for the packing
+    search, the arcs with ids above `last` counted as gadget arcs; see
     max_arc_disjoint_cycles.  A contracted arc that holds a gadget arc folds
     only with arcs of its kind.  The slots are keyed by their rank in the
     search: the gadget slots into the gadget vertex x first, then the other
@@ -207,7 +218,7 @@ def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
     vertices and 24 to 36 arcs that two separate searches of d and d'
     answered inside the state budget, which the gadget slots in arc id
     order did not."""
-    steps, into = _peel(d.steps, d.indegrees)
+    steps, into = _strong(d.steps, d.indegrees)
     inner = {v for v, out in steps.items() if len(out) == 1 and into[v] == 1}
     free = [0, 0]  # per kind: without, with a gadget arc
     copies: dict[int, int] = {}  # per slot, keyed by its first arc's id
@@ -259,15 +270,15 @@ def _contract(d: DiGraph, last: int, x: int | None) -> _Contracted:
 def max_arc_disjoint_cycles(d: DiGraph) -> int:
     """Exact maximum number of pairwise arc-disjoint directed cycles.
 
-    An arc out of a vertex with no arc in, or into a vertex with no arc
-    out, lies on no cycle: such arcs are peeled, again and again, before
-    anything else, which leaves an acyclic digraph empty.  An inner vertex
-    has exactly one arc in and one arc out, so a directed cycle through
-    either of its arcs passes the vertex and uses both.  A cycle therefore
-    takes all or none of the arcs of each maximal path through inner
-    vertices, and contracting every such path into one arc maps the
-    directed cycles of d one to one onto those of the contracted digraph,
-    arc-disjoint packings onto arc-disjoint packings.  A path that closes
+    An arc whose ends lie in different strong components lies on no
+    cycle: such arcs are dropped before anything else, which leaves an
+    acyclic digraph empty.  An inner vertex has exactly one arc in and one
+    arc out, so a directed cycle through either of its arcs passes the
+    vertex and uses both.  A cycle therefore takes all or none of the arcs
+    of each maximal path through inner vertices, and contracting every
+    such path into one arc maps the directed cycles of d one to one onto
+    those of the contracted digraph, arc-disjoint packings onto
+    arc-disjoint packings.  A path that closes
     on its own tail, and a cycle of inner vertices only, is a cycle that no
     other cycle meets: each counts once, outside the search.  The rest is
     the packing search, with the contracted arcs from one tail to one head
@@ -297,8 +308,8 @@ def verify_packing_equivalence(d: DiGraph) -> EquivalenceReport:
     before it takes any cycle through it, so that search has already
     searched the gadget-free slots on their own, and the run for r over
     them only reads its memo.  A balanced d is d', searched once.  d' is
-    balanced, so the peel leaves it whole.  The report carries the
-    uncontracted d' for the caller to write out."""
+    balanced, so every arc of it lies on a cycle and none is dropped.  The
+    report carries the uncontracted d' for the caller to write out."""
     gadget = build_balanced_extension(d)
     c = _contract(gadget.d_prime, max((a.id for a in d.arcs), default=0), gadget.x)
     searcher = PackingSearch(c)

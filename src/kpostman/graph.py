@@ -159,20 +159,11 @@ class MultiGraph:
     def degree(self, vertex: int) -> int:
         return len(self.adjacency.get(vertex, ()))
 
-    def vertices(self) -> range:
-        return range(1, self.vertex_count + 1)
-
     def total_weight(self) -> int:
         return sum(map(itemgetter(3), self.edges))
 
     def max_edge_id(self) -> int:
         return max(map(itemgetter(0), self.edges), default=0)
-
-    def min_weight(self) -> int:
-        """Smallest edge weight; graphs queried here always carry an edge."""
-        if not self.edges:
-            raise GraphError("graph has no edges")
-        return min(map(itemgetter(3), self.edges))
 
     def min_weight_edge(self) -> Edge:
         """Lowest-id edge attaining the minimum weight (deterministic choice)."""
@@ -661,23 +652,6 @@ def _record(
     return tag, values
 
 
-def _records(
-    text: str | bytes, tags: tuple[str, ...], fmt: str | None = None
-) -> Iterator[tuple[int, str, list[int]]]:
-    """Yield (line number, tag, integer fields) for each record line.
-
-    The text must be ASCII.  Each line goes through _record, which skips
-    blank and comment lines and raises ParseError on the rest of the
-    per-line faults.
-    """
-    text = ascii_text(text)
-    signs = "+" in text or "_" in text
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        rec = _record(lineno, raw, raw.split(), tags, fmt, signs)
-        if rec is not None:
-            yield lineno, *rec
-
-
 def read_triples(
     text: str | bytes, fmt: str, tag: str, header_sizes: tuple[int, ...]
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -765,12 +739,14 @@ def parse_instance(text: str | bytes) -> Instance:
 
 def checked_instance(g: MultiGraph, k: int, p: int | None = None) -> Instance:
     """Instance(g, k, p) once k >= 1, p >= 0 and 2k+2 traversals of every
-    edge fit in a 64-bit total; raises ParseError otherwise."""
+    edge fit in a 64-bit total, each edge counted as weighing at least 1
+    (so that k stays within 64 bits on zero weights too); raises
+    ParseError otherwise."""
     if k < 1:
         raise ParseError(f"k must be >= 1, got {k}")
     if p is not None and p < 0:
         raise ParseError(f"budget p must be >= 0, got {p}")
-    max_w = max((e.weight for e in g.edges), default=0)
+    max_w = max((e.weight for e in g.edges), default=0) or 1
     if len(g.edges) * max_w * (2 * k + 2) > MAX_TOTAL_WEIGHT:
         raise ParseError("instance weights may overflow 64-bit totals")
     return Instance(g, k, p)
@@ -793,11 +769,18 @@ def serialize_solution(s: Solution) -> str:
 
 
 def parse_solution(text: str | bytes) -> Solution:
-    """Parse the solution format written by serialize_solution."""
+    """Parse the solution format written by serialize_solution; each line
+    goes through _record, as in read_triples."""
+    text = ascii_text(text)
+    signs = "+" in text or "_" in text
     total: int | None = None
     k: int | None = None
     walks: list[Walk] = []
-    for lineno, tag, numbers in _records(text, ("s", "w")):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        rec = _record(lineno, raw, raw.split(), ("s", "w"), None, signs)
+        if rec is None:
+            continue
+        tag, numbers = rec
         if tag == "s":
             if total is not None:
                 raise ParseError(f"line {lineno}: duplicate solution header")

@@ -253,12 +253,6 @@ class KernelReport:
 
 
 @dataclass(frozen=True)
-class Solved:
-    solution: Solution
-    cpp_weight: int
-
-
-@dataclass(frozen=True)
 class Reduced:
     expansion: ExpansionMap
     k: int
@@ -269,19 +263,20 @@ class Reduced:
         return self.expansion.kernel
 
 
-KernelOutcome = Solved | Reduced
+KernelOutcome = Solution | Reduced
 
 
 def kernelize(g: MultiGraph, k: int) -> KernelOutcome:
-    """Run the pipeline: the packing shortcut, at the single-walk optimum;
-    if it does not fire, return the chain-reduced instance
-    (apply_reduction_rule) with its expansion map for the exact search."""
+    """Run the pipeline: the packing shortcut's Solution, whose total is
+    the single-walk optimum; if it does not fire, the chain-reduced
+    instance (apply_reduction_rule) with its expansion map for the exact
+    search."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     cpp = solve_cpp(g)  # raises for a graph without edges or not connected
     sol = packing_shortcut(g, k, cpp=cpp)
     if sol is not None:
-        return Solved(sol, cpp.weight)
+        return sol
     return Reduced(apply_reduction_rule(g, k), k, cpp.weight)
 
 
@@ -289,8 +284,8 @@ def kernel_report(g: MultiGraph, outcome: KernelOutcome) -> KernelReport:
     """Measure what kernelize(g, k) returned: g itself when the shortcut
     solved it, the kernel when it reduced g.  h_edges and max_parallel are
     reported only for a kernel that is not a bare cycle."""
-    if isinstance(outcome, Solved):
-        measured, k, fired = g, len(outcome.solution.walks), "packing"
+    if isinstance(outcome, Solution):
+        measured, k, fired = g, len(outcome.walks), "packing"
     else:
         measured, k, fired = outcome.kernel, outcome.k, None
     chains = find_chains(measured)

@@ -57,7 +57,7 @@ from .graph import (
     _find,
     is_connected,
 )
-from .kernel import KernelReport, Reduced, Solved, kernelize, lift_solution
+from .kernel import KernelReport, kernelize, lift_solution
 from .walks import split_into_k_walks
 
 # even duplication sets one kernel search may visit.  Of the seeded
@@ -235,16 +235,15 @@ def solve_kcpp(g: MultiGraph, k: int, p: int | None = None) -> KcppResult:
     With a budget p the result also carries the decision weight <= p.
     """
     outcome = kernelize(g, k)
-    if isinstance(outcome, Solved):
-        sol = outcome.solution
-        method = "packing"
+    if isinstance(outcome, Solution):
+        # the split certifies the shortcut's total as the single-walk optimum
+        sol, cpp_weight, method = outcome, outcome.total_weight, "packing"
     else:
-        assert isinstance(outcome, Reduced)
         kernel_solution = solve_kcpp_exact(outcome.kernel, k)
         sol = lift_solution(outcome.expansion, kernel_solution)
-        method = "kernel"
+        cpp_weight, method = outcome.cpp_weight, "kernel"
     decision = None if p is None else sol.total_weight <= p
-    return KcppResult(sol, sol.total_weight, outcome.cpp_weight, method, decision, None)
+    return KcppResult(sol, sol.total_weight, cpp_weight, method, decision, None)
 
 
 def oracle_kcpp(g: MultiGraph, k: int) -> int:

@@ -120,7 +120,7 @@ def bfs_connected(g: MultiGraph) -> bool:
 
 
 def odd_by_degree(g: MultiGraph) -> frozenset[int]:
-    return frozenset(v for v in g.vertices() if g.degree(v) % 2 == 1)
+    return frozenset(v for v in g.adjacency if g.degree(v) % 2 == 1)
 
 
 def cpp_enumeration_minimum(g: MultiGraph) -> int:
@@ -129,7 +129,7 @@ def cpp_enumeration_minimum(g: MultiGraph) -> int:
     best = None
     for picks in product((1, 2), repeat=len(edges)):
         ok = True
-        for v in g.vertices():
+        for v in g.adjacency:
             deg = sum(c for e, c in zip(edges, picks) if v in (e.u, e.v))
             if deg % 2 != 0:
                 ok = False
@@ -151,7 +151,7 @@ def join_enumeration_minimum(g: MultiGraph, t: frozenset[int]) -> int:
         for combo in combinations(ids, size):
             chosen = set(combo)
             odd = set()
-            for v in g.vertices():
+            for v in g.adjacency:
                 d = sum(1 for e in g.adjacency.get(v, ()) if e.id in chosen)
                 if d % 2 == 1:
                     odd.add(v)
@@ -207,7 +207,7 @@ def chain_union_minimum(g: MultiGraph, k: int) -> int:
     missing cycle paid as one pair, until no heavier union can win."""
     chains = sorted(g.chains, key=lambda c: c.edges[0])
     odd = 0  # bit v: vertex v has odd degree
-    for v in g.vertices():
+    for v in g.adjacency:
         odd |= (g.degree(v) & 1) << v
     flips, weights = [0], [0]  # per union of the first chains: its parity flips and weight
     for c in chains:
@@ -215,7 +215,7 @@ def chain_union_minimum(g: MultiGraph, k: int) -> int:
         flips += [f ^ flip for f in flips]
         weights += [w + c.weight for w in weights]
     unions = sorted((w, mask) for mask, (f, w) in enumerate(zip(flips, weights)) if f == odd)
-    base, mu = g.total_weight(), g.min_weight()
+    base, mu = g.total_weight(), g.min_weight_edge().weight
     searcher = PackingSearch(g)
     best = None
     for w, mask in unions:
@@ -247,7 +247,7 @@ def even_degrees(m) -> bool:
     Multiplicities m, counted vertex by vertex."""
     return all(
         sum(m.counts.get(e.id, 0) for e in m.base.adjacency.get(v, ())) % 2 == 0
-        for v in m.base.vertices()
+        for v in m.base.adjacency
     )
 
 

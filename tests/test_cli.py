@@ -368,8 +368,9 @@ def test_gen_refuses_what_the_parsers_refuse(argv, tmp_path, capsys):
     [
         (TRIANGLE, ["--p", "-1"]),
         (f"p kcpp 3 3 1\ne 1 2 {2**40}\ne 2 3 {2**40}\ne 3 1 {2**40}\n", ["--k", "4194304"]),
+        ("p kcpp 3 3 1\ne 1 2 0\ne 2 3 0\ne 3 1 0\n", ["--k", str(10**21)]),
     ],
-    ids=["p-negative", "k-overflows-totals"],
+    ids=["p-negative", "k-overflows-totals", "k-overflows-zero-weights"],
 )
 def test_overrides_refuse_what_the_header_refuses(text, flags, tmp_path, capsys):
     f = tmp_path / "in.kcpp"

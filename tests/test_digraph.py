@@ -30,7 +30,7 @@ def test_single_arc_gadget():
     res = build_balanced_extension(d)
     assert res.x == 3
     assert res.x_outdegree == 1
-    assert len(res.path_midpoints) == 2
+    assert res.d_prime.vertex_count - res.x == 2  # the midpoints, above x
     assert res.d_prime.is_balanced()
 
 
@@ -52,7 +52,7 @@ def test_directed_path_gadget():
 def test_midpoints_have_in_and_out_degree_one():
     d = DiGraph.from_arcs(3, [(1, 2, 1), (1, 3, 1)])
     res = build_balanced_extension(d)
-    for mid in res.path_midpoints:
+    for mid in range(res.x + 1, res.d_prime.vertex_count + 1):
         assert res.d_prime.outdegree(mid) == 1
         assert res.d_prime.indegree(mid) == 1
 
@@ -194,7 +194,7 @@ def test_equivalence_on_ring_with_parallel_arcs():
 
 
 def test_packing_peels_arcs_on_no_cycle():
-    # every arc of an acyclic digraph is peeled before the search, so the
+    # every arc of an acyclic digraph is dropped before the search, so the
     # 1024-arc out-star and a 2000-arc DAG cost no state and no recursion
     star = DiGraph.from_arcs(1025, [(1, v, 1) for v in range(2, 1026)])
     rng = random.Random(5)
@@ -204,6 +204,30 @@ def test_packing_peels_arcs_on_no_cycle():
     # a source's arc into a cycle and a sink's arc out of it are peeled too
     d = DiGraph.from_arcs(5, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1), (3, 5, 1)])
     assert max_arc_disjoint_cycles(d) == 1
+
+
+def test_packing_drops_arcs_between_strong_components(monkeypatch):
+    # two random digraphs on 4 vertices each, joined by arcs from the first
+    # to the second, against the independent cycle enumeration
+    rng = random.Random(39)
+    for _ in range(100):
+        first, second = random_digraph(rng, 4, 6), random_digraph(rng, 4, 6)
+        arcs = [(a.tail, a.head, 1) for a in first.arcs]
+        arcs += [(a.tail + 4, a.head + 4, 1) for a in second.arcs]
+        arcs += [(rng.randint(1, 4), rng.randint(5, 8), 1) for _ in range(4)]
+        d = DiGraph.from_arcs(8, arcs)
+        ones = {a.id: 1 for a in d.arcs}
+        want = max_disjoint_from_list(all_directed_cycles(d), ones)
+        assert max_arc_disjoint_cycles(d) == want, arcs
+    # two directed 40-rings joined by all 1600 arcs from the first to the
+    # second: no vertex is a source or a sink, yet only the rings' arcs lie
+    # on a cycle, so the rings are two cycles of inner vertices and the
+    # search gets no slot (with a slot per joining arc it ran deeper than
+    # the recursion limit)
+    monkeypatch.setattr(kpostman.cycles, "MAX_PACKING_STATES", 10)
+    rings = [(r + v, r + v % 40 + 1, 1) for r in (0, 40) for v in range(1, 41)]
+    joins = [(u, v, 1) for u in range(1, 41) for v in range(41, 81)]
+    assert max_arc_disjoint_cycles(DiGraph.from_arcs(80, rings + joins)) == 2
 
 
 def _gadget_digraphs():

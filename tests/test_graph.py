@@ -121,15 +121,13 @@ def test_edge_scans_match_per_edge_references():
         first = min((e for e in g.edges if e.weight == low), key=lambda e: e.id)
         assert g.total_weight() == sum(weights)
         assert g.max_edge_id() == max(ids)
-        assert g.min_weight() == low
         assert g.min_weight_edge() == first
         tied += weights.count(low) > 1 and first is not g.edges[weights.index(low)]
     assert tied > 0
     empty = MultiGraph(3, ())
     assert empty.total_weight() == 0 and empty.max_edge_id() == 0
-    for scan in (empty.min_weight, empty.min_weight_edge):
-        with pytest.raises(GraphError, match="^graph has no edges$"):
-            scan()
+    with pytest.raises(GraphError, match="^graph has no edges$"):
+        empty.min_weight_edge()
 
 
 def test_degree_classes_path():
@@ -196,14 +194,14 @@ def test_bypass_invariants(inst):
     g = inst.graph
     candidates = [
         v
-        for v in g.vertices()
+        for v in g.adjacency
         if g.degree(v) == 2
         and g.adjacency[v][0].other(v) != g.adjacency[v][1].other(v)
     ]
     for v in candidates:
         res = bypass(g, v)
         assert res.graph.total_weight() == g.total_weight()
-        for u in g.vertices():
+        for u in g.adjacency.keys() | res.graph.adjacency.keys():
             if u == v:
                 continue
             assert res.graph.degree(u) % 2 == g.degree(u) % 2

@@ -30,7 +30,6 @@ from kpostman.graph import (
 from kpostman.kernel import (
     ExpansionMap,
     Reduced,
-    Solved,
     apply_reduction_rule,
     find_chains,
     kernel_report,
@@ -42,7 +41,7 @@ from kpostman.kernel import (
 )
 from kpostman.solve import oracle_kcpp, solve_kcpp, solve_kcpp_exact
 
-from conftest import random_small_graphs, reference_reduction
+from conftest import random_small_graphs, reference_reduction, seeded_load
 
 
 def dumbbell(chain_weights):
@@ -259,9 +258,8 @@ def test_reduction_bare_cycle_keeps_zero_minimum():
     em = apply_reduction_rule(g, 2)
     work = em.kernel
     em.validate()
-    assert work.min_weight() == 0
-    active = sum(1 for v in work.vertices() if work.degree(v) > 0)
-    assert active == 4  # k + 2
+    assert work.min_weight_edge().weight == 0
+    assert len(work.adjacency) == 4  # k + 2
 
 
 def test_reduction_blocked_interior_uses_end_position():
@@ -270,7 +268,7 @@ def test_reduction_blocked_interior_uses_end_position():
     em = apply_reduction_rule(g, 2)
     work = em.kernel
     em.validate()
-    assert work.min_weight() == 1
+    assert work.min_weight_edge().weight == 1
     chains = [c for c in find_chains(work) if c.u != c.v]
     assert all(len(c.internal) <= 2 for c in chains)
 
@@ -283,7 +281,7 @@ def test_reduction_min_weight_invariant_random():
         for k in (1, 2, 3):
             em = apply_reduction_rule(g, k)
             em.validate()
-            assert em.kernel.min_weight() == g.min_weight()
+            assert em.kernel.min_weight_edge().weight == g.min_weight_edge().weight
 
 
 def _reduction_bases():
@@ -301,13 +299,13 @@ def _reduction_bases():
 def test_reduction_one_pass_bounds():
     interior_min_kept = 0
     for g in _reduction_bases():
-        active = sum(1 for v in g.vertices() if g.degree(v) > 0)
+        active = len(g.adjacency)
         e_min = g.min_weight_edge()
         for k in (1, 2, 3, 4):
             em = apply_reduction_rule(g, k)
             work = em.kernel
             em.validate()
-            assert work.min_weight() == g.min_weight()
+            assert work.min_weight_edge().weight == e_min.weight
             assert work.edge(e_min.id) == e_min
             chains = find_chains(work)
             for c in chains:
@@ -316,7 +314,7 @@ def test_reduction_one_pass_bounds():
                     assert k == 1 and len(c.internal) == 2 and e_min.id == c.edges[1]
                     interior_min_kept += 1
             if not chains:  # bare cycle
-                assert sum(1 for v in work.vertices() if work.degree(v) > 0) == min(active, k + 2)
+                assert len(work.adjacency) == min(active, k + 2)
     assert interior_min_kept > 0
 
 
@@ -438,8 +436,8 @@ def test_kernelize_star_solved_by_packing_shortcut():
     # the 3 pendant edges are the whole join, so their 2-cycles are the
     # packing shortcut's first stage
     out = kernelize(named_graph("star3"), 3)
-    assert isinstance(out, Solved)
-    assert out.solution.total_weight == 6 == out.cpp_weight
+    assert isinstance(out, Solution)
+    assert out.total_weight == 6 == solve_cpp(named_graph("star3")).weight
 
 
 def test_kernelize_triangle_k2_reduced_to_itself():
@@ -453,9 +451,9 @@ def test_kernelize_triangle_k2_reduced_to_itself():
 def test_kernelize_subdivided_bowtie_solved_at_cpp_weight():
     g = uniform_inflation(named_graph("bowtie"), 10)
     out = kernelize(g, 2)
-    assert isinstance(out, Solved)
-    assert out.solution.total_weight == 60
-    verify_solution(g, 2, out.solution)
+    assert isinstance(out, Solution)
+    assert out.total_weight == 60
+    verify_solution(g, 2, out)
 
 
 def test_kernelize_theta_parallel_shortcut_after_reduction():
@@ -467,10 +465,10 @@ def test_kernelize_theta_parallel_shortcut_after_reduction():
             for length in range(1, 9):
                 g = theta_graph(paths, length)
                 out = kernelize(g, k)
-                assert isinstance(out, Solved)
+                assert isinstance(out, Solution)
                 assert kernel_report(g, out).fired == "packing"
-                assert out.solution.total_weight == out.cpp_weight == solve_cpp(g).weight
-                verify_solution(g, k, out.solution)
+                assert out.total_weight == solve_cpp(g).weight
+                verify_solution(g, k, out)
 
 
 def test_kernelize_reduced_structural_bounds():
@@ -490,8 +488,7 @@ def test_kernelize_reduced_structural_bounds():
             chains = find_chains(kern)
             assert all(len(c.internal) <= k for c in chains)
             if not chains:  # bare cycle
-                active = sum(1 for v in kern.vertices() if kern.degree(v) > 0)
-                assert active <= k + 2
+                assert len(kern.adjacency) <= k + 2
             else:
                 per_pair = Counter(tuple(sorted((c.u, c.v))) for c in chains if c.u != c.v)
                 assert all(c < 2 * k for c in per_pair.values())
@@ -504,10 +501,27 @@ def test_kernelize_solved_weight_equals_cpp_weight_when_shortcut_fires():
     for name, k in [("star3", 3), ("bowtie", 2), ("k4", 2), ("k4", 3), ("path2", 2)]:
         g = named_graph(name)
         out = kernelize(g, k)
-        assert isinstance(out, Solved)
-        assert out.solution.total_weight == out.cpp_weight == solve_cpp(g).weight
-        assert len(out.solution.walks) == k
-        verify_solution(g, k, out.solution)
+        assert isinstance(out, Solution)
+        assert out.total_weight == solve_cpp(g).weight
+        assert len(out.walks) == k
+        verify_solution(g, k, out)
+
+
+def test_kernelize_answers_with_the_shortcut_solution_on_the_seeded_loads():
+    # where kernelize does not reduce, its answer is the packing shortcut's
+    # Solution itself, at the single-walk optimum
+    seen = Counter()
+    for seed in (1, 7):
+        for workload in ("chains", "joins", "search"):
+            for spec in seeded_load(workload, seed):
+                g = MultiGraph.from_edges(spec.n, spec.triples)
+                out = kernelize(g, spec.k)
+                seen[type(out).__name__] += 1
+                if not isinstance(out, Reduced):
+                    assert isinstance(out, Solution)
+                    assert out.total_weight == solve_cpp(g).weight
+                    assert kernel_report(g, out).fired == "packing"
+    assert seen["Solution"] > 0 and seen["Reduced"] > 0, seen
 
 
 def test_lift_identity_expansion():

@@ -298,7 +298,7 @@ def test_tours_and_splits_above_the_oracle_gate():
     for i, (g, m) in enumerate(large_even_covers()):
         sizes.append(m.copies())
         expected = Counter({eid: c for eid, c in m.counts.items() if c})
-        tour = euler_tour(m, min(v for v in g.vertices() if g.degree(v)))
+        tour = euler_tour(m, min(g.adjacency))
         verify_solution(g, 1, Solution((tour,), m.weight()))
         assert Counter(tour.edge_ids()) == expected
         packing = greedy_cycle_packing(m, i % 4 + 2)
@@ -575,7 +575,7 @@ def _chain_search_corpus():
 def test_exact_matches_the_chain_union_oracle():
     corpus = _chain_search_corpus()
     chains = [len(g.chains) for g, _ in corpus]
-    assert max(chains) == 14 and sum(g.min_weight() == 0 for g, _ in corpus) >= 20
+    assert max(chains) == 14 and sum(g.min_weight_edge().weight == 0 for g, _ in corpus) >= 20
     for g, k in corpus:
         best = chain_union_minimum(g, k)
         # the same ids with the edges out of id order, so the cut's chain
@@ -696,7 +696,7 @@ def test_metamorphic_relations_above_the_old_chain_cap(positive, seed, k):
         g = MultiGraph.from_edges(16, [(e.u, e.v, e.weight + 1) for e in g.edges])
     out = kernelize(g, k)
     assert isinstance(out, Reduced) and 17 <= len(out.kernel.chains) <= 24
-    cpp, mu = solve_cpp(g).weight, g.min_weight()
+    cpp, mu = solve_cpp(g).weight, g.min_weight_edge().weight
     assert (mu > 0) == positive
     res = _solved(g, k)
     assert res.method == "kernel"
@@ -1037,10 +1037,8 @@ def test_pipeline_is_deterministic():
 def test_k1_always_solved_by_a_shortcut():
     # any covering multigraph of a connected graph with an edge has a cycle,
     # so the packing shortcut can never miss at k=1
-    from kpostman.kernel import Solved, kernelize
-
     for g in random_small_graphs(seed=68, trials=30):
-        assert isinstance(kernelize(g, 1), Solved)
+        assert isinstance(kernelize(g, 1), Solution)
 
 
 def test_multiplicities_cover_rejects_missing_edge():
@@ -1140,7 +1138,7 @@ def test_metamorphic_relations_above_oracle_gate():
     def check(g, data):
         assert len(g.chains) <= 24  # small kernels: the search answers them in milliseconds
         cover = solve_cpp(g)
-        cpp, mu = cover.weight, g.min_weight()
+        cpp, mu = cover.weight, g.min_weight_edge().weight
         # k at or just above a greedy packing of the single-walk cover, where
         # the shortcuts give out and the exact kernel search answers
         greedy = len(greedy_cycle_packing(cover.multiplicities, cover.multiplicities.copies() // 2))
@@ -1202,7 +1200,7 @@ def test_metamorphic_relations_above_the_old_terminal_cap():
         pendant_fired.append(pendant_shortcut(g, k) is not None)
         if pendant_fired[-1]:  # the join's 2-cycles hold the pendant edges
             assert res.method == "packing"
-        assert res.cpp_weight == cpp <= res.weight <= cpp + 2 * g.min_weight() * (k - 1)
+        assert res.cpp_weight == cpp <= res.weight <= cpp + 2 * g.min_weight_edge().weight * (k - 1)
         relabel = [0, *data.draw(st.permutations(range(1, g.vertex_count + 1)), label="relabel")]
         order = data.draw(st.permutations(g.edges), label="edge order")
         moved = MultiGraph.from_edges(
